@@ -22,7 +22,6 @@ from .container import (
     Compression,
     Container,
     ContainerEntry,
-    get_entry,
     open_container,
     write_container,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "create_archive",
     "extract_all",
     "format_for_filename",
-    "get_entry",
     "infer_extension",
     "master_entries",
     "master_of",

@@ -14,22 +14,14 @@ from .container import (
     write_container,
 )
 from .errors import (
-    CorruptEntry,
     DanglingManifestEntry,
     DuplicateLocation,
     InvalidFormatUri,
-    InvalidLocation,
-    MalformedXml,
-    ManifestParseError,
-    MissingAttribute,
     MissingManifest,
     NoSuchEntry,
-    NotAZip,
     OmexError,
     ReservedLocation,
     UnsafePath,
-    WrongNamespace,
-    WrongRootElement,
 )
 from .formats import FormatKind, classify_format, format_for_filename
 from .manifest import (
@@ -76,15 +68,6 @@ class Archive:
 
     def byte_map(self) -> dict[str, bytes]:
         return self.container.byte_map()
-
-    def __eq__(self, other):
-        if not isinstance(other, Archive):
-            return NotImplemented
-        return (
-            self.container == other.container
-            and self.manifest == other.manifest
-            and self.metadata == other.metadata
-        )
 
 
 def _metadata_location(manifest: Manifest, container: Container) -> str | None:
@@ -149,73 +132,21 @@ def create_archive(
     return Archive(container, manifest, metadata)
 
 
-def open_archive(data: bytes) -> Archive:
+def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
+    """Read and check an archive: the one pipeline behind open and validate.
+
+    Raises the first fatal OmexError (an unreadable container, a missing
+    manifest, a manifest that fails to parse); every other finding goes
+    into the report.
+    """
     container = open_container(data)
     if MANIFEST_FILENAME not in container:
-        raise MissingManifest(f"no {MANIFEST_FILENAME} at the archive root")
-    try:
-        manifest = parse_manifest(container.get(MANIFEST_FILENAME))
-    except OmexError as exc:
-        raise ManifestParseError(exc) from exc
-    for finding in validate_manifest_against(manifest, set(container.paths())):
-        if finding.rule == "missing-file":
-            raise DanglingManifestEntry(finding.location)
-    metadata = None
-    location = _metadata_location(manifest, container)
-    if location is not None and location in container:
-        try:
-            metadata = parse_metadata(container.get(location))
-        except OmexError:
-            metadata = None  # unreadable metadata is a validate finding, not fatal
-    return Archive(container, manifest, metadata)
-
-
-_PARSE_RULES = (
-    (MalformedXml, "manifest-malformed"),
-    (WrongNamespace, "wrong-namespace"),
-    (WrongRootElement, "wrong-root"),
-    (MissingAttribute, "missing-attribute"),
-    (InvalidLocation, "invalid-location"),
-    (DuplicateLocation, "duplicate-location"),
-)
-
-
-def validate_archive(
-    data: bytes, mode: ValidationMode = ValidationMode.STRICT
-) -> ValidationReport:
-    """Full validation; never raises — all findings are report items."""
-    strict = mode is ValidationMode.STRICT
-    report = ValidationReport()
-    try:
-        container = open_container(data)
-    except NotAZip as exc:
-        report.error("not-a-zip", "", str(exc))
-        return report.sorted()
-    except UnsafePath as exc:
-        report.error("unsafe-path", exc.path, str(exc))
-        return report.sorted()
-    except CorruptEntry as exc:
-        report.error("corrupt-entry", exc.path, str(exc))
-        return report.sorted()
-
-    if MANIFEST_FILENAME not in container:
-        report.error(
-            "missing-manifest", MANIFEST_FILENAME,
-            "every archive must contain manifest.xml at its root",
+        raise MissingManifest(
+            f"every archive must contain {MANIFEST_FILENAME} at its root"
         )
-        return report.sorted()
+    manifest = parse_manifest(container.get(MANIFEST_FILENAME))
 
-    try:
-        manifest = parse_manifest(container.get(MANIFEST_FILENAME))
-    except OmexError as exc:
-        for exc_type, rule in _PARSE_RULES:
-            if isinstance(exc, exc_type):
-                location = getattr(exc, "location", MANIFEST_FILENAME)
-                report.error(rule, location, str(exc))
-                return report.sorted()
-        report.error("manifest-malformed", MANIFEST_FILENAME, str(exc))
-        return report.sorted()
-
+    report = ValidationReport()
     for finding in validate_manifest_against(manifest, set(container.paths())):
         if finding.rule == "unlisted-file" and strict:
             report.error(finding.rule, finding.location, finding.message)
@@ -237,15 +168,39 @@ def validate_archive(
                 f"format URI is not recognized: {entry.format!r}",
             )
 
-    metadata = MetadataSet()
+    metadata = None
     location = _metadata_location(manifest, container)
     if location is not None and location in container:
         try:
             metadata = parse_metadata(container.get(location))
         except OmexError as exc:
             report.warning("metadata-unreadable", location, str(exc))
-    report.extend(check_minimum_information(metadata))
-    return report.sorted()
+    report.extend(check_minimum_information(metadata or MetadataSet()))
+    return Archive(container, manifest, metadata), report.sorted()
+
+
+def open_archive(data: bytes) -> Archive:
+    """Read an archive; succeeds exactly when lenient validation finds no errors.
+
+    Unreadable metadata is a validation warning, so it leaves
+    `Archive.metadata` as None instead of failing the open.
+    """
+    archive, report = _load(data, strict=False)
+    if report.errors:
+        raise DanglingManifestEntry(report.errors[0].location)
+    return archive
+
+
+def validate_archive(
+    data: bytes, mode: ValidationMode = ValidationMode.STRICT
+) -> ValidationReport:
+    """Full validation; never raises — all findings are report items."""
+    try:
+        return _load(data, mode is ValidationMode.STRICT)[1]
+    except OmexError as exc:
+        report = ValidationReport()
+        report.error(exc.rule, exc.location, str(exc))
+        return report
 
 
 def _rebuild(container: Container, manifest: Manifest,

@@ -1,8 +1,9 @@
 """Command-line front end: pack, unpack, list, validate, info, meta.
 
 Exit codes: 0 success / no validation errors, 1 validation errors
-present, 2 usage or I/O failure. `--json` output carries a
-schemaVersion field for pipeline consumers.
+present, 2 any failure (usage, I/O, an unreadable archive or an
+unexpected exception), reported as one `error:` line on stderr.
+`--json` output carries a schemaVersion field for pipeline consumers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .archive import (
     set_metadata,
     validate_archive,
 )
-from .errors import OmexError
 from .formats import classify_format, infer_extension
 from .metadata import Creator, DescriptionBlock, MetadataSet, Timestamp
 from .report import Severity
@@ -72,44 +72,30 @@ def cmd_pack(args) -> int:
         overrides[location] = uri
     stamp = not args.no_stamp and os.environ.get("OMEX_NO_STAMP") != "1"
     creator = parse_creator(args.creator) if args.creator else None
-    try:
-        archive = pack_directory(
-            directory,
-            masters=set(args.master or []),
-            format_overrides=overrides,
-            stamp=stamp,
-            creator=creator,
-        )
-    except (OmexError, OSError) as exc:
-        return _fail(str(exc))
+    archive = pack_directory(
+        directory,
+        masters=set(args.master or []),
+        format_overrides=overrides,
+        stamp=stamp,
+        creator=creator,
+    )
     ext = args.ext
     if ext == "auto":
         ext = infer_extension(archive.manifest)
     out = Path(args.output).with_suffix("." + ext)
-    try:
-        out.write_bytes(archive.to_bytes())
-    except OSError as exc:
-        return _fail(str(exc))
+    out.write_bytes(archive.to_bytes())
     print(out)
     return EXIT_OK
 
 
 def cmd_unpack(args) -> int:
-    try:
-        archive = _open(args.archive)
-        written = extract_all(archive, args.destination)
-    except (OmexError, OSError) as exc:
-        return _fail(str(exc))
-    for path in written:
+    for path in extract_all(_open(args.archive), args.destination):
         print(path)
     return EXIT_OK
 
 
 def cmd_list(args) -> int:
-    try:
-        archive = _open(args.archive)
-    except (OmexError, OSError) as exc:
-        return _fail(str(exc))
+    archive = _open(args.archive)
     rows = []
     for entry in archive.manifest.entries:
         location = entry.normalized_location
@@ -137,11 +123,7 @@ def cmd_list(args) -> int:
 
 def cmd_validate(args) -> int:
     mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
-    try:
-        data = Path(args.archive).read_bytes()
-    except OSError as exc:
-        return _fail(str(exc))
-    report = validate_archive(data, mode)
+    report = validate_archive(Path(args.archive).read_bytes(), mode)
     if args.json:
         payload = {"schemaVersion": SCHEMA_VERSION, "mode": mode.value}
         payload.update(report.to_json())
@@ -170,11 +152,7 @@ def _print_block(block: DescriptionBlock) -> None:
         print(f"  reference ({kind}): {ref.predicate} -> {ref.value}")
 
 
-def cmd_info(args) -> int:
-    try:
-        archive = _open(args.archive)
-    except (OmexError, OSError) as exc:
-        return _fail(str(exc))
+def _show(archive: Archive) -> int:
     if archive.metadata is None or not archive.metadata.blocks:
         print("no metadata")
         return EXIT_OK
@@ -183,14 +161,14 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+def cmd_info(args) -> int:
+    return _show(_open(args.archive))
+
+
 def cmd_meta(args) -> int:
-    path = Path(args.archive)
-    try:
-        archive = _open(str(path))
-    except (OmexError, OSError) as exc:
-        return _fail(str(exc))
+    archive = _open(args.archive)
     if args.action == "show":
-        return cmd_info(args)
+        return _show(archive)
     metadata = archive.metadata.copy() if archive.metadata else MetadataSet()
     block = metadata.get(".")
     if block is None:
@@ -199,17 +177,10 @@ def cmd_meta(args) -> int:
     if args.description is not None:
         block.description = args.description
     for text in args.creator or []:
-        try:
-            block.creators.append(parse_creator(text))
-        except ValueError as exc:
-            return _fail(str(exc))
+        block.creators.append(parse_creator(text))
     if args.touch:
         block.modified.append(Timestamp.now())
-    try:
-        updated = set_metadata(archive, metadata)
-        path.write_bytes(updated.to_bytes())
-    except (OmexError, OSError) as exc:
-        return _fail(str(exc))
+    Path(args.archive).write_bytes(set_metadata(archive, metadata).to_bytes())
     return EXIT_OK
 
 
@@ -282,7 +253,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # every failure, expected or not, exits 2
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import enum
 import io
 import re
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 from .errors import (
@@ -27,6 +28,11 @@ _DEFLATE_LEVEL = 6
 
 # Looks like a URI scheme or a Windows drive letter at the start of a path.
 _SCHEME_OR_DRIVE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+
+# What zipfile and zlib raise on damaged input besides BadZipFile: unknown
+# compression or encryption, undecodable names, bad deflate data, truncation.
+_ZIP_FAILURES = (zipfile.BadZipFile, zlib.error, EOFError,
+                 NotImplementedError, RuntimeError, ValueError)
 
 
 class Compression(enum.Enum):
@@ -122,15 +128,11 @@ class Container:
         return self.byte_map() == other.byte_map()
 
 
-def get_entry(container: Container, path: str) -> bytes:
-    return container.get(path)
-
-
 def open_container(data: bytes) -> Container:
     """Read a ZIP stream into a Container, rejecting unsafe entry names."""
     try:
         zf = zipfile.ZipFile(io.BytesIO(data))
-    except zipfile.BadZipFile as exc:
+    except _ZIP_FAILURES as exc:
         raise NotAZip(str(exc)) from exc
     container = Container()
     with zf:
@@ -146,7 +148,7 @@ def open_container(data: bytes) -> Container:
             seen.add(name)
             try:
                 payload = zf.read(info)
-            except zipfile.BadZipFile as exc:
+            except _ZIP_FAILURES as exc:
                 raise CorruptEntry(name, f"corrupt entry {name!r}: {exc}") from exc
             compression = (
                 Compression.STORE

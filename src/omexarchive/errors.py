@@ -2,28 +2,37 @@
 
 
 class OmexError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `rule` is the report rule id that validation records this error
+    under, and `location` the archive location the finding names.
+    """
+    rule = "omex-error"
+    location = ""
 
 
 # -- container ---------------------------------------------------------------
 
 class NotAZip(OmexError):
     """The byte stream is not a well-formed ZIP file."""
+    rule = "not-a-zip"
 
 
 class CorruptEntry(OmexError):
     """A ZIP entry failed its integrity check (CRC mismatch, truncation)."""
+    rule = "corrupt-entry"
 
     def __init__(self, path, message=None):
-        self.path = path
+        self.path = self.location = path
         super().__init__(message or f"corrupt entry: {path!r}")
 
 
 class UnsafePath(OmexError):
     """An entry path violates the container path-safety rules."""
+    rule = "unsafe-path"
 
     def __init__(self, path, reason):
-        self.path = path
+        self.path = self.location = path
         self.reason = reason
         super().__init__(f"unsafe path {path!r}: {reason}")
 
@@ -44,18 +53,26 @@ class NoSuchEntry(OmexError):
 
 class MalformedXml(OmexError):
     """The input is not well-formed XML."""
+    rule = "manifest-malformed"
+    location = "manifest.xml"
 
 
 class WrongRootElement(OmexError):
     """The document root element has an unexpected name."""
+    rule = "wrong-root"
+    location = "manifest.xml"
 
 
 class WrongNamespace(OmexError):
     """The document root element is in an unexpected namespace."""
+    rule = "wrong-namespace"
+    location = "manifest.xml"
 
 
 class MissingAttribute(OmexError):
     """A required attribute is absent from a manifest entry."""
+    rule = "missing-attribute"
+    location = "manifest.xml"
 
     def __init__(self, entry_index, attribute):
         self.entry_index = entry_index
@@ -67,6 +84,7 @@ class MissingAttribute(OmexError):
 
 class InvalidLocation(OmexError):
     """A location value violates the relative-URI safety rules."""
+    rule = "invalid-location"
 
     def __init__(self, location, reason):
         self.location = location
@@ -76,6 +94,7 @@ class InvalidLocation(OmexError):
 
 class DuplicateLocation(OmexError):
     """Two entries share the same normalized location."""
+    rule = "duplicate-location"
 
     def __init__(self, location):
         self.location = location
@@ -116,18 +135,13 @@ class InvalidMetadata(OmexError):
 
 class MissingManifest(OmexError):
     """The container holds no manifest.xml at its root."""
-
-
-class ManifestParseError(OmexError):
-    """The manifest.xml entry could not be parsed; wraps the cause."""
-
-    def __init__(self, cause):
-        self.cause = cause
-        super().__init__(f"cannot parse manifest.xml: {cause}")
+    rule = "missing-manifest"
+    location = "manifest.xml"
 
 
 class DanglingManifestEntry(OmexError):
     """The manifest lists a file that is absent from the container."""
+    rule = "missing-file"
 
     def __init__(self, location):
         self.location = location

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 
 from .manifest import (
+    NON_XML_CHAR,
     OMEX_FORMAT_URI,
     OMEX_METADATA_FORMAT_URI,
     Manifest,
@@ -49,6 +50,8 @@ class FormatClass:
 
 def classify_format(uri: str) -> FormatClass:
     """Classify any string into exactly one FormatClass; never raises."""
+    if NON_XML_CHAR.search(uri):
+        return FormatClass(FormatKind.INVALID, uri)
     if uri.startswith(COMBINE_PREFIX):
         key = uri[len(COMBINE_PREFIX):]
         if key and "/" not in key and not key.isspace():

@@ -8,6 +8,7 @@ itself.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from urllib.parse import unquote, urlsplit
@@ -22,7 +23,7 @@ from .errors import (
     WrongNamespace,
     WrongRootElement,
 )
-from .report import Severity, ValidationReport
+from .report import ValidationReport
 
 MANIFEST_NS = "http://identifiers.org/combine.specifications/omex-manifest"
 OMEX_FORMAT_URI = "http://identifiers.org/combine.specifications/omex"
@@ -34,6 +35,11 @@ METADATA_FILENAME = "metadata.rdf"
 
 _ROOT_TAG = f"{{{MANIFEST_NS}}}omexManifest"
 _CONTENT_TAG = f"{{{MANIFEST_NS}}}content"
+
+# A character outside the XML 1.0 `Char` production: no document can hold
+# it, escaped or not, so a location or format URI containing one could be
+# written but never read back.
+NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _TRUE_VALUES = {"true", "1"}
 _FALSE_VALUES = {"false", "0"}
@@ -49,13 +55,16 @@ def normalize_location(location: str) -> str:
 def check_location(location: str) -> str:
     """Validate a location URI, returning its normalized form.
 
-    Locations must be relative references (no scheme, no authority) and,
-    after percent-decoding, contain no `..` segment and no leading slash.
+    Locations must be relative references (no scheme, no authority) made
+    of XML characters and, after percent-decoding, contain no `..` segment
+    and no leading slash.
     """
     if not location:
         raise InvalidLocation(location, "empty location")
     if location == ".":
         return location
+    if NON_XML_CHAR.search(location):
+        raise InvalidLocation(location, "character not allowed in XML")
     if "\\" in location:
         raise InvalidLocation(location, "backslash separator")
     try:
@@ -105,9 +114,6 @@ class Manifest:
 
     def __init__(self, entries):
         object.__setattr__(self, "entries", tuple(entries))
-
-    def locations(self) -> list[str]:
-        return [e.normalized_location for e in self.entries]
 
     def find(self, location: str) -> ContentEntry | None:
         wanted = normalize_location(location)
@@ -249,5 +255,4 @@ __all__ = [
     "serialize_manifest",
     "master_entries",
     "validate_manifest_against",
-    "Severity",
 ]

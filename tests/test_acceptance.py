@@ -33,7 +33,7 @@ from omexarchive import (
     write_container,
 )
 from omexarchive.archive import pack_directory
-from omexarchive.errors import UnsafePath
+from omexarchive.errors import OmexError, UnsafePath
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
 from omexarchive.manifest import OMEX_FORMAT_URI
 from omexarchive.metadata import DescriptionBlock
@@ -311,3 +311,36 @@ def test_criterion_8_determinism(tmp_path, golden_files):
         report_b = validate_archive(data, ValidationMode.STRICT)
         assert report_a.items == report_b.items
         assert report_a.items == report_a.sorted().items
+
+
+def _byte_flips(data, count, seed=1):
+    """Seeded mutants of `data`, each with 1-4 random byte overwrites."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mutant = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        yield bytes(mutant)
+
+
+def test_criterion_9_open_agrees_with_lenient_validation(golden_archive_bytes):
+    with criterion("9 open/validate agreement (corpora, 500 byte-flips, "
+                   "every truncation)", 20.0):
+        inputs = [write_container(build_container(files))
+                  for _, files, _ in _corpus()]
+        inputs += [raw_zip([("manifest.xml", b"<m/>"), (name, b"evil")])
+                   for name in HOSTILE_NAMES]
+        inputs += _byte_flips(golden_archive_bytes, 500)
+        inputs += [golden_archive_bytes[:n] for n in range(len(golden_archive_bytes))]
+        for data in inputs:
+            # validation never raises, in either mode
+            validate_archive(data, ValidationMode.STRICT)
+            errors = validate_archive(data, ValidationMode.LENIENT).errors
+            # open raises only OmexError, and exactly when lenient validation
+            # finds an error, under one of those errors' rule ids
+            try:
+                open_archive(data)
+            except OmexError as exc:
+                assert exc.rule in {f.rule for f in errors}, (exc, errors)
+            else:
+                assert not errors, errors

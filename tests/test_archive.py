@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omexarchive import (
     Creator,
@@ -27,6 +29,7 @@ from omexarchive.errors import (
     MissingManifest,
     NoSuchEntry,
     NotAZip,
+    OmexError,
     ReservedLocation,
 )
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
@@ -84,6 +87,26 @@ def test_create_rejects_unsafe_location():
 def test_create_rejects_invalid_format():
     with pytest.raises(InvalidFormatUri):
         create_archive([("a.xml", "not a uri", False, b"")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    location=st.text(),
+    prefix=st.sampled_from([COMBINE_PREFIX, MEDIATYPE_PREFIX]),
+    suffix=st.text(),
+)
+@example(location="a\x01b.xml", prefix=COMBINE_PREFIX, suffix="sbml")
+@example(location="a\ufffeb.xml", prefix=COMBINE_PREFIX, suffix="sbml")
+@example(location="a\ud800b.xml", prefix=COMBINE_PREFIX, suffix="sbml")
+@example(location="a.xml", prefix=COMBINE_PREFIX, suffix="sb\x01ml")
+@example(location="a.xml", prefix=COMBINE_PREFIX, suffix="sb\uffffml")
+def test_whatever_create_accepts_open_reopens(location, prefix, suffix):
+    try:
+        archive = create_archive([(location, prefix + suffix, False, b"data")])
+        data = archive.to_bytes()
+    except OmexError:
+        return
+    assert open_archive(data) == archive
 
 
 def test_random_archives_self_validate():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import omexarchive.cli
 from omexarchive import open_archive
 from omexarchive.cli import main, parse_creator
 from omexarchive.metadata import Creator
@@ -200,3 +201,26 @@ def test_env_var_mirrors_no_stamp(fixture_dir, tmp_path, capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert main(["definitely-not-a-command"]) == 2
     capsys.readouterr()
+
+
+def test_bad_pack_creator_exits_2_with_one_line(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "x.omex"
+    assert main(["pack", str(fixture_dir), str(out), "--creator", "<>"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["list"], ["unpack", "{dest}"], ["info"], ["meta", "show"]],
+)
+def test_unexpected_exception_exits_2(argv, golden_archive_file, tmp_path,
+                                      capsys, monkeypatch):
+    def broken_open(data):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(omexarchive.cli, "open_archive", broken_open)
+    command, *rest = argv
+    args = [command, str(golden_archive_file)]
+    args += [a.format(dest=tmp_path / "dest") for a in rest]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: boom\n"

@@ -117,7 +117,8 @@ def test_master_boolean_forms(raw, expected):
 @pytest.mark.parametrize(
     "location",
     ["/etc/passwd", "../up.xml", "a/../../b", "http://host/x", "a\\b",
-     "%2e%2e/secret", "a/%2e%2e/b", "//host/share"],
+     "%2e%2e/secret", "a/%2e%2e/b", "//host/share",
+     "a\x01b.xml", "a\ufffeb.xml", "a\ud800b.xml"],
 )
 def test_unsafe_locations_rejected(location):
     with pytest.raises(InvalidLocation):
