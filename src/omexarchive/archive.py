@@ -9,7 +9,6 @@ from pathlib import Path, PurePosixPath
 
 from .container import (
     Container,
-    ContainerEntry,
     open_container,
     write_container,
 )
@@ -33,7 +32,6 @@ from .manifest import (
     Manifest,
     check_location,
     master_entries,
-    normalize_location,
     parse_manifest,
     serialize_manifest,
     validate_manifest_against,
@@ -70,11 +68,11 @@ class Archive:
         return self.container.byte_map()
 
 
-def _metadata_location(manifest: Manifest, container: Container) -> str | None:
+def metadata_location(manifest: Manifest, container: Container) -> str | None:
     """The manifest omex-metadata entry wins; literal metadata.rdf is the fallback."""
     for entry in manifest.entries:
-        if entry.format == OMEX_METADATA_FORMAT_URI and entry.normalized_location != ".":
-            return entry.normalized_location
+        if entry.format == OMEX_METADATA_FORMAT_URI and entry.path != ".":
+            return entry.path
     if METADATA_FILENAME in container:
         return METADATA_FILENAME
     return None
@@ -109,25 +107,19 @@ def create_archive(
     """
     entries = [ContentEntry(".", OMEX_FORMAT_URI)]
     container = Container()
-    seen = {"."}
     for location, format_uri, master, data in files:
-        normalized = check_location(location)
-        if normalized in seen or normalized == MANIFEST_FILENAME:
-            raise DuplicateLocation(normalized)
-        seen.add(normalized)
-        fc = classify_format(format_uri)
-        if fc.kind is FormatKind.INVALID:
+        entry = ContentEntry(location, format_uri, master or None)
+        if entry.path in RESERVED_LOCATIONS:
+            raise DuplicateLocation(entry.path)
+        if classify_format(format_uri).kind is FormatKind.INVALID:
             raise InvalidFormatUri(format_uri)
-        entries.append(ContentEntry(normalized, format_uri, master or None))
-        container.add(ContainerEntry(normalized, bytes(data)))
-
+        entries.append(entry)
+        container.put(entry.path, bytes(data))
     if metadata is not None:
-        if METADATA_FILENAME in seen:
-            raise DuplicateLocation(METADATA_FILENAME)
         entries.append(ContentEntry(METADATA_FILENAME, OMEX_METADATA_FORMAT_URI))
-        container.add(ContainerEntry(METADATA_FILENAME, serialize_metadata(metadata)))
+        container.put(METADATA_FILENAME, serialize_metadata(metadata))
 
-    manifest = Manifest(entries)
+    manifest = Manifest(entries)  # raises DuplicateLocation on a repeated path
     container.put(MANIFEST_FILENAME, serialize_manifest(manifest))
     return Archive(container, manifest, metadata)
 
@@ -164,12 +156,12 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         if fc.kind is FormatKind.INVALID:
             severity = Severity.ERROR if strict else Severity.WARNING
             report.add(
-                severity, "invalid-format", entry.normalized_location,
+                severity, "invalid-format", entry.path,
                 f"format URI is not recognized: {entry.format!r}",
             )
 
     metadata = None
-    location = _metadata_location(manifest, container)
+    location = metadata_location(manifest, container)
     if location is not None and location in container:
         try:
             metadata = parse_metadata(container.get(location))
@@ -213,44 +205,38 @@ def add_entry(
     archive: Archive, location: str, format_uri: str, data: bytes,
     master: bool | None = None,
 ) -> Archive:
-    normalized = check_location(location)
-    if normalized in RESERVED_LOCATIONS:
-        raise ReservedLocation(normalized)
-    if archive.manifest.find(normalized) or normalized in archive.container:
-        raise DuplicateLocation(normalized)
-    fc = classify_format(format_uri)
-    if fc.kind is FormatKind.INVALID:
+    entry = ContentEntry(location, format_uri, master)
+    if entry.path in RESERVED_LOCATIONS:
+        raise ReservedLocation(entry.path)
+    if archive.manifest.find(entry.path) or entry.path in archive.container:
+        raise DuplicateLocation(entry.path)
+    if classify_format(format_uri).kind is FormatKind.INVALID:
         raise InvalidFormatUri(format_uri)
     container = archive.container.copy()
-    container.add(ContainerEntry(normalized, bytes(data)))
-    manifest = Manifest(
-        archive.manifest.entries + (ContentEntry(normalized, format_uri, master),)
-    )
+    container.put(entry.path, bytes(data))
+    manifest = Manifest(archive.manifest.entries + (entry,))
     return _rebuild(container, manifest, archive.metadata)
 
 
 def remove_entry(archive: Archive, location: str) -> Archive:
-    normalized = check_location(location)
-    if normalized in RESERVED_LOCATIONS:
-        raise ReservedLocation(normalized)
-    if archive.manifest.find(normalized) is None:
-        raise NoSuchEntry(normalized)
+    path = check_location(location)
+    if path in RESERVED_LOCATIONS:
+        raise ReservedLocation(path)
+    if archive.manifest.find(path) is None:
+        raise NoSuchEntry(path)
     container = archive.container.copy()
-    if normalized in container:
-        container.remove(normalized)
-    manifest = Manifest(
-        e for e in archive.manifest.entries
-        if e.normalized_location != normalized
-    )
+    if path in container:
+        container.remove(path)
+    manifest = Manifest(e for e in archive.manifest.entries if e.path != path)
     metadata = archive.metadata
-    metadata_location = _metadata_location(archive.manifest, archive.container)
-    if normalized == metadata_location:
+    rdf = metadata_location(archive.manifest, archive.container)
+    if path == rdf:
         metadata = None
-    elif metadata is not None and metadata.get(normalized) is not None:
+    elif metadata is not None and metadata.get(path) is not None:
         metadata = metadata.copy()
-        metadata.remove(normalized)
-        if metadata_location is not None:
-            container.put(metadata_location, serialize_metadata(metadata))
+        metadata.remove(path)
+        if rdf is not None:
+            container.put(rdf, serialize_metadata(metadata))
     return _rebuild(container, manifest, metadata)
 
 
@@ -273,7 +259,7 @@ def extract_all(archive: Archive, destination) -> list[Path]:
 def set_metadata(archive: Archive, metadata: MetadataSet) -> Archive:
     """Replace the archive's metadata, creating metadata.rdf if needed."""
     container = archive.container.copy()
-    location = _metadata_location(archive.manifest, archive.container)
+    location = metadata_location(archive.manifest, archive.container)
     location = location or METADATA_FILENAME
     container.put(location, serialize_metadata(metadata))
     manifest = archive.manifest
@@ -299,29 +285,29 @@ def pack_directory(
 ) -> Archive:
     """Create an archive from a directory tree.
 
-    Formats default via format_for_filename; a root manifest.xml is
-    ignored (it is regenerated); an existing metadata.rdf is packed
-    verbatim and suppresses auto-stamping.
+    Formats default via format_for_filename; `masters` and the keys of
+    `format_overrides` are locations. A file name's `%` is written to its
+    location as `%25`, so the location names the file. A root
+    manifest.xml is ignored (it is regenerated); an existing metadata.rdf
+    is packed verbatim and suppresses auto-stamping.
     """
     root = Path(directory)
-    masters = {normalize_location(m) for m in (masters or set())}
-    overrides = {
-        normalize_location(k): v for k, v in (format_overrides or {}).items()
-    }
+    masters = {check_location(m) for m in (masters or set())}
+    overrides = {check_location(k): v for k, v in (format_overrides or {}).items()}
     files = []
-    locations = set()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        rel = path.relative_to(root).as_posix()
+    paths = set()
+    for file in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = file.relative_to(root).as_posix()
         if rel == MANIFEST_FILENAME:
             continue
         fmt = overrides.get(rel, format_for_filename(rel))
-        files.append((rel, fmt, rel in masters, path.read_bytes()))
-        locations.add(rel)
-    unknown_masters = masters - locations
+        files.append((rel.replace("%", "%25"), fmt, rel in masters, file.read_bytes()))
+        paths.add(rel)
+    unknown_masters = masters - paths
     if unknown_masters:
         raise NoSuchEntry(sorted(unknown_masters)[0])
     metadata = None
-    if stamp and METADATA_FILENAME not in locations:
+    if stamp and METADATA_FILENAME not in paths:
         metadata = MetadataSet()
         metadata.add(stamp_block(creator, created))
     return create_archive(files, metadata)

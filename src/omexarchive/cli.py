@@ -19,13 +19,21 @@ from .archive import (
     Archive,
     ValidationMode,
     extract_all,
+    metadata_location,
     open_archive,
     pack_directory,
     set_metadata,
     validate_archive,
 )
+from .errors import OmexError
 from .formats import classify_format, infer_extension
-from .metadata import Creator, DescriptionBlock, MetadataSet, Timestamp
+from .metadata import (
+    Creator,
+    DescriptionBlock,
+    MetadataSet,
+    Timestamp,
+    parse_metadata,
+)
 from .report import Severity
 
 SCHEMA_VERSION = 1
@@ -98,13 +106,12 @@ def cmd_list(args) -> int:
     archive = _open(args.archive)
     rows = []
     for entry in archive.manifest.entries:
-        location = entry.normalized_location
         size = None
-        if location != "." and location in archive.container:
-            size = len(archive.container.get(location))
+        if entry.path in archive.container:
+            size = len(archive.container.get(entry.path))
         rows.append(
             {
-                "location": location,
+                "location": entry.path,
                 "format": entry.format,
                 "formatClass": classify_format(entry.format).kind.value,
                 "size": size,
@@ -169,6 +176,12 @@ def cmd_meta(args) -> int:
     archive = _open(args.archive)
     if args.action == "show":
         return _show(archive)
+    location = metadata_location(archive.manifest, archive.container)
+    if archive.metadata is None and location in archive.container:
+        try:
+            parse_metadata(archive.container.get(location))
+        except OmexError as exc:
+            return _fail(f"{location} is unreadable: {exc}")
     metadata = archive.metadata.copy() if archive.metadata else MetadataSet()
     block = metadata.get(".")
     if block is None:

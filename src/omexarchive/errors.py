@@ -93,7 +93,7 @@ class InvalidLocation(OmexError):
 
 
 class DuplicateLocation(OmexError):
-    """Two entries share the same normalized location."""
+    """Two entries name the same container path."""
     rule = "duplicate-location"
 
     def __init__(self, location):

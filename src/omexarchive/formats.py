@@ -12,7 +12,6 @@ from .manifest import (
     OMEX_FORMAT_URI,
     OMEX_METADATA_FORMAT_URI,
     Manifest,
-    normalize_location,
 )
 
 COMBINE_PREFIX = "http://identifiers.org/combine.specifications/"
@@ -87,7 +86,7 @@ def infer_extension(manifest: Manifest) -> str:
     """
     families: set[str] = set()
     for entry in manifest.entries:
-        if entry.normalized_location == ".":
+        if entry.path == ".":
             continue
         key = _combine_key(entry.format)
         if key is None or key.startswith("omex"):
@@ -127,8 +126,7 @@ OCTET_STREAM_URI = MEDIATYPE_PREFIX + "application/octet-stream"
 
 def format_for_filename(name: str) -> str:
     """Guess a default format URI from a filename. Convenience only."""
-    path = normalize_location(name)
-    base = path.rsplit("/", 1)[-1]
+    base = name.rsplit("/", 1)[-1]
     dot = base.rfind(".")
     suffix = base[dot:].lower() if dot > 0 else ""
     if suffix in _SUFFIX_FORMATS:

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from urllib.parse import unquote, urlsplit
 from xml.sax.saxutils import quoteattr
 
+from .container import check_path
 from .errors import (
     DuplicateLocation,
     InvalidLocation,
     InvalidManifest,
     MalformedXml,
     MissingAttribute,
+    UnsafePath,
     WrongNamespace,
     WrongRootElement,
 )
@@ -45,45 +47,28 @@ _TRUE_VALUES = {"true", "1"}
 _FALSE_VALUES = {"false", "0"}
 
 
-def normalize_location(location: str) -> str:
-    """Strip redundant leading `./` segments; `.` itself is preserved."""
-    while location.startswith("./"):
-        location = location[2:]
-    return location or "."
-
-
 def check_location(location: str) -> str:
-    """Validate a location URI, returning its normalized form.
+    """Map a manifest location to the container path it names.
 
-    Locations must be relative references (no scheme, no authority) made
-    of XML characters and, after percent-decoding, contain no `..` segment
-    and no leading slash.
+    The location is percent-decoded as UTF-8 and stripped of leading `./`
+    segments (`.` and `./` name the archive itself). The result must be
+    made of XML characters and pass the container's `check_path`;
+    anything else raises InvalidLocation.
     """
-    if not location:
-        raise InvalidLocation(location, "empty location")
-    if location == ".":
-        return location
-    if NON_XML_CHAR.search(location):
-        raise InvalidLocation(location, "character not allowed in XML")
-    if "\\" in location:
-        raise InvalidLocation(location, "backslash separator")
     try:
-        parts = urlsplit(location)
-    except ValueError as exc:
-        raise InvalidLocation(location, str(exc)) from exc
-    if parts.scheme:
-        raise InvalidLocation(location, "has a URI scheme")
-    if parts.netloc:
-        raise InvalidLocation(location, "has a URI authority")
-    decoded = unquote(parts.path)
-    if decoded.startswith("/"):
-        raise InvalidLocation(location, "absolute path")
-    if ".." in decoded.split("/"):
-        raise InvalidLocation(location, "parent-directory segment")
-    normalized = normalize_location(location)
-    if normalized != "." and not unquote(normalized):
-        raise InvalidLocation(location, "empty path")
-    return normalized
+        path = unquote(location, errors="strict")
+    except UnicodeDecodeError as exc:
+        raise InvalidLocation(location, "percent-escape is not UTF-8") from exc
+    while path.startswith("./"):
+        path = path[2:]
+    if path in (".", "") and location:
+        return "."
+    if NON_XML_CHAR.search(path):
+        raise InvalidLocation(location, "character not allowed in XML")
+    try:
+        return check_path(path)
+    except UnsafePath as exc:
+        raise InvalidLocation(location, exc.reason) from None
 
 
 def is_valid_format_uri(uri: str) -> bool:
@@ -99,45 +84,36 @@ def is_valid_format_uri(uri: str) -> bool:
 
 @dataclass(frozen=True)
 class ContentEntry:
+    """A manifest entry; `path` is the container path its location names."""
     location: str
     format: str
     master: bool | None = None
+    path: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def normalized_location(self) -> str:
-        return normalize_location(self.location)
+    def __post_init__(self):
+        object.__setattr__(self, "path", check_location(self.location))
 
 
 @dataclass(frozen=True)
 class Manifest:
+    """Entries in document order, indexed by path; paths are unique."""
     entries: tuple[ContentEntry, ...]
 
     def __init__(self, entries):
         object.__setattr__(self, "entries", tuple(entries))
-
-    def find(self, location: str) -> ContentEntry | None:
-        wanted = normalize_location(location)
+        object.__setattr__(self, "_by_path", {})
         for entry in self.entries:
-            if entry.normalized_location == wanted:
-                return entry
-        return None
+            if self._by_path.setdefault(entry.path, entry) is not entry:
+                raise DuplicateLocation(entry.path)
+
+    def find(self, path: str) -> ContentEntry | None:
+        return self._by_path.get(path)
 
     def check(self) -> None:
         """Raise InvalidManifest unless the model invariants hold."""
-        if not self.entries:
-            raise InvalidManifest("a manifest must have at least one entry")
-        dots = [e for e in self.entries if e.normalized_location == "."]
-        if len(dots) != 1:
-            raise InvalidManifest(
-                f"exactly one '.' entry required, found {len(dots)}"
-            )
-        seen: set[str] = set()
+        if self.find(".") is None:
+            raise InvalidManifest("a manifest needs an entry for '.'")
         for entry in self.entries:
-            loc = entry.normalized_location
-            if loc in seen:
-                raise InvalidManifest(f"duplicate location {loc!r}")
-            seen.add(loc)
-            check_location(entry.location)
             if not is_valid_format_uri(entry.format):
                 raise InvalidManifest(f"format is not an absolute URI: {entry.format!r}")
 
@@ -156,7 +132,6 @@ def parse_manifest(xml: bytes) -> Manifest:
         raise WrongRootElement(f"root element {root.tag!r}, expected omexManifest")
 
     entries = []
-    seen: set[str] = set()
     for index, elem in enumerate(root):
         if elem.tag != _CONTENT_TAG:
             continue  # unknown children are ignored for forward compatibility
@@ -166,10 +141,6 @@ def parse_manifest(xml: bytes) -> Manifest:
         fmt = elem.get("format")
         if fmt is None:
             raise MissingAttribute(index, "format")
-        normalized = check_location(location)
-        if normalized in seen:
-            raise DuplicateLocation(normalized)
-        seen.add(normalized)
         master_raw = elem.get("master")
         if master_raw is None:
             master = None
@@ -211,21 +182,14 @@ def validate_manifest_against(
 ) -> ValidationReport:
     """Cross-check manifest locations against the container's path set."""
     report = ValidationReport()
-    listed: set[str] = set()
     for entry in manifest.entries:
-        loc = entry.normalized_location
-        if loc == ".":
-            continue
-        listed.add(loc)
-        if loc not in paths:
+        if entry.path != "." and entry.path not in paths:
             report.error(
-                "missing-file", loc,
+                "missing-file", entry.path,
                 "manifest lists a file that is absent from the archive",
             )
     for path in sorted(paths):
-        if path == MANIFEST_FILENAME:
-            continue
-        if path not in listed:
+        if path != MANIFEST_FILENAME and manifest.find(path) is None:
             report.warning(
                 "unlisted-file", path,
                 "archive file is not listed in the manifest",
@@ -234,7 +198,7 @@ def validate_manifest_against(
     if len(masters) > 1:
         report.warning(
             "multiple-masters",
-            ", ".join(e.normalized_location for e in masters),
+            ", ".join(e.path for e in masters),
             f"{len(masters)} entries are flagged master",
         )
     return report.sorted()
@@ -248,7 +212,6 @@ __all__ = [
     "METADATA_FILENAME",
     "ContentEntry",
     "Manifest",
-    "normalize_location",
     "check_location",
     "is_valid_format_uri",
     "parse_manifest",

@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import BadTimestamp, InvalidMetadata, MalformedXml, NotRdf
-from .manifest import check_location, normalize_location
+from .manifest import NON_XML_CHAR, check_location
 from .report import ValidationReport
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -144,35 +144,24 @@ class DescriptionBlock:
         self.modified.extend(other.modified)
         self.references.extend(other.references)
 
-    def __eq__(self, other):
-        if not isinstance(other, DescriptionBlock):
-            return NotImplemented
-        return (
-            normalize_location(self.about) == normalize_location(other.about)
-            and self.description == other.description
-            and self.creators == other.creators
-            and self.created == other.created
-            and self.modified == other.modified
-            and self.references == other.references
-        )
-
 
 @dataclass
 class MetadataSet:
+    """Description blocks keyed by the container path their `about` names."""
     blocks: dict[str, DescriptionBlock] = field(default_factory=dict)
 
     def add(self, block: DescriptionBlock) -> None:
-        key = normalize_location(block.about)
+        key = check_location(block.about)
         if key in self.blocks:
             self.blocks[key].merge(block)
         else:
             self.blocks[key] = block
 
-    def get(self, about: str) -> DescriptionBlock | None:
-        return self.blocks.get(normalize_location(about))
+    def get(self, path: str) -> DescriptionBlock | None:
+        return self.blocks.get(path)
 
-    def remove(self, about: str) -> None:
-        self.blocks.pop(normalize_location(about), None)
+    def remove(self, path: str) -> None:
+        self.blocks.pop(path, None)
 
     def copy(self) -> "MetadataSet":
         out = MetadataSet()
@@ -253,7 +242,6 @@ def parse_metadata(xml: bytes) -> MetadataSet:
         about = desc.get(_ABOUT_ATTR)
         if about is None:
             raise NotRdf("rdf:Description without rdf:about")
-        check_location(about)
         block = DescriptionBlock(about=about)
         for prop in desc:
             ns, local = _split_tag(prop.tag)
@@ -372,7 +360,11 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
                 lines.append(f"    <{qname} rdf:resource={quoteattr(ref.value)}/>")
         lines.append("  </rdf:Description>")
     lines.append("</rdf:RDF>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    document = "\n".join(lines) + "\n"
+    bad = NON_XML_CHAR.search(document)
+    if bad:
+        raise InvalidMetadata(f"character not allowed in XML: {bad.group()!r}")
+    return document.encode("utf-8")
 
 
 def check_minimum_information(metadata: MetadataSet) -> ValidationReport:

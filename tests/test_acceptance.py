@@ -59,7 +59,7 @@ def test_criterion_1_golden_manifest_fidelity(golden_manifest_xml):
         manifest = parse_manifest(golden_manifest_xml)
         assert len(manifest.entries) == 5
         masters = master_entries(manifest)
-        assert [e.normalized_location for e in masters] == ["simulation.xml"]
+        assert [e.path for e in masters] == ["simulation.xml"]
         assert manifest.find(".").format == OMEX_FORMAT_URI
         assert parse_manifest(serialize_manifest(manifest)) == manifest
 

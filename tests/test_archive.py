@@ -1,4 +1,8 @@
+import errno
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +37,7 @@ from omexarchive.errors import (
     ReservedLocation,
 )
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
+from omexarchive.manifest import MANIFEST_NS, OMEX_FORMAT_URI, check_location
 
 from conftest import build_container, raw_zip
 
@@ -65,9 +70,9 @@ def test_create_golden_like(golden_files, golden_metadata_xml, golden_manifest_x
         metadata=parse_metadata(golden_metadata_xml),
     )
     expected = parse_manifest(golden_manifest_xml)
-    got = {(e.normalized_location, e.format, bool(e.master))
+    got = {(e.path, e.format, bool(e.master))
            for e in archive.manifest.entries}
-    want = {(e.normalized_location, e.format, bool(e.master))
+    want = {(e.path, e.format, bool(e.master))
             for e in expected.entries}
     assert got == want
 
@@ -82,6 +87,20 @@ def test_create_rejects_duplicates(golden_files):
 def test_create_rejects_unsafe_location():
     with pytest.raises(InvalidLocation):
         create_archive([("../escape.xml", SBML, False, b"")])
+
+
+@pytest.mark.parametrize("location", ["a//b.xml", "a/./b.xml"])
+def test_create_rejects_empty_and_dot_segments(location):
+    with pytest.raises(InvalidLocation):
+        create_archive([(location, SBML, False, b"")])
+
+
+def test_create_maps_percent_escapes_to_paths():
+    archive = create_archive([("a%20b.xml", SBML, False, b"x")])
+    assert archive.container.paths() == ["a b.xml", "manifest.xml"]
+    assert [e.location for e in archive.manifest.entries] == [".", "a%20b.xml"]
+    with pytest.raises(DuplicateLocation):
+        create_archive([("a b.xml", SBML, False, b""), ("a%20b.xml", SBML, False, b"")])
 
 
 def test_create_rejects_invalid_format():
@@ -100,13 +119,63 @@ def test_create_rejects_invalid_format():
 @example(location="a\ud800b.xml", prefix=COMBINE_PREFIX, suffix="sbml")
 @example(location="a.xml", prefix=COMBINE_PREFIX, suffix="sb\x01ml")
 @example(location="a.xml", prefix=COMBINE_PREFIX, suffix="sb\uffffml")
+@example(location="a%20b/c%2541.xml", prefix=COMBINE_PREFIX, suffix="sbml")
+@example(location="./x/" + "\u00e9" * 200, prefix=COMBINE_PREFIX, suffix="sbml")
 def test_whatever_create_accepts_open_reopens(location, prefix, suffix):
     try:
         archive = create_archive([(location, prefix + suffix, False, b"data")])
         data = archive.to_bytes()
     except OmexError:
         return
-    assert open_archive(data) == archive
+    reopened = open_archive(data)
+    assert reopened == archive
+    # ... and extracts to dest/<path> with its bytes, writing nothing outside
+    # dest; a segment longer than the filesystem's name limit cannot be created
+    segments = check_location(location).split("/")
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp, "dest")
+        name_max = os.pathconf(tmp, "PC_NAME_MAX")
+        if max(len(os.fsencode(s)) for s in segments) > name_max:
+            with pytest.raises(OSError) as exc:
+                extract_all(reopened, dest)
+            assert exc.value.errno == errno.ENAMETOOLONG
+        else:
+            written = extract_all(reopened, dest)
+            target = dest.joinpath(*segments)
+            assert written == sorted([target, dest / "manifest.xml"])
+            assert target.read_bytes() == b"data"
+        assert all(p == dest or dest in p.parents for p in Path(tmp).rglob("*"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(description=st.text())
+@example(description="bad\x01text")
+@example(description="a\ud800b")
+def test_whatever_set_metadata_accepts_reads_back(description):
+    archive = create_archive([("a.xml", SBML, False, b"<a/>")])
+    meta = MetadataSet()
+    meta.add(stamp_block(Creator(family_name="Doe"),
+                         Timestamp.parse("2020-01-01T00:00:00Z")))
+    meta.get(".").description = description
+    try:
+        data = set_metadata(archive, meta).to_bytes()
+    except OmexError:
+        return
+    rules = [f.rule for f in validate_archive(data, ValidationMode.LENIENT)]
+    assert "metadata-unreadable" not in rules
+
+
+def test_percent_encoded_location_matches_its_member():
+    manifest = (
+        f'<omexManifest xmlns="{MANIFEST_NS}">'
+        f'<content location="." format="{OMEX_FORMAT_URI}"/>'
+        f'<content location="a%20b.xml" format="{SBML}"/>'
+        "</omexManifest>"
+    ).encode()
+    data = raw_zip([("manifest.xml", manifest), ("a b.xml", b"<sbml/>")])
+    rules = {f.rule for f in validate_archive(data, ValidationMode.STRICT)}
+    assert not rules & {"missing-file", "unlisted-file"}
+    assert open_archive(data).container.get("a b.xml") == b"<sbml/>"
 
 
 def test_random_archives_self_validate():
@@ -279,7 +348,7 @@ def test_extract_then_repack_full_cycle(golden_files, tmp_path):
 
 def test_master_of(golden_files):
     archive = create_archive(_golden_like_files(golden_files))
-    assert [e.normalized_location for e in master_of(archive)] == ["simulation.xml"]
+    assert [e.path for e in master_of(archive)] == ["simulation.xml"]
 
 
 def test_pack_directory_stamps_by_default(tmp_path):

@@ -51,7 +51,7 @@ def test_pack_golden_fixture(fixture_dir, tmp_path, capsys):
     # SED-ML content selects .sedx under --ext auto
     assert written.endswith(".sedx")
     archive = open_archive((tmp_path / "out.sedx").read_bytes())
-    masters = [e.normalized_location for e in archive.manifest.entries if e.master]
+    masters = [e.path for e in archive.manifest.entries if e.master]
     assert masters == ["simulation.xml"]
 
 
@@ -92,6 +92,25 @@ def test_pack_unpack_round_trip(fixture_dir, tmp_path, capsys):
             assert (dest / rel).read_bytes() == path.read_bytes()
 
 
+def test_pack_unpack_keeps_percent_and_space_names(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a%41.txt").write_bytes(b"percent")
+    (src / "a b.xml").write_bytes(b"<space/>")
+    out = tmp_path / "p.omex"
+    assert main(["pack", str(src), str(out), "--no-stamp", "--ext", "omex",
+                 "--master", "a%2541.txt"]) == 0
+    archive = open_archive(out.read_bytes())
+    assert {e.location: e.master for e in archive.manifest.entries} == {
+        ".": None, "a%2541.txt": True, "a b.xml": None,
+    }
+    dest = tmp_path / "dest"
+    assert main(["unpack", str(out), str(dest)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in dest.iterdir()) == ["a b.xml", "a%41.txt", "manifest.xml"]
+    assert (dest / "a%41.txt").read_bytes() == b"percent"
+
+
 def test_unpack_bad_archive(tmp_path, capsys):
     bogus = tmp_path / "bogus.omex"
     bogus.write_text("not a zip")
@@ -105,7 +124,7 @@ def test_list_json_matches_model(golden_archive_file, capsys):
     assert payload["schemaVersion"] == 1
     archive = open_archive(golden_archive_file.read_bytes())
     expected = {
-        (e.normalized_location, e.format, bool(e.master))
+        (e.path, e.format, bool(e.master))
         for e in archive.manifest.entries
     }
     got = {(r["location"], r["format"], r["master"]) for r in payload["entries"]}
@@ -182,6 +201,30 @@ def test_meta_set_creator_and_description(tmp_path, capsys):
     assert block.description == "test case"
     assert block.creators == [Creator(family_name="Doe", given_name="Jane",
                                       email="jane@example.org")]
+
+
+def test_meta_set_refuses_text_outside_xml(golden_archive_file, capsys):
+    before = golden_archive_file.read_bytes()
+    assert main(["meta", str(golden_archive_file), "set",
+                 "--description", "bad\x01text"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert golden_archive_file.read_bytes() == before
+
+
+def test_meta_set_refuses_unreadable_metadata(tmp_path, golden_files, capsys):
+    from conftest import build_container
+    from omexarchive import write_container
+
+    files = dict(golden_files)
+    files["metadata.rdf"] = b"<rdf:RDF"
+    path = tmp_path / "broken.omex"
+    path.write_bytes(write_container(build_container(files)))
+    before = path.read_bytes()
+    assert main(["meta", str(path), "set", "--touch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: metadata.rdf is unreadable: ")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == before
 
 
 def test_meta_show(golden_archive_file, capsys):

@@ -24,7 +24,6 @@ from omexarchive.manifest import (
     MANIFEST_NS,
     OMEX_FORMAT_URI,
     check_location,
-    normalize_location,
 )
 
 MINIMAL = (
@@ -118,25 +117,29 @@ def test_master_boolean_forms(raw, expected):
     "location",
     ["/etc/passwd", "../up.xml", "a/../../b", "http://host/x", "a\\b",
      "%2e%2e/secret", "a/%2e%2e/b", "//host/share",
-     "a\x01b.xml", "a\ufffeb.xml", "a\ud800b.xml"],
+     "a\x01b.xml", "a\ufffeb.xml", "a\ud800b.xml",
+     "", "a//b.xml", "a/./b.xml", "a/", "a/.", "C:/x", "a%2F..%2Fb", "%00",
+     "a%ffb.xml", "a%c3"],
 )
 def test_unsafe_locations_rejected(location):
     with pytest.raises(InvalidLocation):
         check_location(location)
 
 
-def test_normalization():
-    assert normalize_location("./a/b") == "a/b"
-    assert normalize_location("a/b") == "a/b"
-    assert normalize_location(".") == "."
-    assert normalize_location("././x") == "x"
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.text(max_size=30))
-def test_normalization_idempotent(location):
-    once = normalize_location(location)
-    assert normalize_location(once) == once
+@pytest.mark.parametrize(
+    "location,path",
+    [(".", "."), ("./", "."), ("././", "."), ("./.", "."), ("%2e", "."),
+     ("a/b", "a/b"), ("./a/b", "a/b"), ("././x", "x"), ("%2e/x", "x"),
+     ("a%20b.xml", "a b.xml"), ("a b.xml", "a b.xml"),
+     ("a%2541.txt", "a%41.txt"), ("a%41.txt", "aA.txt"),
+     ("r%C3%A9sum%C3%A9.txt", "résumé.txt"), ("100%zz", "100%zz"),
+     ("a?b#c", "a?b#c")],
+)
+def test_check_location_maps_to_path(location, path):
+    assert check_location(location) == path
+    # stripping `./` is idempotent: a path without `%` maps to itself
+    if "%" not in path:
+        assert check_location(path) == path
 
 
 def test_unknown_attributes_and_children_ignored():
@@ -158,6 +161,13 @@ def test_serialize_round_trip_minimal():
 def test_serialize_round_trip_golden(golden_manifest_xml):
     manifest = parse_manifest(golden_manifest_xml)
     assert parse_manifest(serialize_manifest(manifest)) == manifest
+
+
+def test_same_path_twice_is_a_duplicate():
+    with pytest.raises(DuplicateLocation):
+        Manifest([ContentEntry(".", OMEX_FORMAT_URI),
+                  ContentEntry("aA.txt", OMEX_FORMAT_URI),
+                  ContentEntry("a%41.txt", OMEX_FORMAT_URI)])
 
 
 def test_serialize_rejects_invalid_models():

@@ -14,7 +14,7 @@ from omexarchive import (
     parse_metadata,
     serialize_metadata,
 )
-from omexarchive.errors import BadTimestamp, MalformedXml, NotRdf
+from omexarchive.errors import BadTimestamp, InvalidMetadata, MalformedXml, NotRdf
 
 BQMODEL = "http://biomodels.net/model-qualifiers/"
 
@@ -163,6 +163,31 @@ def test_per_entry_blocks_round_trip():
     meta.add(DescriptionBlock(about="models/model.xml",
                               description="the model"))
     assert parse_metadata(serialize_metadata(meta)) == meta
+
+
+@pytest.mark.parametrize(
+    "block",
+    [DescriptionBlock(about=".", description="bad\x01text"),
+     DescriptionBlock(about=".", creators=[Creator(family_name="Do\ufffee")]),
+     DescriptionBlock(about=".", creators=[Creator(email="a\x0b@example.org")]),
+     DescriptionBlock(about=".", references=[
+         Reference(BQMODEL + "is", "x\ud800", literal=True)]),
+     DescriptionBlock(about=".", references=[Reference(BQMODEL + "is", "urn:\x00")])],
+)
+def test_serialize_refuses_text_outside_xml(block):
+    meta = MetadataSet()
+    meta.add(block)
+    with pytest.raises(InvalidMetadata):
+        serialize_metadata(meta)
+
+
+def test_serialize_refuses_about_outside_xml():
+    meta = MetadataSet()
+    block = DescriptionBlock(about="a.xml")
+    meta.add(block)
+    block.about = "a\x01.xml"
+    with pytest.raises(InvalidMetadata):
+        serialize_metadata(meta)
 
 
 def test_minimum_information_golden(golden_metadata_xml):
