@@ -10,12 +10,15 @@ from pathlib import Path, PurePosixPath
 from .container import (
     Container,
     open_container,
+    parents,
+    shared_path,
     write_container,
 )
 from .errors import (
     DanglingManifestEntry,
     DuplicateLocation,
     InvalidFormatUri,
+    InvalidLocation,
     MissingManifest,
     NoSuchEntry,
     OmexError,
@@ -48,6 +51,8 @@ from .metadata import (
 from .report import Severity, ValidationReport
 
 RESERVED_LOCATIONS = frozenset({".", MANIFEST_FILENAME})
+# A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
+_SHARED_PATH = "file and directory share a path"
 
 
 class ValidationMode(enum.Enum):
@@ -121,6 +126,9 @@ def create_archive(
 
     manifest = Manifest(entries)  # raises DuplicateLocation on a repeated path
     container.put(MANIFEST_FILENAME, serialize_manifest(manifest))
+    clash = shared_path(set(container.paths()))
+    if clash is not None:
+        raise InvalidLocation(clash, _SHARED_PATH)
     return Archive(container, manifest, metadata)
 
 
@@ -210,6 +218,10 @@ def add_entry(
         raise ReservedLocation(entry.path)
     if archive.manifest.find(entry.path) or entry.path in archive.container:
         raise DuplicateLocation(entry.path)
+    below = entry.path + "/"
+    if (any(p in archive.container for p in parents(entry.path))
+            or any(p.startswith(below) for p in archive.container.paths())):
+        raise InvalidLocation(entry.path, _SHARED_PATH)
     if classify_format(format_uri).kind is FormatKind.INVALID:
         raise InvalidFormatUri(format_uri)
     container = archive.container.copy()
@@ -241,19 +253,26 @@ def remove_entry(archive: Archive, location: str) -> Archive:
 
 
 def extract_all(archive: Archive, destination) -> list[Path]:
-    """Write every container entry under `destination`, preserving paths."""
+    """Write every container entry under `destination`, preserving paths.
+
+    Every target is checked before the first file is written.
+    """
     dest = Path(destination).resolve()
-    dest.mkdir(parents=True, exist_ok=True)
-    written = []
+    clash = shared_path(set(archive.container.paths()))
+    if clash is not None:
+        raise UnsafePath(clash, _SHARED_PATH)
+    targets = []
     for entry in archive.container.entries:
         target = dest.joinpath(*PurePosixPath(entry.path).parts)
         # container invariants forbid traversal; keep a last-line check anyway
         if not target.resolve().is_relative_to(dest):
             raise UnsafePath(entry.path, "escapes the destination directory")
+        targets.append((target, entry.data))
+    dest.mkdir(parents=True, exist_ok=True)
+    for target, data in targets:
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(entry.data)
-        written.append(target)
-    return sorted(written)
+        target.write_bytes(data)
+    return sorted(target for target, _ in targets)
 
 
 def set_metadata(archive: Archive, metadata: MetadataSet) -> Archive:

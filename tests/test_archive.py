@@ -1,4 +1,3 @@
-import errno
 import os
 import random
 import tempfile
@@ -35,6 +34,7 @@ from omexarchive.errors import (
     NotAZip,
     OmexError,
     ReservedLocation,
+    UnsafePath,
 )
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
 from omexarchive.manifest import MANIFEST_NS, OMEX_FORMAT_URI, check_location
@@ -95,6 +95,43 @@ def test_create_rejects_empty_and_dot_segments(location):
         create_archive([(location, SBML, False, b"")])
 
 
+@pytest.mark.parametrize("files", [
+    [("a", TEXT, False, b"1"), ("a/b", TEXT, False, b"2")],
+    [("x/y/z", TEXT, False, b"1"), ("x/y", TEXT, False, b"2")],
+    [("manifest.xml/x", TEXT, False, b"")],
+])
+def test_create_refuses_file_and_directory_of_one_path(files):
+    with pytest.raises(InvalidLocation, match="file and directory share a path"):
+        create_archive(files)
+
+
+def test_create_refuses_a_directory_named_like_the_metadata():
+    meta = MetadataSet()
+    meta.add(stamp_block(Creator(family_name="Doe"),
+                         Timestamp.parse("2020-01-01T00:00:00Z")))
+    with pytest.raises(InvalidLocation, match="file and directory share a path"):
+        create_archive([("metadata.rdf/x", TEXT, False, b"")], metadata=meta)
+
+
+@pytest.mark.parametrize("location,accepted", [
+    ("x/" + "a" * 255, True),
+    ("x/" + "a" * 256, False),
+    ("\u00e9" * 127 + "a", True),   # 255 UTF-8 bytes
+    ("\u00e9" * 128, False),        # 256 UTF-8 bytes
+    ("\U0001f600" * 63 + "abc", True),
+    ("\U0001f600" * 64 + "/x", False),
+], ids=["ascii-255", "ascii-256", "latin-255", "latin-256", "emoji-255", "emoji-256"])
+def test_create_refuses_segment_over_255_bytes(location, accepted, tmp_path):
+    files = [(location, TEXT, False, b"data")]
+    if not accepted:
+        with pytest.raises(InvalidLocation, match="segment too long"):
+            create_archive(files)
+        return
+    reopened = open_archive(create_archive(files).to_bytes())
+    extract_all(reopened, tmp_path)
+    assert tmp_path.joinpath(*location.split("/")).read_bytes() == b"data"
+
+
 def test_create_maps_percent_escapes_to_paths():
     archive = create_archive([("a%20b.xml", SBML, False, b"x")])
     assert archive.container.paths() == ["a b.xml", "manifest.xml"]
@@ -130,20 +167,16 @@ def test_whatever_create_accepts_open_reopens(location, prefix, suffix):
     reopened = open_archive(data)
     assert reopened == archive
     # ... and extracts to dest/<path> with its bytes, writing nothing outside
-    # dest; a segment longer than the filesystem's name limit cannot be created
+    # dest; a segment over 255 UTF-8 bytes, more than common filesystems
+    # can name, was refused at create
     segments = check_location(location).split("/")
+    assert max(len(os.fsencode(s)) for s in segments) <= 255
     with tempfile.TemporaryDirectory() as tmp:
         dest = Path(tmp, "dest")
-        name_max = os.pathconf(tmp, "PC_NAME_MAX")
-        if max(len(os.fsencode(s)) for s in segments) > name_max:
-            with pytest.raises(OSError) as exc:
-                extract_all(reopened, dest)
-            assert exc.value.errno == errno.ENAMETOOLONG
-        else:
-            written = extract_all(reopened, dest)
-            target = dest.joinpath(*segments)
-            assert written == sorted([target, dest / "manifest.xml"])
-            assert target.read_bytes() == b"data"
+        written = extract_all(reopened, dest)
+        target = dest.joinpath(*segments)
+        assert written == sorted([target, dest / "manifest.xml"])
+        assert target.read_bytes() == b"data"
         assert all(p == dest or dest in p.parents for p in Path(tmp).rglob("*"))
 
 
@@ -287,6 +320,15 @@ def test_add_duplicate_rejected(golden_files):
         add_entry(archive, "simulation.xml", SEDML, b"")
 
 
+@pytest.mark.parametrize("location", ["simulation.xml/x", "models"])
+def test_add_refuses_file_and_directory_of_one_path(golden_files, location):
+    archive = create_archive(_golden_like_files(golden_files))
+    with pytest.raises(InvalidLocation, match="file and directory share a path"):
+        add_entry(archive, location, TEXT, b"")
+    with pytest.raises(InvalidLocation, match="file and directory share a path"):
+        add_entry(archive, "manifest.xml/x", TEXT, b"")
+
+
 def test_remove_reserved(golden_files):
     archive = create_archive(_golden_like_files(golden_files))
     with pytest.raises(ReservedLocation):
@@ -328,6 +370,29 @@ def test_extract_minimal(tmp_path):
     archive = create_archive([])
     written = extract_all(archive, tmp_path)
     assert [p.name for p in written] == ["manifest.xml"]
+
+
+def _manifest_for(*locations) -> bytes:
+    rows = "".join(f'<content location="{loc}" format="{TEXT}"/>' for loc in locations)
+    return (f'<omexManifest xmlns="{MANIFEST_NS}">'
+            f'<content location="." format="{OMEX_FORMAT_URI}"/>{rows}</omexManifest>'
+            ).encode()
+
+
+@pytest.mark.parametrize("members", [
+    [("a", b"1"), ("a/b", b"2")],
+    [("a/b", b"2"), ("a", b"1")],
+    [("manifest.xml/x", b"")],
+])
+def test_extract_refuses_file_and_directory_before_writing(members, tmp_path):
+    # the manifest lists only the first member; the rest are unlisted
+    data = raw_zip([("manifest.xml", _manifest_for(members[0][0]))] + members)
+    archive = open_archive(data)  # opening such an archive stays allowed
+    assert validate_archive(data, ValidationMode.LENIENT).errors == []
+    dest = tmp_path / "dest"
+    with pytest.raises(UnsafePath, match="file and directory share a path"):
+        extract_all(archive, dest)
+    assert not dest.exists()
 
 
 def test_extract_then_repack_full_cycle(golden_files, tmp_path):

@@ -145,6 +145,29 @@ def test_entry_rejects_unsafe_paths(path):
         ContainerEntry(path, b"")
 
 
+@pytest.mark.parametrize("path,reason", [
+    ("a" * 256, "segment too long"),
+    ("x/" + "\u00e9" * 128 + "/y", "segment too long"),  # 256 UTF-8 bytes
+    ("\U0001f600" * 64, "segment too long"),
+    ("a\x00b", "NUL character"),  # zipfile would cut the name at the NUL
+], ids=["ascii-256", "latin-256", "emoji-256", "nul"])
+def test_entry_rejects_long_segments_and_nul(path, reason):
+    with pytest.raises(UnsafePath, match=reason):
+        ContainerEntry(path, b"")
+
+
+@pytest.mark.parametrize("path", ["a" * 255, "x/" + "\u00e9" * 127 + "a",
+                                  "\U0001f600" * 63 + "abc", "\ud800" * 85],
+                         ids=["ascii", "latin", "emoji", "surrogate"])
+def test_entry_accepts_segments_of_255_bytes(path):
+    assert ContainerEntry(path, b"").path == path
+
+
+def test_open_rejects_a_long_zip_name():
+    with pytest.raises(UnsafePath, match="segment too long"):
+        open_container(raw_zip([("d/" + "a" * 256, b"")]))
+
+
 @pytest.mark.parametrize(
     "name", ["../escape.txt", "/etc/passwd", "a\\b.txt", "C:/boot.ini"]
 )

@@ -1,0 +1,237 @@
+"""write_container against zipfile: byte parity and the raw-copy path."""
+
+import io
+import random
+import struct
+import zipfile
+import zlib
+
+import pytest
+
+from omexarchive import (
+    Compression,
+    Container,
+    ContainerEntry,
+    Creator,
+    MetadataSet,
+    Timestamp,
+    ValidationMode,
+    add_entry,
+    open_archive,
+    open_container,
+    remove_entry,
+    set_metadata,
+    validate_archive,
+    write_container,
+)
+from omexarchive.archive import stamp_block
+from omexarchive.container import _write_order
+from omexarchive.errors import CorruptEntry
+
+TEXT = "http://purl.org/NET/mediatypes/text/plain"
+
+
+def zipfile_write(container: Container) -> bytes:
+    """The oracle: what zipfile.writestr writes for the container's entries."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", allowZip64=True) as zf:
+        for path in _write_order(container.paths()):
+            info = zipfile.ZipInfo(path, date_time=(1980, 1, 1, 0, 0, 0))
+            info.create_system = 3
+            info.external_attr = 0o644 << 16
+            info.compress_type = (
+                zipfile.ZIP_STORED
+                if container._entries[path].compression is Compression.STORE
+                else zipfile.ZIP_DEFLATED
+            )
+            zf.writestr(info, container.get(path), compresslevel=6)
+    return buf.getvalue()
+
+
+def stored_bytes(data: bytes, name: str) -> bytes:
+    """A member's bytes as stored in the ZIP `data`."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo(name)
+    start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+    # local and central extra fields are equal in the archives built here
+    return data[start:start + info.compress_size]
+
+
+def _entries(rng: random.Random, compression: Compression) -> list[ContainerEntry]:
+    entries = [
+        ContainerEntry("manifest.xml", b"<omexManifest/>", compression),
+        ContainerEntry("empty.txt", b"", compression),
+        ContainerEntry("modèles/中.xml", b"<sbml/>" * 50, compression),
+        ContainerEntry("blob.bin", rng.randbytes(3000), compression),
+    ]
+    for i in range(20):
+        text = " ".join(rng.choice(["alpha", "beta", "gamma"]) for _ in range(rng.randrange(200)))
+        entries.append(ContainerEntry(f"d{i % 3}/f{i}.txt", text.encode(), compression))
+    return entries
+
+
+@pytest.mark.parametrize("compression", list(Compression))
+def test_fresh_entries_match_zipfile(compression):
+    container = Container(_entries(random.Random(1), compression))
+    written = write_container(container)
+    assert written == zipfile_write(container)
+    assert open_container(written) == container
+    with zipfile.ZipFile(io.BytesIO(written)) as zf:
+        assert zf.getinfo("modèles/中.xml").flag_bits & 0x800  # UTF-8 name
+
+
+def test_mixed_compression_matches_zipfile():
+    rng = random.Random(2)
+    entries = [ContainerEntry(e.path, e.data, rng.choice(list(Compression)))
+               for e in _entries(rng, Compression.DEFLATE)]
+    container = Container(entries)
+    assert write_container(container) == zipfile_write(container)
+
+
+def test_empty_container_matches_zipfile():
+    assert write_container(Container()) == zipfile_write(Container())
+
+
+def test_zip64_end_record_over_65535_entries():
+    count = zipfile.ZIP_FILECOUNT_LIMIT + 1
+    container = Container(
+        [ContainerEntry(f"{i:05x}", b"", Compression.STORE) for i in range(count)]
+    )
+    written = write_container(container)
+    assert written[-98:-94] == b"PK\x06\x06"  # the zip64 end record
+    assert written == zipfile_write(container)
+
+
+@pytest.mark.parametrize("compression", list(Compression))
+def test_zip64_extras_under_a_lowered_limit(monkeypatch, compression):
+    # sizes below, near (file_size * 1.05 over the limit) and above the
+    # limit, and header offsets past it
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+    rng = random.Random(3)
+    container = Container([
+        ContainerEntry("a.bin", rng.randbytes(500), compression),
+        ContainerEntry("b.bin", rng.randbytes(980), compression),
+        ContainerEntry("c.bin", rng.randbytes(1500), compression),
+        ContainerEntry("d.txt", b"small", compression),
+        ContainerEntry("e.txt", b"x" * 4000, compression),
+    ])
+    written = write_container(container)
+    assert written == zipfile_write(container)
+    reopened = open_container(written)
+    assert reopened == container
+    assert write_container(reopened) == written
+
+
+def _level9_archive() -> tuple[bytes, bytes]:
+    """An archive whose model.xml zipfile deflated at level 9, and that payload."""
+    rng = random.Random(4)
+    words = [bytes(rng.choices(b"abcdefgh", k=rng.randrange(3, 9))) for _ in range(400)]
+    payload = b" ".join(rng.choice(words) for _ in range(20000))
+    level6 = zlib.compressobj(6, zlib.DEFLATED, -15)
+    level9 = zlib.compressobj(9, zlib.DEFLATED, -15)
+    assert level6.compress(payload) + level6.flush() != level9.compress(payload) + level9.flush()
+    manifest = (
+        '<omexManifest xmlns="http://identifiers.org/combine.specifications/omex-manifest">'
+        '<content location="." format="http://identifiers.org/combine.specifications/omex"/>'
+        f'<content location="model.xml" format="{TEXT}"/></omexManifest>'
+    ).encode()
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED, compresslevel=9) as zf:
+        zf.writestr("manifest.xml", manifest)
+        zf.writestr("model.xml", payload)
+    return buf.getvalue(), payload
+
+
+def test_unchanged_member_keeps_its_stored_bytes():
+    data, payload = _level9_archive()
+    archive = open_archive(data)
+    kept = stored_bytes(data, "model.xml")
+    written = archive.to_bytes()
+    assert stored_bytes(written, "model.xml") == kept
+    assert written != zipfile_write(archive.container)  # not re-deflated
+    assert open_archive(written).container.get("model.xml") == payload
+    # the edit session shares untouched entries, so they stay raw-copied
+    edited = add_entry(archive, "b.txt", TEXT, b"b")
+    edited = set_metadata(remove_entry(edited, "b.txt"), _metadata())
+    assert stored_bytes(edited.to_bytes(), "model.xml") == kept
+
+
+def _metadata() -> MetadataSet:
+    meta = MetadataSet()
+    meta.add(stamp_block(Creator(family_name="Doe"),
+                         Timestamp.parse("2020-01-01T00:00:00Z")))
+    return meta
+
+
+def test_replaced_member_is_deflated_again():
+    data, payload = _level9_archive()
+    container = open_container(data)
+    container.put("model.xml", payload)
+    written = write_container(container)
+    assert stored_bytes(written, "model.xml") != stored_bytes(data, "model.xml")
+    assert written == zipfile_write(container)
+
+
+def test_bzip2_member_is_deflated_again():
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_BZIP2) as zf:
+        zf.writestr("manifest.xml", b"<omexManifest/>")
+        zf.writestr("a.txt", b"bzip2 " * 100)
+    container = open_container(buf.getvalue())
+    assert all(e.raw is None for e in container.entries)
+    written = write_container(container)
+    assert written == zipfile_write(container)
+    with zipfile.ZipFile(io.BytesIO(written)) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+
+
+def test_declared_size_past_the_member_is_deflated_again():
+    # zipfile stops at the end of the deflate stream and never reads the
+    # extra bytes a central record may claim; those are not copied
+    container = Container([ContainerEntry("a.txt", b"abc" * 100)])
+    written = write_container(container)
+    grown = bytearray(written)
+    at = grown.rfind(b"PK\x01\x02") + 20  # the central compressed size
+    struct.pack_into("<L", grown, at, struct.unpack_from("<L", grown, at)[0] + 10)
+    reopened = open_container(bytes(grown))
+    assert reopened.entries[0].raw is None
+    assert write_container(reopened) == written
+
+
+def test_archive_written_here_reads_back_to_the_same_bytes():
+    container = Container(_entries(random.Random(5), Compression.DEFLATE))
+    written = write_container(container)
+    assert write_container(open_container(written)) == written
+
+
+def test_mutating_the_input_after_open_changes_nothing():
+    data, _ = _level9_archive()
+    buf = bytearray(data)
+    container = open_container(buf)
+    before = write_container(container)
+    buf[:] = bytes(len(buf))
+    assert write_container(container) == before == write_container(open_container(data))
+
+
+def test_raw_bytes_take_no_part_in_equality_or_repr():
+    data, payload = _level9_archive()
+    read = [e for e in open_container(data).entries if e.path == "model.xml"][0]
+    fresh = ContainerEntry("model.xml", payload)
+    assert read.raw is not None and fresh.raw is None
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+
+
+def test_crc_corrupt_member_is_still_corrupt_entry():
+    data, _ = _level9_archive()
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo("model.xml")
+    corrupt = bytearray(data)
+    corrupt[info.header_offset + 14] ^= 0xFF  # the local header's CRC-32 ...
+    at = corrupt.rfind(b"PK\x01\x02")  # ... and the central record's
+    corrupt[at + 16] ^= 0xFF
+    with pytest.raises(CorruptEntry) as exc:
+        open_archive(bytes(corrupt))
+    assert exc.value.path == "model.xml"
+    report = validate_archive(bytes(corrupt), ValidationMode.LENIENT)
+    assert [f.rule for f in report.errors] == ["corrupt-entry"]
