@@ -19,7 +19,6 @@ from .archive import (
     validate_archive,
 )
 from .container import (
-    Compression,
     Container,
     ContainerEntry,
     open_container,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archive",
-    "Compression",
     "Container",
     "ContainerEntry",
     "ContentEntry",

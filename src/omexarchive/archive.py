@@ -101,6 +101,69 @@ def stamp_block(creator: Creator | None = None,
     )
 
 
+def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
+           remove: str | None = None) -> Archive:
+    """Derive an archive from `base`: the one place the archive rules apply.
+
+    Drops the entry `base` lists at path `remove` and its file (dropping
+    the metadata file drops the metadata), adds `files`, pairs of a
+    ContentEntry and its bytes, and writes `metadata` when given. Only
+    what the call adds is checked: a path that is reserved, taken, or a
+    file at one path and a directory at another is refused, and so is a
+    format `classify_format` calls INVALID. The entries `base` lists are
+    written back as read, after a `.` entry when they lack one.
+    """
+    container = base.container.copy()
+    entries = {entry.path: entry for entry in base.manifest.entries}
+    if "." not in entries:
+        entries = {".": ContentEntry(".", OMEX_FORMAT_URI), **entries}
+    rdf = metadata_location(base.manifest, base.container)
+    kept = base.metadata
+    if remove is not None:
+        if remove in RESERVED_LOCATIONS:
+            raise ReservedLocation(remove)
+        if remove not in entries:
+            raise NoSuchEntry(remove)
+        del entries[remove]
+        if remove in container:
+            container.remove(remove)
+        if remove == rdf:
+            kept = metadata = None
+
+    files = list(files)
+    if metadata is not None:
+        kept, location = metadata, rdf or METADATA_FILENAME
+        listing = ContentEntry(location, OMEX_METADATA_FORMAT_URI)
+        document = serialize_metadata(metadata)
+        if location in container:  # replaced, so not checked as added
+            container.put(location, document)
+            entries.setdefault(location, listing)
+        else:
+            files.append((listing, document))
+
+    for entry, data in files:
+        if entry.path in RESERVED_LOCATIONS:
+            raise ReservedLocation(entry.path)
+        if entry.path in entries or entry.path in container:
+            raise DuplicateLocation(entry.path)
+        if classify_format(entry.format).kind is FormatKind.INVALID:
+            raise InvalidFormatUri(entry.format)
+        entries[entry.path] = entry
+        container.put(entry.path, bytes(data))
+    manifest = Manifest(entries.values())
+    container.put(MANIFEST_FILENAME, serialize_manifest(manifest))
+
+    if files:
+        # the directories the files need: each file's folder and its parents
+        folders = {path.rpartition("/")[0] for path in container.paths()}
+        directories = folders.union(*map(parents, folders))
+        for entry, _ in files:
+            if (entry.path in directories
+                    or any(d in container for d in parents(entry.path))):
+                raise InvalidLocation(entry.path, _SHARED_PATH)
+    return Archive(container, manifest, kept)
+
+
 def create_archive(
     files,
     metadata: MetadataSet | None = None,
@@ -110,26 +173,9 @@ def create_archive(
     The `.` manifest entry is added automatically; when `metadata` is
     given it is serialized to metadata.rdf with a manifest entry.
     """
-    entries = [ContentEntry(".", OMEX_FORMAT_URI)]
-    container = Container()
-    for location, format_uri, master, data in files:
-        entry = ContentEntry(location, format_uri, master or None)
-        if entry.path in RESERVED_LOCATIONS:
-            raise DuplicateLocation(entry.path)
-        if classify_format(format_uri).kind is FormatKind.INVALID:
-            raise InvalidFormatUri(format_uri)
-        entries.append(entry)
-        container.put(entry.path, bytes(data))
-    if metadata is not None:
-        entries.append(ContentEntry(METADATA_FILENAME, OMEX_METADATA_FORMAT_URI))
-        container.put(METADATA_FILENAME, serialize_metadata(metadata))
-
-    manifest = Manifest(entries)  # raises DuplicateLocation on a repeated path
-    container.put(MANIFEST_FILENAME, serialize_manifest(manifest))
-    clash = shared_path(set(container.paths()))
-    if clash is not None:
-        raise InvalidLocation(clash, _SHARED_PATH)
-    return Archive(container, manifest, metadata)
+    entries = [(ContentEntry(location, format_uri, master or None), data)
+               for location, format_uri, master, data in files]
+    return _build(Archive(Container(), Manifest(())), entries, metadata)
 
 
 def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
@@ -203,53 +249,21 @@ def validate_archive(
         return report
 
 
-def _rebuild(container: Container, manifest: Manifest,
-             metadata: MetadataSet | None) -> Archive:
-    container.put(MANIFEST_FILENAME, serialize_manifest(manifest))
-    return Archive(container, manifest, metadata)
-
-
 def add_entry(
     archive: Archive, location: str, format_uri: str, data: bytes,
     master: bool | None = None,
 ) -> Archive:
-    entry = ContentEntry(location, format_uri, master)
-    if entry.path in RESERVED_LOCATIONS:
-        raise ReservedLocation(entry.path)
-    if archive.manifest.find(entry.path) or entry.path in archive.container:
-        raise DuplicateLocation(entry.path)
-    below = entry.path + "/"
-    if (any(p in archive.container for p in parents(entry.path))
-            or any(p.startswith(below) for p in archive.container.paths())):
-        raise InvalidLocation(entry.path, _SHARED_PATH)
-    if classify_format(format_uri).kind is FormatKind.INVALID:
-        raise InvalidFormatUri(format_uri)
-    container = archive.container.copy()
-    container.put(entry.path, bytes(data))
-    manifest = Manifest(archive.manifest.entries + (entry,))
-    return _rebuild(container, manifest, archive.metadata)
+    return _build(archive, [(ContentEntry(location, format_uri, master), data)])
 
 
 def remove_entry(archive: Archive, location: str) -> Archive:
     path = check_location(location)
-    if path in RESERVED_LOCATIONS:
-        raise ReservedLocation(path)
-    if archive.manifest.find(path) is None:
-        raise NoSuchEntry(path)
-    container = archive.container.copy()
-    if path in container:
-        container.remove(path)
-    manifest = Manifest(e for e in archive.manifest.entries if e.path != path)
-    metadata = archive.metadata
-    rdf = metadata_location(archive.manifest, archive.container)
-    if path == rdf:
-        metadata = None
-    elif metadata is not None and metadata.get(path) is not None:
-        metadata = metadata.copy()
-        metadata.remove(path)
-        if rdf is not None:
-            container.put(rdf, serialize_metadata(metadata))
-    return _rebuild(container, manifest, metadata)
+    blocks = archive.metadata.blocks if archive.metadata is not None else {}
+    metadata = None
+    if path in blocks:
+        # a new set, so the input archive's metadata stays as it was
+        metadata = MetadataSet({key: block for key, block in blocks.items() if key != path})
+    return _build(archive, metadata=metadata, remove=path)
 
 
 def extract_all(archive: Archive, destination) -> list[Path]:
@@ -277,17 +291,7 @@ def extract_all(archive: Archive, destination) -> list[Path]:
 
 def set_metadata(archive: Archive, metadata: MetadataSet) -> Archive:
     """Replace the archive's metadata, creating metadata.rdf if needed."""
-    container = archive.container.copy()
-    location = metadata_location(archive.manifest, archive.container)
-    location = location or METADATA_FILENAME
-    container.put(location, serialize_metadata(metadata))
-    manifest = archive.manifest
-    if manifest.find(location) is None:
-        manifest = Manifest(
-            manifest.entries
-            + (ContentEntry(location, OMEX_METADATA_FORMAT_URI),)
-        )
-    return _rebuild(container, manifest, metadata)
+    return _build(archive, metadata=metadata)
 
 
 def master_of(archive: Archive) -> list[ContentEntry]:

@@ -9,6 +9,7 @@ unexpected exception), reported as one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -182,17 +183,16 @@ def cmd_meta(args) -> int:
             parse_metadata(archive.container.get(location))
         except OmexError as exc:
             return _fail(f"{location} is unreadable: {exc}")
-    metadata = archive.metadata.copy() if archive.metadata else MetadataSet()
-    block = metadata.get(".")
-    if block is None:
-        block = DescriptionBlock(about=".")
-        metadata.add(block)
-    if args.description is not None:
-        block.description = args.description
-    for text in args.creator or []:
-        block.creators.append(parse_creator(text))
-    if args.touch:
-        block.modified.append(Timestamp.now())
+    blocks = dict(archive.metadata.blocks) if archive.metadata else {}
+    # a new block with new lists, so the opened archive's metadata is not changed
+    block = blocks.get(".") or DescriptionBlock(about=".")
+    blocks["."] = dataclasses.replace(
+        block,
+        description=block.description if args.description is None else args.description,
+        creators=block.creators + [parse_creator(text) for text in args.creator or []],
+        modified=block.modified + ([Timestamp.now()] if args.touch else []),
+    )
+    metadata = MetadataSet(blocks)
     Path(args.archive).write_bytes(set_metadata(archive, metadata).to_bytes())
     return EXIT_OK
 

@@ -5,16 +5,15 @@ inflates each member and checks its CRC-32; for a stored or deflated
 member the container also keeps that member's compressed bytes, as a
 view of the input, and its CRC. Writing emits the ZIP itself with fixed
 timestamps and a fixed entry order: an entry that still holds the bytes
-it was read with is copied as stored, any other is deflated with the
-stream `zipfile` uses. The layout and the zip64 rules are those of
-`zipfile`, so identical containers serialize to identical bytes, and a
-container read from an archive this module wrote serializes to that
-archive again.
+it was read with is copied as stored, with its compression method;
+any other is deflated with the stream `zipfile` uses. The layout and
+the zip64 rules are those of `zipfile`, so identical containers
+serialize to identical bytes, and a container read from an archive this
+module wrote serializes to that archive again.
 """
 
 from __future__ import annotations
 
-import enum
 import io
 import re
 import struct
@@ -55,11 +54,6 @@ _VERSION, _ZIP64_VERSION = 20, 45
 _UTF8_NAME = 0x800
 _UNIX = 3
 _EXTERNAL_ATTR = 0o644 << 16
-
-
-class Compression(enum.Enum):
-    DEFLATE = "deflate"
-    STORE = "store"
 
 
 def check_path(path: str) -> str:
@@ -117,11 +111,11 @@ def shared_path(paths) -> str | None:
 class ContainerEntry:
     path: str
     data: bytes
-    compression: Compression = Compression.DEFLATE
-    # (CRC-32, bytes as stored in the archive read), set only by
-    # open_container. write_container copies these bytes as they stand, so
-    # an entry with other data must not carry them (dataclasses.replace does).
-    raw: tuple[int, memoryview] | None = field(default=None, compare=False, repr=False)
+    # (compression method, CRC-32, bytes as stored in the archive read), set
+    # only by open_container. write_container copies these bytes as they
+    # stand, so an entry with other data must not carry them
+    # (dataclasses.replace does).
+    raw: tuple[int, int, memoryview] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         check_path(self.path)
@@ -153,10 +147,9 @@ class Container:
             raise InvalidContainer(f"duplicate entry path {entry.path!r}")
         self._entries[entry.path] = entry
 
-    def put(self, path: str, data: bytes,
-            compression: Compression = Compression.DEFLATE) -> None:
+    def put(self, path: str, data: bytes) -> None:
         """Add or replace the entry at `path`."""
-        self._entries[path] = ContainerEntry(path, data, compression)
+        self._entries[path] = ContainerEntry(path, data)
 
     def remove(self, path: str) -> None:
         if path not in self._entries:
@@ -226,13 +219,8 @@ def open_container(data: bytes) -> Container:
                 end = start + (len(payload) if info.compress_type == zipfile.ZIP_STORED
                                else info.compress_size)
                 if end <= region_end[info.header_offset]:
-                    raw = (info.CRC, view[start:end])
-            compression = (
-                Compression.STORE
-                if info.compress_type == zipfile.ZIP_STORED
-                else Compression.DEFLATE
-            )
-            container.add(ContainerEntry(name, payload, compression, raw))
+                    raw = (info.compress_type, info.CRC, view[start:end])
+            container.add(ContainerEntry(name, payload, raw))
     return container
 
 
@@ -243,16 +231,13 @@ def _write_order(paths: list[str]) -> list[str]:
 
 def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
     """An entry's compression method, CRC-32 and bytes as stored, in parts."""
-    method = (zipfile.ZIP_STORED if entry.compression is Compression.STORE
-              else zipfile.ZIP_DEFLATED)
     if entry.raw is not None:
-        crc, stored = entry.raw
+        method, crc, stored = entry.raw
         return method, crc, [stored]
-    if method == zipfile.ZIP_STORED:
-        return method, zlib.crc32(entry.data), [entry.data]
     # the stream zipfile.writestr produces at this level
     deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
-    return method, zlib.crc32(entry.data), [deflater.compress(entry.data), deflater.flush()]
+    return (zipfile.ZIP_DEFLATED, zlib.crc32(entry.data),
+            [deflater.compress(entry.data), deflater.flush()])
 
 
 def write_container(container: Container) -> bytes:

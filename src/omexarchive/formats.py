@@ -17,6 +17,8 @@ from .manifest import (
 COMBINE_PREFIX = "http://identifiers.org/combine.specifications/"
 MEDIATYPE_PREFIX = "http://purl.org/NET/mediatypes/"
 
+_WHITESPACE = re.compile(r"\s")
+
 # type/subtype per the media-type grammar; dots allowed for x.name forms
 _MEDIA_TYPE = re.compile(r"^[A-Za-z0-9][\w.+-]*/[A-Za-z0-9][\w.+-]*$")
 
@@ -48,12 +50,16 @@ class FormatClass:
 
 
 def classify_format(uri: str) -> FormatClass:
-    """Classify any string into exactly one FormatClass; never raises."""
-    if NON_XML_CHAR.search(uri):
+    """Classify any string into exactly one FormatClass; never raises.
+
+    This is the package's one format rule: a URI holding whitespace or a
+    character outside XML 1.0 is INVALID.
+    """
+    if NON_XML_CHAR.search(uri) or _WHITESPACE.search(uri):
         return FormatClass(FormatKind.INVALID, uri)
     if uri.startswith(COMBINE_PREFIX):
         key = uri[len(COMBINE_PREFIX):]
-        if key and "/" not in key and not key.isspace():
+        if key and "/" not in key:
             return FormatClass(FormatKind.COMBINE_REGISTERED, key)
         return FormatClass(FormatKind.INVALID, uri)
     if uri.startswith(MEDIATYPE_PREFIX):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from urllib.parse import unquote, urlsplit
+from urllib.parse import unquote
 from xml.sax.saxutils import quoteattr
 
 from .container import check_path
@@ -71,17 +71,6 @@ def check_location(location: str) -> str:
         raise InvalidLocation(location, exc.reason) from None
 
 
-def is_valid_format_uri(uri: str) -> bool:
-    """Syntactic check: an absolute URI with scheme and some remainder."""
-    if not uri or any(c.isspace() for c in uri):
-        return False
-    try:
-        parts = urlsplit(uri)
-    except ValueError:
-        return False
-    return bool(parts.scheme) and bool(parts.netloc or parts.path)
-
-
 @dataclass(frozen=True)
 class ContentEntry:
     """A manifest entry; `path` is the container path its location names."""
@@ -108,14 +97,6 @@ class Manifest:
 
     def find(self, path: str) -> ContentEntry | None:
         return self._by_path.get(path)
-
-    def check(self) -> None:
-        """Raise InvalidManifest unless the model invariants hold."""
-        if self.find(".") is None:
-            raise InvalidManifest("a manifest needs an entry for '.'")
-        for entry in self.entries:
-            if not is_valid_format_uri(entry.format):
-                raise InvalidManifest(f"format is not an absolute URI: {entry.format!r}")
 
 
 def parse_manifest(xml: bytes) -> Manifest:
@@ -155,7 +136,13 @@ def parse_manifest(xml: bytes) -> Manifest:
 
 
 def serialize_manifest(manifest: Manifest) -> bytes:
-    manifest.check()
+    """Write the manifest; entry formats are written as they stand.
+
+    Raises InvalidManifest when there is no entry for `.` or when a
+    character outside XML 1.0 would make the document unreadable.
+    """
+    if manifest.find(".") is None:
+        raise InvalidManifest("a manifest needs an entry for '.'")
     lines = [
         '<?xml version="1.0" encoding="utf-8"?>',
         f'<omexManifest xmlns="{MANIFEST_NS}">',
@@ -169,7 +156,11 @@ def serialize_manifest(manifest: Manifest) -> bytes:
             attrs.append(f'master="{"true" if entry.master else "false"}"')
         lines.append(f'  <content {" ".join(attrs)}/>')
     lines.append("</omexManifest>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    document = "\n".join(lines) + "\n"
+    bad = NON_XML_CHAR.search(document)
+    if bad:
+        raise InvalidManifest(f"character not allowed in XML: {bad.group()!r}")
+    return document.encode("utf-8")
 
 
 def master_entries(manifest: Manifest) -> list[ContentEntry]:
@@ -213,7 +204,6 @@ __all__ = [
     "ContentEntry",
     "Manifest",
     "check_location",
-    "is_valid_format_uri",
     "parse_manifest",
     "serialize_manifest",
     "master_entries",

@@ -160,24 +160,6 @@ class MetadataSet:
     def get(self, path: str) -> DescriptionBlock | None:
         return self.blocks.get(path)
 
-    def remove(self, path: str) -> None:
-        self.blocks.pop(path, None)
-
-    def copy(self) -> "MetadataSet":
-        out = MetadataSet()
-        for block in self.blocks.values():
-            out.add(
-                DescriptionBlock(
-                    about=block.about,
-                    description=block.description,
-                    creators=list(block.creators),
-                    created=block.created,
-                    modified=list(block.modified),
-                    references=list(block.references),
-                )
-            )
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MetadataSet):
             return NotImplemented

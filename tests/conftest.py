@@ -57,6 +57,30 @@ GOLDEN_METADATA = b"""<?xml version="1.0" encoding="UTF-8"?>
 </rdf:RDF>
 """
 
+
+
+def _replace_once(data: bytes, old: bytes, new: bytes) -> bytes:
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+# Manifests this package does not write but open_archive accepts, with a
+# lenient warning: a format classify_format calls INVALID, and no entry
+# for `.`.
+FOREIGN_MANIFESTS = {
+    "invalid-format": _replace_once(
+        GOLDEN_MANIFEST,
+        b'format="http://purl.org/NET/mediatypes/application/pdf"',
+        b'format="ftp:bad uri"',
+    ),
+    "no-archive-entry": _replace_once(
+        GOLDEN_MANIFEST,
+        b'  <content location="."\n'
+        b'    format="http://identifiers.org/combine.specifications/omex"/>\n',
+        b"",
+    ),
+}
+
 GOLDEN_FILES = {
     "manifest.xml": GOLDEN_MANIFEST,
     "models/model.xml": b"<sbml xmlns='http://www.sbml.org/sbml/level3'/>\n",

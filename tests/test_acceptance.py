@@ -20,6 +20,7 @@ from omexarchive import (
     Reference,
     Severity,
     ValidationMode,
+    add_entry,
     create_archive,
     extract_all,
     infer_extension,
@@ -27,18 +28,20 @@ from omexarchive import (
     open_archive,
     parse_manifest,
     parse_metadata,
+    remove_entry,
     serialize_manifest,
     serialize_metadata,
+    set_metadata,
     validate_archive,
     write_container,
 )
-from omexarchive.archive import pack_directory
+from omexarchive.archive import RESERVED_LOCATIONS, pack_directory
 from omexarchive.errors import OmexError, UnsafePath
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
 from omexarchive.manifest import OMEX_FORMAT_URI
 from omexarchive.metadata import DescriptionBlock
 
-from conftest import GOLDEN_FILES, build_container, raw_zip
+from conftest import FOREIGN_MANIFESTS, GOLDEN_FILES, build_container, raw_zip
 
 
 @contextmanager
@@ -323,16 +326,19 @@ def _byte_flips(data, count, seed=1):
         yield bytes(mutant)
 
 
+def _criterion_9_inputs(golden_archive_bytes):
+    inputs = [write_container(build_container(files)) for _, files, _ in _corpus()]
+    inputs += [raw_zip([("manifest.xml", b"<m/>"), (name, b"evil")])
+               for name in HOSTILE_NAMES]
+    inputs += _byte_flips(golden_archive_bytes, 500)
+    inputs += [golden_archive_bytes[:n] for n in range(len(golden_archive_bytes))]
+    return inputs
+
+
 def test_criterion_9_open_agrees_with_lenient_validation(golden_archive_bytes):
     with criterion("9 open/validate agreement (corpora, 500 byte-flips, "
                    "every truncation)", 20.0):
-        inputs = [write_container(build_container(files))
-                  for _, files, _ in _corpus()]
-        inputs += [raw_zip([("manifest.xml", b"<m/>"), (name, b"evil")])
-                   for name in HOSTILE_NAMES]
-        inputs += _byte_flips(golden_archive_bytes, 500)
-        inputs += [golden_archive_bytes[:n] for n in range(len(golden_archive_bytes))]
-        for data in inputs:
+        for data in _criterion_9_inputs(golden_archive_bytes):
             # validation never raises, in either mode
             validate_archive(data, ValidationMode.STRICT)
             errors = validate_archive(data, ValidationMode.LENIENT).errors
@@ -344,3 +350,27 @@ def test_criterion_9_open_agrees_with_lenient_validation(golden_archive_bytes):
                 assert exc.rule in {f.rule for f in errors}, (exc, errors)
             else:
                 assert not errors, errors
+
+
+def test_every_archive_open_accepts_can_be_edited(golden_archive_bytes):
+    meta = MetadataSet()
+    meta.add(DescriptionBlock(about=".", creators=[Creator(family_name="Doe")]))
+    inputs = _criterion_9_inputs(golden_archive_bytes)
+    inputs += [write_container(build_container({**GOLDEN_FILES, "manifest.xml": manifest}))
+               for manifest in FOREIGN_MANIFESTS.values()]
+    opened = 0
+    for data in inputs:
+        try:
+            archive = open_archive(data)
+        except OmexError:
+            continue
+        opened += 1
+        edits = [add_entry(archive, "added.txt", MEDIATYPE_PREFIX + "text/plain", b"new"),
+                 set_metadata(archive, meta)]
+        listed = [e.path for e in archive.manifest.entries
+                  if e.path not in RESERVED_LOCATIONS]
+        if listed:
+            edits.append(remove_entry(archive, listed[0]))
+        for edited in edits:
+            open_archive(edited.to_bytes())
+    assert opened == 32  # 4 corpus fixtures, 26 byte flips, 2 foreign manifests

@@ -105,12 +105,29 @@ def test_create_refuses_file_and_directory_of_one_path(files):
         create_archive(files)
 
 
-def test_create_refuses_a_directory_named_like_the_metadata():
+def _stamp() -> MetadataSet:
     meta = MetadataSet()
     meta.add(stamp_block(Creator(family_name="Doe"),
                          Timestamp.parse("2020-01-01T00:00:00Z")))
+    return meta
+
+
+def test_create_refuses_a_directory_named_like_the_metadata():
     with pytest.raises(InvalidLocation, match="file and directory share a path"):
-        create_archive([("metadata.rdf/x", TEXT, False, b"")], metadata=meta)
+        create_archive([("metadata.rdf/x", TEXT, False, b"")], metadata=_stamp())
+
+
+def test_set_metadata_checks_only_the_paths_it_adds():
+    held = open_archive(raw_zip([("manifest.xml", _manifest_for("metadata.rdf/x")),
+                                 ("metadata.rdf/x", b"")]))
+    with pytest.raises(InvalidLocation, match="file and directory share a path"):
+        set_metadata(held, _stamp())
+    # a pair the archive already holds, as opening allows, is no edit's doing
+    pair = open_archive(raw_zip([("manifest.xml", _manifest_for("a", "a/b", "c")),
+                                 ("a", b"1"), ("a/b", b"2"), ("c", b"3")]))
+    edited = set_metadata(remove_entry(pair, "c"), _stamp())
+    assert set(open_archive(edited.to_bytes()).container.paths()) == {
+        "a", "a/b", "manifest.xml", "metadata.rdf"}
 
 
 @pytest.mark.parametrize("location,accepted", [
@@ -143,6 +160,14 @@ def test_create_maps_percent_escapes_to_paths():
 def test_create_rejects_invalid_format():
     with pytest.raises(InvalidFormatUri):
         create_archive([("a.xml", "not a uri", False, b"")])
+    with pytest.raises(InvalidFormatUri):
+        create_archive([("a.xml", COMBINE_PREFIX + "sb ml", False, b"")])
+
+
+@pytest.mark.parametrize("location", [".", "./", "manifest.xml", "./manifest.xml"])
+def test_create_refuses_reserved_locations(location):
+    with pytest.raises(ReservedLocation):
+        create_archive([(location, TEXT, False, b"")])
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,6 +378,7 @@ def test_remove_drops_metadata_block(golden_files):
     archive = create_archive(_golden_like_files(golden_files), metadata=meta)
     trimmed = remove_entry(archive, "doc/article.pdf")
     assert trimmed.metadata.get("doc/article.pdf") is None
+    assert archive.metadata.get("doc/article.pdf").description == "the paper"
     assert trimmed.metadata.get(".") is not None
     reopened = open_archive(trimmed.to_bytes())
     assert reopened.metadata == trimmed.metadata

@@ -3,9 +3,11 @@ import json
 import pytest
 
 import omexarchive.cli
-from omexarchive import open_archive
+from omexarchive import open_archive, set_metadata, write_container
 from omexarchive.cli import main, parse_creator
 from omexarchive.metadata import Creator
+
+from conftest import FOREIGN_MANIFESTS, build_container
 
 
 @pytest.fixture
@@ -201,6 +203,35 @@ def test_meta_set_creator_and_description(tmp_path, capsys):
     assert block.description == "test case"
     assert block.creators == [Creator(family_name="Doe", given_name="Jane",
                                       email="jane@example.org")]
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_MANIFESTS))
+def test_meta_set_edits_what_lenient_validation_accepts(name, tmp_path, golden_files,
+                                                        capsys):
+    path = tmp_path / "foreign.omex"
+    files = dict(golden_files, **{"manifest.xml": FOREIGN_MANIFESTS[name]})
+    path.write_bytes(write_container(build_container(files)))
+    assert main(["validate", str(path), "--lenient"]) == 0
+    assert main(["meta", str(path), "set", "--touch"]) == 0
+    capsys.readouterr()
+    archive = open_archive(path.read_bytes())
+    assert len(archive.metadata.get(".").modified) == 1
+    assert archive.manifest.find(".") is not None
+
+
+def test_meta_set_leaves_the_opened_metadata_as_it_was(golden_archive_file, monkeypatch,
+                                                       capsys):
+    before = open_archive(golden_archive_file.read_bytes()).metadata
+    edited = []
+
+    def spy(archive, metadata):
+        edited.append(archive)
+        return set_metadata(archive, metadata)
+
+    monkeypatch.setattr(omexarchive.cli, "set_metadata", spy)
+    assert main(["meta", str(golden_archive_file), "set", "--touch",
+                 "--description", "new", "--creator", "Jane Doe"]) == 0
+    assert edited[0].metadata == before
 
 
 def test_meta_set_refuses_text_outside_xml(golden_archive_file, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omexarchive import (
-    Compression,
     Container,
     ContainerEntry,
     open_container,
@@ -53,8 +52,7 @@ def _random_entries(rng, count):
             continue
         seen.add(path)
         payload = rng.randbytes(rng.randint(0, 2048))
-        compression = rng.choice([Compression.DEFLATE, Compression.STORE])
-        entries.append(ContainerEntry(path, payload, compression))
+        entries.append(ContainerEntry(path, payload))
     return entries
 
 
@@ -64,9 +62,6 @@ def test_round_trip_50_random_entries():
     container = Container(entries)
     reopened = open_container(write_container(container))
     assert reopened.byte_map() == container.byte_map()
-    assert {e.path: e.compression for e in reopened.entries} == {
-        e.path: e.compression for e in container.entries
-    }
 
 
 def test_empty_container_is_a_valid_empty_zip():
@@ -122,17 +117,6 @@ def test_manifest_written_first():
     container.put("aardvark.txt", b"a")
     names = zipfile.ZipFile(io.BytesIO(write_container(container))).namelist()
     assert names == ["manifest.xml", "aardvark.txt", "zebra.txt"]
-
-
-def test_store_vs_deflate_monotonicity():
-    payload = (b"repeated line of text here!\n" * 3000)[: 80 * 1024]
-    stored = write_container(
-        Container([ContainerEntry("f", payload, Compression.STORE)])
-    )
-    deflated = write_container(
-        Container([ContainerEntry("f", payload, Compression.DEFLATE)])
-    )
-    assert len(deflated) < len(stored)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,8 @@ def test_classify_unregistered_media_type():
     "uri",
     ["ftp:bad uri", "", "sbml", "http://example.org/format",
      MEDIATYPE_PREFIX + "notamediatype", MEDIATYPE_PREFIX + "a/b/c",
-     COMBINE_PREFIX, COMBINE_PREFIX + "sb\x01ml", COMBINE_PREFIX + "sb\uffffml"],
+     COMBINE_PREFIX, COMBINE_PREFIX + "sb\x01ml", COMBINE_PREFIX + "sb\uffffml",
+     COMBINE_PREFIX + "sb ml"],
 )
 def test_classify_invalid(uri):
     fc = classify_format(uri)

@@ -175,10 +175,15 @@ def test_serialize_rejects_invalid_models():
         serialize_manifest(Manifest([]))
     with pytest.raises(InvalidManifest):
         serialize_manifest(Manifest([ContentEntry("a.xml", OMEX_FORMAT_URI)]))
-    with pytest.raises(InvalidManifest):
-        serialize_manifest(
-            Manifest([ContentEntry(".", "not an absolute uri")])
-        )
+    with pytest.raises(InvalidManifest, match="not allowed in XML"):
+        serialize_manifest(Manifest([ContentEntry(".", "http://a/b\x01c")]))
+
+
+def test_serialize_writes_a_format_back_as_read():
+    # classify_format calls it INVALID; that is reported on read, not refused
+    manifest = Manifest([ContentEntry(".", OMEX_FORMAT_URI),
+                         ContentEntry("a.pdf", "ftp:bad uri")])
+    assert parse_manifest(serialize_manifest(manifest)) == manifest
 
 
 _location = st.lists(

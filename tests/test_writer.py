@@ -9,7 +9,6 @@ import zlib
 import pytest
 
 from omexarchive import (
-    Compression,
     Container,
     ContainerEntry,
     Creator,
@@ -39,11 +38,7 @@ def zipfile_write(container: Container) -> bytes:
             info = zipfile.ZipInfo(path, date_time=(1980, 1, 1, 0, 0, 0))
             info.create_system = 3
             info.external_attr = 0o644 << 16
-            info.compress_type = (
-                zipfile.ZIP_STORED
-                if container._entries[path].compression is Compression.STORE
-                else zipfile.ZIP_DEFLATED
-            )
+            info.compress_type = zipfile.ZIP_DEFLATED
             zf.writestr(info, container.get(path), compresslevel=6)
     return buf.getvalue()
 
@@ -57,35 +52,26 @@ def stored_bytes(data: bytes, name: str) -> bytes:
     return data[start:start + info.compress_size]
 
 
-def _entries(rng: random.Random, compression: Compression) -> list[ContainerEntry]:
+def _entries(rng: random.Random) -> list[ContainerEntry]:
     entries = [
-        ContainerEntry("manifest.xml", b"<omexManifest/>", compression),
-        ContainerEntry("empty.txt", b"", compression),
-        ContainerEntry("modèles/中.xml", b"<sbml/>" * 50, compression),
-        ContainerEntry("blob.bin", rng.randbytes(3000), compression),
+        ContainerEntry("manifest.xml", b"<omexManifest/>"),
+        ContainerEntry("empty.txt", b""),
+        ContainerEntry("modèles/中.xml", b"<sbml/>" * 50),
+        ContainerEntry("blob.bin", rng.randbytes(3000)),
     ]
     for i in range(20):
         text = " ".join(rng.choice(["alpha", "beta", "gamma"]) for _ in range(rng.randrange(200)))
-        entries.append(ContainerEntry(f"d{i % 3}/f{i}.txt", text.encode(), compression))
+        entries.append(ContainerEntry(f"d{i % 3}/f{i}.txt", text.encode()))
     return entries
 
 
-@pytest.mark.parametrize("compression", list(Compression))
-def test_fresh_entries_match_zipfile(compression):
-    container = Container(_entries(random.Random(1), compression))
+def test_fresh_entries_match_zipfile():
+    container = Container(_entries(random.Random(1)))
     written = write_container(container)
     assert written == zipfile_write(container)
     assert open_container(written) == container
     with zipfile.ZipFile(io.BytesIO(written)) as zf:
         assert zf.getinfo("modèles/中.xml").flag_bits & 0x800  # UTF-8 name
-
-
-def test_mixed_compression_matches_zipfile():
-    rng = random.Random(2)
-    entries = [ContainerEntry(e.path, e.data, rng.choice(list(Compression)))
-               for e in _entries(rng, Compression.DEFLATE)]
-    container = Container(entries)
-    assert write_container(container) == zipfile_write(container)
 
 
 def test_empty_container_matches_zipfile():
@@ -94,26 +80,23 @@ def test_empty_container_matches_zipfile():
 
 def test_zip64_end_record_over_65535_entries():
     count = zipfile.ZIP_FILECOUNT_LIMIT + 1
-    container = Container(
-        [ContainerEntry(f"{i:05x}", b"", Compression.STORE) for i in range(count)]
-    )
+    container = Container([ContainerEntry(f"{i:05x}", b"") for i in range(count)])
     written = write_container(container)
     assert written[-98:-94] == b"PK\x06\x06"  # the zip64 end record
     assert written == zipfile_write(container)
 
 
-@pytest.mark.parametrize("compression", list(Compression))
-def test_zip64_extras_under_a_lowered_limit(monkeypatch, compression):
+def test_zip64_extras_under_a_lowered_limit(monkeypatch):
     # sizes below, near (file_size * 1.05 over the limit) and above the
     # limit, and header offsets past it
     monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
     rng = random.Random(3)
     container = Container([
-        ContainerEntry("a.bin", rng.randbytes(500), compression),
-        ContainerEntry("b.bin", rng.randbytes(980), compression),
-        ContainerEntry("c.bin", rng.randbytes(1500), compression),
-        ContainerEntry("d.txt", b"small", compression),
-        ContainerEntry("e.txt", b"x" * 4000, compression),
+        ContainerEntry("a.bin", rng.randbytes(500)),
+        ContainerEntry("b.bin", rng.randbytes(980)),
+        ContainerEntry("c.bin", rng.randbytes(1500)),
+        ContainerEntry("d.txt", b"small"),
+        ContainerEntry("e.txt", b"x" * 4000),
     ])
     written = write_container(container)
     assert written == zipfile_write(container)
@@ -130,16 +113,21 @@ def _level9_archive() -> tuple[bytes, bytes]:
     level6 = zlib.compressobj(6, zlib.DEFLATED, -15)
     level9 = zlib.compressobj(9, zlib.DEFLATED, -15)
     assert level6.compress(payload) + level6.flush() != level9.compress(payload) + level9.flush()
+    return _zipfile_archive(payload, zipfile.ZIP_DEFLATED, 9), payload
+
+
+def _zipfile_archive(payload: bytes, compression: int, level: int | None = None) -> bytes:
+    """An archive zipfile wrote, listing model.xml with `payload`."""
     manifest = (
         '<omexManifest xmlns="http://identifiers.org/combine.specifications/omex-manifest">'
         '<content location="." format="http://identifiers.org/combine.specifications/omex"/>'
         f'<content location="model.xml" format="{TEXT}"/></omexManifest>'
     ).encode()
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED, compresslevel=9) as zf:
+    with zipfile.ZipFile(buf, "w", compression, compresslevel=level) as zf:
         zf.writestr("manifest.xml", manifest)
         zf.writestr("model.xml", payload)
-    return buf.getvalue(), payload
+    return buf.getvalue()
 
 
 def test_unchanged_member_keeps_its_stored_bytes():
@@ -154,6 +142,16 @@ def test_unchanged_member_keeps_its_stored_bytes():
     edited = add_entry(archive, "b.txt", TEXT, b"b")
     edited = set_metadata(remove_entry(edited, "b.txt"), _metadata())
     assert stored_bytes(edited.to_bytes(), "model.xml") == kept
+
+
+def test_stored_member_is_copied_stored():
+    payload = b"<sbml/>" * 100
+    data = _zipfile_archive(payload, zipfile.ZIP_STORED)
+    written = add_entry(open_archive(data), "b.txt", TEXT, b"b").to_bytes()
+    with zipfile.ZipFile(io.BytesIO(written)) as zf:
+        assert zf.getinfo("model.xml").compress_type == zipfile.ZIP_STORED
+        assert zf.getinfo("b.txt").compress_type == zipfile.ZIP_DEFLATED
+    assert stored_bytes(written, "model.xml") == stored_bytes(data, "model.xml") == payload
 
 
 def _metadata() -> MetadataSet:
@@ -199,7 +197,7 @@ def test_declared_size_past_the_member_is_deflated_again():
 
 
 def test_archive_written_here_reads_back_to_the_same_bytes():
-    container = Container(_entries(random.Random(5), Compression.DEFLATE))
+    container = Container(_entries(random.Random(5)))
     written = write_container(container)
     assert write_container(open_container(written)) == written
 
