@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import enum
 import getpass
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .container import (
@@ -60,11 +62,30 @@ class ValidationMode(enum.Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Archive:
-    container: Container
+    """An archive as a value: edits return new archives and leave this one as it was.
+
+    `members` holds manifest.xml only as read, while `manifest` is what it
+    holds; else `container` writes it from `manifest` when first needed.
+    """
+    members: Container
     manifest: Manifest
     metadata: MetadataSet | None = None
+
+    @cached_property
+    def container(self) -> Container:
+        """Every member, manifest.xml included."""
+        if MANIFEST_FILENAME in self.members:
+            return self.members
+        container = self.members.copy()
+        container.put(MANIFEST_FILENAME, serialize_manifest(self.manifest))
+        return container
+
+    @cached_property
+    def _directories(self) -> Counter[str]:
+        """How many members each directory holds, at any depth."""
+        return Counter(d for path in self.members.paths() for d in parents(path))
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -72,15 +93,17 @@ class Archive:
     def byte_map(self) -> dict[str, bytes]:
         return self.container.byte_map()
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Archive):
+            return NotImplemented
+        return ((self.container, self.manifest, self.metadata)
+                == (other.container, other.manifest, other.metadata))
+
 
 def metadata_location(manifest: Manifest, container: Container) -> str | None:
     """The manifest omex-metadata entry wins; literal metadata.rdf is the fallback."""
-    for entry in manifest.entries:
-        if entry.format == OMEX_METADATA_FORMAT_URI and entry.path != ".":
-            return entry.path
-    if METADATA_FILENAME in container:
-        return METADATA_FILENAME
-    return None
+    fallback = METADATA_FILENAME if METADATA_FILENAME in container else None
+    return manifest.metadata_path or fallback
 
 
 def default_creator() -> Creator:
@@ -111,57 +134,65 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
     what the call adds is checked: a path that is reserved, taken, or a
     file at one path and a directory at another is refused, and so is a
     format `classify_format` calls INVALID. The entries `base` lists are
-    written back as read, after a `.` entry when they lack one.
+    written back as read, after a `.` entry when they lack one. Nothing
+    is counted or written anew that the call does not add or remove.
     """
-    container = base.container.copy()
-    entries = {entry.path: entry for entry in base.manifest.entries}
-    if "." not in entries:
-        entries = {".": ContentEntry(".", OMEX_FORMAT_URI), **entries}
-    rdf = metadata_location(base.manifest, base.container)
+    members = base.members.copy()
+    manifest = base.manifest
+    if manifest.find(".") is None:
+        manifest = Manifest((ContentEntry(".", OMEX_FORMAT_URI), *manifest.entries))
+    rdf = metadata_location(base.manifest, base.members)
     kept = base.metadata
     if remove is not None:
         if remove in RESERVED_LOCATIONS:
             raise ReservedLocation(remove)
-        if remove not in entries:
+        if manifest.find(remove) is None:
             raise NoSuchEntry(remove)
-        del entries[remove]
-        if remove in container:
-            container.remove(remove)
+        if remove in members:
+            members.remove(remove)
         if remove == rdf:
             kept = metadata = None
 
-    files = list(files)
+    files, added = list(files), []
     if metadata is not None:
         kept, location = metadata, rdf or METADATA_FILENAME
         listing = ContentEntry(location, OMEX_METADATA_FORMAT_URI)
         document = serialize_metadata(metadata)
-        if location in container:  # replaced, so not checked as added
-            container.put(location, document)
-            entries.setdefault(location, listing)
+        if location in members:  # replaced, so not checked as added
+            members.put(location, document)
+            if manifest.find(location) is None:
+                added.append(listing)
         else:
             files.append((listing, document))
 
     for entry, data in files:
         if entry.path in RESERVED_LOCATIONS:
             raise ReservedLocation(entry.path)
-        if entry.path in entries or entry.path in container:
+        if manifest.find(entry.path) is not None or entry.path in members:
             raise DuplicateLocation(entry.path)
         if classify_format(entry.format).kind is FormatKind.INVALID:
             raise InvalidFormatUri(entry.format)
-        entries[entry.path] = entry
-        container.put(entry.path, bytes(data))
-    manifest = Manifest(entries.values())
-    container.put(MANIFEST_FILENAME, serialize_manifest(manifest))
+        members.put(entry.path, bytes(data))
+        added.append(entry)
+    if added or remove is not None:
+        manifest = manifest.edited(added, remove)
+    if manifest is not base.manifest and MANIFEST_FILENAME in members:
+        members.remove(MANIFEST_FILENAME)  # no longer the manifest read
 
-    if files:
-        # the directories the files need: each file's folder and its parents
-        folders = {path.rpartition("/")[0] for path in container.paths()}
-        directories = folders.union(*map(parents, folders))
+    archive = Archive(members, manifest, kept)
+    if files or remove is not None:
+        directories = base._directories.copy()
+        if remove in base.members:
+            directories.subtract(parents(remove))
         for entry, _ in files:
-            if (entry.path in directories
-                    or any(d in container for d in parents(entry.path))):
+            directories.update(parents(entry.path))
+        for entry, _ in files:
+            if directories[entry.path] or any(
+                    d in members or d == MANIFEST_FILENAME for d in parents(entry.path)):
                 raise InvalidLocation(entry.path, _SHARED_PATH)
-    return Archive(container, manifest, kept)
+        # handed on, so that the next edit need not count them again
+        vars(archive)["_directories"] = directories
+    return archive
 
 
 def create_archive(

@@ -163,7 +163,9 @@ class Container:
             raise NoSuchEntry(path) from None
 
     def copy(self) -> "Container":
-        return Container(self.entries)
+        copy = Container()
+        copy._entries = self._entries.copy()
+        return copy
 
     def byte_map(self) -> dict[str, bytes]:
         return {e.path: e.data for e in self.entries}
@@ -192,16 +194,14 @@ def open_container(data: bytes) -> Container:
         # a member's bytes end where the next member or the central directory starts
         offsets = sorted(info.header_offset for info in zf.infolist())
         region_end = dict(zip(offsets, offsets[1:] + [zf.start_dir]))
-        seen: set[str] = set()
         for info in zf.infolist():
             name = info.filename
-            if name.rstrip("/"):
-                check_path(name.rstrip("/"))
-            if name.endswith("/"):
-                continue  # directory entry
-            if name in seen:
+            if name.endswith("/"):  # a directory entry; ContainerEntry checks the others
+                if name.rstrip("/"):
+                    check_path(name.rstrip("/"))
+                continue
+            if name in container:
                 raise UnsafePath(name, "duplicate entry")
-            seen.add(name)
             try:
                 payload = zf.read(info)
             except _ZIP_FAILURES as exc:

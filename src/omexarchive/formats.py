@@ -8,10 +8,10 @@ import re
 from dataclasses import dataclass
 
 from .manifest import (
-    NON_XML_CHAR,
     OMEX_FORMAT_URI,
     OMEX_METADATA_FORMAT_URI,
     Manifest,
+    non_xml_char,
 )
 
 COMBINE_PREFIX = "http://identifiers.org/combine.specifications/"
@@ -55,7 +55,7 @@ def classify_format(uri: str) -> FormatClass:
     This is the package's one format rule: a URI holding whitespace or a
     character outside XML 1.0 is INVALID.
     """
-    if NON_XML_CHAR.search(uri) or _WHITESPACE.search(uri):
+    if non_xml_char(uri) is not None or _WHITESPACE.search(uri):
         return FormatClass(FormatKind.INVALID, uri)
     if uri.startswith(COMBINE_PREFIX):
         key = uri[len(COMBINE_PREFIX):]

@@ -12,7 +12,6 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from urllib.parse import unquote
-from xml.sax.saxutils import quoteattr
 
 from .container import check_path
 from .errors import (
@@ -42,9 +41,40 @@ _CONTENT_TAG = f"{{{MANIFEST_NS}}}content"
 # it, escaped or not, so a location or format URI containing one could be
 # written but never read back.
 NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# The only such characters ASCII text can hold: C0 controls but tab, LF and CR.
+_ASCII_NON_XML = bytes(c for c in range(32) if c not in b"\t\n\r")
+
+# The escapes of xml.sax.saxutils: escape() for text, quoteattr() for attributes.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES,
+                      **str.maketrans({"\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})}
+_SPECIAL = re.compile('[&<>\n\r\t"]')
 
 _TRUE_VALUES = {"true", "1"}
 _FALSE_VALUES = {"false", "0"}
+
+
+def non_xml_char(text: str) -> str | None:
+    """The first character of `text` outside XML 1.0, or None."""
+    if text.isascii() and len(text.encode().translate(None, _ASCII_NON_XML)) == len(text):
+        return None
+    bad = NON_XML_CHAR.search(text)
+    return bad.group() if bad else None
+
+
+def escape_text(text: str) -> str:
+    """`text` as XML character data, as xml.sax.saxutils.escape writes it."""
+    return text.translate(_TEXT_ESCAPES) if _SPECIAL.search(text) else text
+
+
+def quote_attribute(value: str) -> str:
+    """`value` as a quoted attribute value, as xml.sax.saxutils.quoteattr writes it."""
+    if _SPECIAL.search(value):
+        value = value.translate(_ATTRIBUTE_ESCAPES)
+        if '"' in value and "'" not in value:
+            return f"'{value}'"
+        value = value.replace('"', "&quot;")
+    return f'"{value}"'
 
 
 def check_location(location: str) -> str:
@@ -63,7 +93,7 @@ def check_location(location: str) -> str:
         path = path[2:]
     if path in (".", "") and location:
         return "."
-    if NON_XML_CHAR.search(path):
+    if non_xml_char(path) is not None:
         raise InvalidLocation(location, "character not allowed in XML")
     try:
         return check_path(path)
@@ -85,18 +115,42 @@ class ContentEntry:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Entries in document order, indexed by path; paths are unique."""
+    """Entries in document order, indexed by path; paths are unique.
+
+    `metadata_path` is the path of the first entry but `.` in the
+    omex-metadata format, or None.
+    """
     entries: tuple[ContentEntry, ...]
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "_by_path", {})
-        for entry in self.entries:
-            if self._by_path.setdefault(entry.path, entry) is not entry:
+        self._extend({}, None, entries)
+
+    def _extend(self, by_path: dict, metadata_path: str | None, added) -> None:
+        """Make this manifest the entries of `by_path`, then `added`."""
+        for entry in added:
+            if by_path.setdefault(entry.path, entry) is not entry:
                 raise DuplicateLocation(entry.path)
+            if (metadata_path is None and entry.format == OMEX_METADATA_FORMAT_URI
+                    and entry.path != "."):
+                metadata_path = entry.path
+        object.__setattr__(self, "entries", tuple(by_path.values()))
+        object.__setattr__(self, "_by_path", by_path)
+        object.__setattr__(self, "metadata_path", metadata_path)
 
     def find(self, path: str) -> ContentEntry | None:
         return self._by_path.get(path)
+
+    def edited(self, added, removed: str | None = None) -> "Manifest":
+        """This manifest without the entry at path `removed`, then `added`,
+        extended from a copy of this manifest's index."""
+        by_path = dict(self._by_path)
+        if removed is not None:
+            del by_path[removed]
+            if removed == self.metadata_path:
+                return Manifest([*by_path.values(), *added])
+        manifest = object.__new__(Manifest)
+        manifest._extend(by_path, self.metadata_path, added)
+        return manifest
 
 
 def parse_manifest(xml: bytes) -> Manifest:
@@ -149,17 +203,17 @@ def serialize_manifest(manifest: Manifest) -> bytes:
     ]
     for entry in manifest.entries:
         attrs = [
-            f"location={quoteattr(entry.location)}",
-            f"format={quoteattr(entry.format)}",
+            f"location={quote_attribute(entry.location)}",
+            f"format={quote_attribute(entry.format)}",
         ]
         if entry.master is not None:
             attrs.append(f'master="{"true" if entry.master else "false"}"')
         lines.append(f'  <content {" ".join(attrs)}/>')
     lines.append("</omexManifest>")
     document = "\n".join(lines) + "\n"
-    bad = NON_XML_CHAR.search(document)
-    if bad:
-        raise InvalidManifest(f"character not allowed in XML: {bad.group()!r}")
+    bad = non_xml_char(document)
+    if bad is not None:
+        raise InvalidManifest(f"character not allowed in XML: {bad!r}")
     return document.encode("utf-8")
 
 

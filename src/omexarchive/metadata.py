@@ -12,10 +12,9 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import BadTimestamp, InvalidMetadata, MalformedXml, NotRdf
-from .manifest import NON_XML_CHAR, check_location
+from .manifest import check_location, escape_text, non_xml_char, quote_attribute
 from .report import ValidationReport
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -274,23 +273,23 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
                 prefixes[ns] = f"ns{counter}"
 
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    xmlns = [f'xmlns:{prefixes[RDF_NS]}={quoteattr(RDF_NS)}',
-             f'xmlns:{prefixes[DCTERMS_NS]}={quoteattr(DCTERMS_NS)}',
-             f'xmlns:{prefixes[VCARD_NS]}={quoteattr(VCARD_NS)}']
+    xmlns = [f'xmlns:{prefixes[RDF_NS]}={quote_attribute(RDF_NS)}',
+             f'xmlns:{prefixes[DCTERMS_NS]}={quote_attribute(DCTERMS_NS)}',
+             f'xmlns:{prefixes[VCARD_NS]}={quote_attribute(VCARD_NS)}']
     core = {RDF_NS, DCTERMS_NS, VCARD_NS}
     for ns, prefix in prefixes.items():
         if ns not in core and any(
             _split_predicate(r.predicate)[0] == ns
             for b in blocks for r in b.references
         ):
-            xmlns.append(f"xmlns:{prefix}={quoteattr(ns)}")
+            xmlns.append(f"xmlns:{prefix}={quote_attribute(ns)}")
     lines.append("<rdf:RDF " + "\n  ".join(xmlns) + ">")
 
     for block in blocks:
-        lines.append(f"  <rdf:Description rdf:about={quoteattr(block.about)}>")
+        lines.append(f"  <rdf:Description rdf:about={quote_attribute(block.about)}>")
         if block.description is not None:
             lines.append(
-                f"    <dcterms:description>{escape(block.description)}"
+                f"    <dcterms:description>{escape_text(block.description)}"
                 "</dcterms:description>"
             )
         for creator in block.creators:
@@ -299,28 +298,28 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
                 lines.append('      <vCard:hasName rdf:parseType="Resource">')
                 if creator.family_name:
                     lines.append(
-                        f"        <vCard:family-name>{escape(creator.family_name)}"
+                        f"        <vCard:family-name>{escape_text(creator.family_name)}"
                         "</vCard:family-name>"
                     )
                 if creator.given_name:
                     lines.append(
-                        f"        <vCard:given-name>{escape(creator.given_name)}"
+                        f"        <vCard:given-name>{escape_text(creator.given_name)}"
                         "</vCard:given-name>"
                     )
                 lines.append("      </vCard:hasName>")
             if creator.email:
                 lines.append(
                     f"      <vCard:hasEmail rdf:resource="
-                    f'{quoteattr("mailto:" + creator.email)}/>'
+                    f'{quote_attribute("mailto:" + creator.email)}/>'
                 )
             if creator.organization:
                 lines.append(
-                    f"      <vCard:organization-name>{escape(creator.organization)}"
+                    f"      <vCard:organization-name>{escape_text(creator.organization)}"
                     "</vCard:organization-name>"
                 )
             if creator.url:
                 lines.append(
-                    f"      <vCard:hasURL rdf:resource={quoteattr(creator.url)}/>"
+                    f"      <vCard:hasURL rdf:resource={quote_attribute(creator.url)}/>"
                 )
             lines.append("    </dcterms:creator>")
         if block.created is not None:
@@ -337,15 +336,15 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
             ns, local = _split_predicate(ref.predicate)
             qname = f"{prefixes[ns]}:{local}"
             if ref.literal:
-                lines.append(f"    <{qname}>{escape(ref.value)}</{qname}>")
+                lines.append(f"    <{qname}>{escape_text(ref.value)}</{qname}>")
             else:
-                lines.append(f"    <{qname} rdf:resource={quoteattr(ref.value)}/>")
+                lines.append(f"    <{qname} rdf:resource={quote_attribute(ref.value)}/>")
         lines.append("  </rdf:Description>")
     lines.append("</rdf:RDF>")
     document = "\n".join(lines) + "\n"
-    bad = NON_XML_CHAR.search(document)
-    if bad:
-        raise InvalidMetadata(f"character not allowed in XML: {bad.group()!r}")
+    bad = non_xml_char(document)
+    if bad is not None:
+        raise InvalidMetadata(f"character not allowed in XML: {bad!r}")
     return document.encode("utf-8")
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omexarchive
 import omexarchive.cli
 from omexarchive import open_archive, set_metadata, write_container
 from omexarchive.cli import main, parse_creator
@@ -298,3 +303,12 @@ def test_unexpected_exception_exits_2(argv, golden_archive_file, tmp_path,
     args += [a.format(dest=tmp_path / "dest") for a in rest]
     assert main(args) == 2
     assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded():
+    # xml.sax.saxutils imports urllib.request, 40 ms of every command's start
+    code = "import sys, omexarchive.cli; print('urllib.request' in sys.modules)"
+    src = Path(omexarchive.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip() == "False"

@@ -1,0 +1,214 @@
+"""The edit path: edits cost what they change, and archives stay values.
+
+`add_entry`, `remove_entry` and `set_metadata` copy the members and the
+manifest index and leave manifest.xml to be written once, when the
+archive's bytes are first needed.
+"""
+
+import dataclasses
+import hashlib
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import omexarchive.archive
+import omexarchive.manifest
+from omexarchive import (
+    Creator,
+    DescriptionBlock,
+    MetadataSet,
+    Timestamp,
+    add_entry,
+    create_archive,
+    open_archive,
+    remove_entry,
+    set_metadata,
+)
+from omexarchive.archive import stamp_block
+from omexarchive.errors import OmexError
+from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
+from omexarchive.manifest import (
+    MANIFEST_NS,
+    OMEX_FORMAT_URI,
+    OMEX_METADATA_FORMAT_URI,
+    check_location,
+)
+
+from conftest import raw_zip
+
+TEXT = MEDIATYPE_PREFIX + "text/plain"
+SBML = COMBINE_PREFIX + "sbml"
+
+
+def _stamp() -> MetadataSet:
+    meta = MetadataSet()
+    meta.add(stamp_block(Creator(family_name="Doe"),
+                         Timestamp.parse("2020-01-01T00:00:00Z")))
+    return meta
+
+
+def _with_description(archive, about: str, text: str) -> MetadataSet:
+    """The archive's metadata with block `about` described as `text`, as a new set."""
+    blocks = dict(archive.metadata.blocks) if archive.metadata else {}
+    key = check_location(about)
+    block = blocks.get(key) or DescriptionBlock(about=about)
+    blocks[key] = dataclasses.replace(block, description=text)
+    return MetadataSet(blocks)
+
+
+def _sized(entries: int):
+    return create_archive([(f"d{i % 9}/f{i}.txt", TEXT, False, b"%d" % i)
+                           for i in range(entries)], metadata=_stamp())
+
+
+@pytest.fixture
+def serializations(monkeypatch):
+    """Counts the calls of serialize_manifest made through the archive module."""
+    calls = []
+    serialize = omexarchive.archive.serialize_manifest
+
+    def counted(manifest):
+        calls.append(manifest)
+        return serialize(manifest)
+
+    monkeypatch.setattr(omexarchive.archive, "serialize_manifest", counted)
+    return calls
+
+
+def test_edits_leave_the_manifest_unwritten(serializations):
+    archive = _sized(50)
+    archive = add_entry(archive, "new.xml", SBML, b"<sbml/>")
+    archive = remove_entry(archive, "d0/f0.txt")
+    archive = set_metadata(archive, _with_description(archive, ".", "edited"))
+    assert serializations == []
+    data = archive.to_bytes()
+    assert archive.to_bytes() == data
+    assert archive.byte_map()["manifest.xml"] == archive.container.get("manifest.xml")
+    assert len(serializations) == 1
+    assert open_archive(data) == archive
+
+
+def test_set_metadata_keeps_the_manifest_it_read(golden_archive_bytes, serializations):
+    # the golden manifest is laid out unlike serialize_manifest's output
+    opened = open_archive(golden_archive_bytes)
+    updated = set_metadata(opened, _with_description(opened, ".", "new"))
+    assert updated.container.get("manifest.xml") == opened.container.get("manifest.xml")
+    reopened = open_archive(updated.to_bytes())
+    assert reopened.container.get("manifest.xml") == opened.container.get("manifest.xml")
+    assert reopened.metadata.get(".").description == "new"
+    assert serializations == []
+    # an edit that changes the entries writes the manifest anew
+    grown = add_entry(updated, "extra.txt", TEXT, b"x")
+    assert grown.container.get("manifest.xml") != opened.container.get("manifest.xml")
+    assert len(serializations) == 1
+
+
+def test_set_metadata_lists_an_unlisted_metadata_file():
+    manifest = (f'<omexManifest xmlns="{MANIFEST_NS}">'
+                f'<content location="." format="{OMEX_FORMAT_URI}"/></omexManifest>').encode()
+    opened = open_archive(raw_zip([("manifest.xml", manifest), ("metadata.rdf", b"<x/>")]))
+    updated = set_metadata(opened, _stamp())
+    assert updated.manifest.find("metadata.rdf").format == OMEX_METADATA_FORMAT_URI
+    assert open_archive(updated.to_bytes()) == updated
+
+
+def test_edit_cost_does_not_grow_with_archive_size(monkeypatch):
+    """One edit makes as many checks and Python calls on 1,000 entries as on 10."""
+    locations = []
+    check = omexarchive.manifest.check_location
+
+    def counted(location):
+        locations.append(location)
+        return check(location)
+
+    monkeypatch.setattr(omexarchive.manifest, "check_location", counted)
+
+    def cost(edit, archive):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        del locations[:]
+        sys.setprofile(profile)
+        try:
+            edit(archive)
+        finally:
+            sys.setprofile(None)
+        return len(locations), calls
+
+    small, large = _sized(10), _sized(1000)
+    for edit in (lambda a: add_entry(a, "d3/new.txt", TEXT, b"new"),
+                 lambda a: remove_entry(a, "d3/f3.txt")):
+        assert cost(edit, large) == cost(edit, small)
+
+
+def _seeded_session(seed: int, edits: int):
+    """A fixed mix of adds, removes, metadata edits and reopenings."""
+    rng = random.Random(seed)
+    archive = create_archive([("model.xml", SBML, True, b"<sbml/>")], metadata=_stamp())
+    live = ["model.xml"]
+    for step in range(edits):
+        roll = rng.random()
+        if roll < 0.25 and live:
+            location = live.pop(rng.randrange(len(live)))
+            archive = remove_entry(archive, location)
+        elif roll < 0.35:
+            about = rng.choice(live + ["."])
+            archive = set_metadata(archive, _with_description(archive, about, f"step {step}"))
+        elif roll < 0.4:
+            archive = open_archive(archive.to_bytes())
+        else:
+            location = f"d{rng.randrange(4)}/s{rng.randrange(3)}/f%20{step}.txt"
+            archive = add_entry(archive, location, rng.choice([TEXT, SBML]),
+                                rng.randbytes(rng.randrange(300)), rng.choice([None, False]))
+            live.append(location)
+    return archive
+
+
+def test_seeded_session_writes_what_it_always_wrote():
+    # the digest of this output before manifest.xml became derived
+    data = _seeded_session(seed=6, edits=300).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "8589c38e21672944ecc3db4c3e20065be5ef3ffeebe8ce641add37cd24376097")
+
+
+_NAMES = ["a", "a/b", "b/c.txt", "c%20d.xml", "metadata.rdf", "e/f/g"]
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_NAMES), st.binary(max_size=16)),
+    st.tuples(st.just("remove"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("meta"), st.sampled_from([".", *_NAMES]),
+              st.text(alphabet="xyz<&\"'", max_size=6)),
+    st.tuples(st.just("reopen")),
+), max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS, opened=st.booleans())
+def test_edits_never_change_an_earlier_archive(edits, opened):
+    archive = create_archive([("b/c.txt", TEXT, False, b"c")], metadata=_stamp())
+    if opened:
+        archive = open_archive(archive.to_bytes())
+    history = [(archive, archive.to_bytes())]
+    for step, edit in enumerate(edits):
+        try:
+            if edit[0] == "add":
+                archive = add_entry(archive, edit[1], TEXT, edit[2])
+            elif edit[0] == "remove":
+                archive = remove_entry(archive, edit[1])
+            elif edit[0] == "meta":
+                archive = set_metadata(archive, _with_description(archive, *edit[1:]))
+            else:
+                archive = open_archive(archive.to_bytes())
+        except OmexError:
+            continue  # a refused edit, such as a file under a file
+        # every other archive is first written after all later edits
+        history.append((archive, archive.to_bytes() if step % 2 else None))
+    for earlier, data in history:
+        written = earlier.to_bytes()
+        assert data is None or written == data
+        assert open_archive(written) == earlier

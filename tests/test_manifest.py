@@ -1,5 +1,7 @@
+from xml.sax import saxutils
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omexarchive import (
@@ -22,8 +24,12 @@ from omexarchive.errors import (
 )
 from omexarchive.manifest import (
     MANIFEST_NS,
+    NON_XML_CHAR,
     OMEX_FORMAT_URI,
     check_location,
+    escape_text,
+    non_xml_char,
+    quote_attribute,
 )
 
 MINIMAL = (
@@ -184,6 +190,30 @@ def test_serialize_writes_a_format_back_as_read():
     manifest = Manifest([ContentEntry(".", OMEX_FORMAT_URI),
                          ContentEntry("a.pdf", "ftp:bad uri")])
     assert parse_manifest(serialize_manifest(manifest)) == manifest
+
+
+# text rich in what XML escapes and refuses, and any other text
+_xml_text = st.text(st.sampled_from("&<>\"'\n\r\t a\x00\x01\x1f\x7f\xe9\ufffe")) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_xml_text)
+@example("plain/path.xml")
+@example("both \" and ' quotes")
+@example("\"&\n\r\t<>")
+def test_escapes_match_saxutils(text):
+    assert escape_text(text) == saxutils.escape(text)
+    assert quote_attribute(text) == saxutils.quoteattr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_xml_text)
+@example("tab\tLF\nCR\r")
+@example("del\x7f")
+@example("unit\x1fseparator")
+def test_non_xml_char_finds_what_the_pattern_finds(text):
+    bad = NON_XML_CHAR.search(text)
+    assert non_xml_char(text) == (bad.group() if bad else None)
 
 
 _location = st.lists(
