@@ -44,7 +44,6 @@ from .metadata import (
     Creator,
     DescriptionBlock,
     MetadataSet,
-    Reference,
     Timestamp,
     check_minimum_information,
     parse_metadata,
@@ -67,7 +66,6 @@ __all__ = [
     "Manifest",
     "MetadataSet",
     "OmexError",
-    "Reference",
     "Severity",
     "Timestamp",
     "ValidationMode",

@@ -5,12 +5,13 @@ from __future__ import annotations
 import enum
 import getpass
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
 from .container import (
     Container,
+    case_collision,
     open_container,
     parents,
     shared_path,
@@ -55,6 +56,8 @@ from .report import Severity, ValidationReport
 RESERVED_LOCATIONS = frozenset({".", MANIFEST_FILENAME})
 # A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
 _SHARED_PATH = "file and directory share a path"
+# and one that ignores case cannot hold `a` and `A`, nor `a` and `A/b`
+_CASE_COLLISION = "another path differs from it only in case"
 
 
 class ValidationMode(enum.Enum):
@@ -67,25 +70,50 @@ class Archive:
     """An archive as a value: edits return new archives and leave this one as it was.
 
     `members` holds manifest.xml only as read, while `manifest` is what it
-    holds; else `container` writes it from `manifest` when first needed.
+    holds, and the metadata file only as read, while `metadata` is what it
+    holds; else `container` writes them from `manifest` and `metadata` when
+    first needed. `metadata_error` says why the metadata file read did not
+    parse, until an edit replaces or removes that file.
     """
     members: Container
     manifest: Manifest
     metadata: MetadataSet | None = None
+    metadata_error: str | None = None
+
+    @cached_property
+    def metadata_path(self) -> str | None:
+        """The manifest's omex-metadata entry wins; literal metadata.rdf is the
+        fallback, where the archive holds that file or metadata to write there."""
+        fallback = self.metadata is not None or METADATA_FILENAME in self.members
+        return self.manifest.metadata_path or (METADATA_FILENAME if fallback else None)
+
+    @cached_property
+    def _derived_metadata_path(self) -> str | None:
+        """`metadata_path` if `metadata` is to be written there, not read; else None."""
+        if self.metadata is None or self.metadata_path in self.members:
+            return None
+        return self.metadata_path
 
     @cached_property
     def container(self) -> Container:
-        """Every member, manifest.xml included."""
-        if MANIFEST_FILENAME in self.members:
+        """Every member, manifest.xml and the metadata file included."""
+        rdf = self._derived_metadata_path
+        if MANIFEST_FILENAME in self.members and rdf is None:
             return self.members
         container = self.members.copy()
-        container.put(MANIFEST_FILENAME, serialize_manifest(self.manifest))
+        if rdf is not None:
+            container.put(rdf, serialize_metadata(self.metadata))
+        if MANIFEST_FILENAME not in container:
+            container.put(MANIFEST_FILENAME, serialize_manifest(self.manifest))
         return container
 
     @cached_property
     def _directories(self) -> Counter[str]:
         """How many members each directory holds, at any depth."""
-        return Counter(d for path in self.members.paths() for d in parents(path))
+        paths = self.members.paths()
+        if self._derived_metadata_path is not None:
+            paths.append(self._derived_metadata_path)
+        return Counter(d for path in paths for d in parents(path))
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -98,12 +126,6 @@ class Archive:
             return NotImplemented
         return ((self.container, self.manifest, self.metadata)
                 == (other.container, other.manifest, other.metadata))
-
-
-def metadata_location(manifest: Manifest, container: Container) -> str | None:
-    """The manifest omex-metadata entry wins; literal metadata.rdf is the fallback."""
-    fallback = METADATA_FILENAME if METADATA_FILENAME in container else None
-    return manifest.metadata_path or fallback
 
 
 def default_creator() -> Creator:
@@ -130,7 +152,8 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
 
     Drops the entry `base` lists at path `remove` and its file (dropping
     the metadata file drops the metadata), adds `files`, pairs of a
-    ContentEntry and its bytes, and writes `metadata` when given. Only
+    ContentEntry and its bytes, and records `metadata` when given, to be
+    written with the manifest when the archive's bytes are needed. Only
     what the call adds is checked: a path that is reserved, taken, or a
     file at one path and a directory at another is refused, and so is a
     format `classify_format` calls INVALID. The entries `base` lists are
@@ -141,8 +164,8 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
     manifest = base.manifest
     if manifest.find(".") is None:
         manifest = Manifest((ContentEntry(".", OMEX_FORMAT_URI), *manifest.entries))
-    rdf = metadata_location(base.manifest, base.members)
-    kept = base.metadata
+    rdf = base.metadata_path
+    kept, error = base.metadata, base.metadata_error
     if remove is not None:
         if remove in RESERVED_LOCATIONS:
             raise ReservedLocation(remove)
@@ -151,19 +174,18 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
         if remove in members:
             members.remove(remove)
         if remove == rdf:
-            kept = metadata = None
+            kept = metadata = error = None
 
     files, added = list(files), []
     if metadata is not None:
-        kept, location = metadata, rdf or METADATA_FILENAME
+        kept, error, location = metadata, None, rdf or METADATA_FILENAME
         listing = ContentEntry(location, OMEX_METADATA_FORMAT_URI)
-        document = serialize_metadata(metadata)
         if location in members:  # replaced, so not checked as added
-            members.put(location, document)
+            members.remove(location)  # and written from `metadata` when needed
             if manifest.find(location) is None:
                 added.append(listing)
-        else:
-            files.append((listing, document))
+        elif manifest.find(location) is None:
+            files.append((listing, None))
 
     for entry, data in files:
         if entry.path in RESERVED_LOCATIONS:
@@ -172,23 +194,25 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             raise DuplicateLocation(entry.path)
         if classify_format(entry.format).kind is FormatKind.INVALID:
             raise InvalidFormatUri(entry.format)
-        members.put(entry.path, bytes(data))
+        if data is not None:  # None for a new metadata file, written when needed
+            members.put(entry.path, bytes(data))
         added.append(entry)
     if added or remove is not None:
         manifest = manifest.edited(added, remove)
     if manifest is not base.manifest and MANIFEST_FILENAME in members:
         members.remove(MANIFEST_FILENAME)  # no longer the manifest read
 
-    archive = Archive(members, manifest, kept)
+    archive = Archive(members, manifest, kept, error)
     if files or remove is not None:
         directories = base._directories.copy()
-        if remove in base.members:
+        if remove is not None and (remove in base.members or remove == rdf):
             directories.subtract(parents(remove))
         for entry, _ in files:
             directories.update(parents(entry.path))
         for entry, _ in files:
             if directories[entry.path] or any(
-                    d in members or d == MANIFEST_FILENAME for d in parents(entry.path)):
+                    d in members or d == MANIFEST_FILENAME or manifest.find(d) is not None
+                    for d in parents(entry.path)):
                 raise InvalidLocation(entry.path, _SHARED_PATH)
         # handed on, so that the next edit need not count them again
         vars(archive)["_directories"] = directories
@@ -230,6 +254,9 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         else:
             report.items.append(finding)
 
+    collision = case_collision(container.paths())
+    if collision is not None:
+        report.warning("case-collision", collision, _CASE_COLLISION)
     if manifest.find(".") is None:
         report.warning(
             "no-archive-entry", ".",
@@ -245,22 +272,24 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
                 f"format URI is not recognized: {entry.format!r}",
             )
 
-    metadata = None
-    location = metadata_location(manifest, container)
+    metadata = error = None
+    location = Archive(container, manifest).metadata_path
     if location is not None and location in container:
         try:
             metadata = parse_metadata(container.get(location))
         except OmexError as exc:
-            report.warning("metadata-unreadable", location, str(exc))
+            error = str(exc)
+            report.warning("metadata-unreadable", location, error)
     report.extend(check_minimum_information(metadata or MetadataSet()))
-    return Archive(container, manifest, metadata), report.sorted()
+    return Archive(container, manifest, metadata, error), report.sorted()
 
 
 def open_archive(data: bytes) -> Archive:
     """Read an archive; succeeds exactly when lenient validation finds no errors.
 
     Unreadable metadata is a validation warning, so it leaves
-    `Archive.metadata` as None instead of failing the open.
+    `Archive.metadata` as None, and the reason in `metadata_error`,
+    instead of failing the open.
     """
     archive, report = _load(data, strict=False)
     if report.errors:
@@ -289,11 +318,11 @@ def add_entry(
 
 def remove_entry(archive: Archive, location: str) -> Archive:
     path = check_location(location)
-    blocks = archive.metadata.blocks if archive.metadata is not None else {}
     metadata = None
-    if path in blocks:
+    if archive.metadata is not None and path in archive.metadata.blocks:
         # a new set, so the input archive's metadata stays as it was
-        metadata = MetadataSet({key: block for key, block in blocks.items() if key != path})
+        blocks = {key: block for key, block in archive.metadata.blocks.items() if key != path}
+        metadata = replace(archive.metadata, blocks=blocks)
     return _build(archive, metadata=metadata, remove=path)
 
 
@@ -303,9 +332,13 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     Every target is checked before the first file is written.
     """
     dest = Path(destination).resolve()
-    clash = shared_path(set(archive.container.paths()))
+    paths = archive.container.paths()
+    clash = shared_path(set(paths))
     if clash is not None:
         raise UnsafePath(clash, _SHARED_PATH)
+    collision = case_collision(paths)
+    if collision is not None:
+        raise UnsafePath(collision, _CASE_COLLISION)
     targets = []
     for entry in archive.container.entries:
         target = dest.joinpath(*PurePosixPath(entry.path).parts)

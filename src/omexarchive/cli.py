@@ -20,24 +20,24 @@ from .archive import (
     Archive,
     ValidationMode,
     extract_all,
-    metadata_location,
     open_archive,
     pack_directory,
     set_metadata,
     validate_archive,
 )
-from .errors import OmexError
 from .formats import classify_format, infer_extension
 from .metadata import (
+    RDF_NS,
     Creator,
     DescriptionBlock,
     MetadataSet,
     Timestamp,
-    parse_metadata,
 )
 from .report import Severity
 
 SCHEMA_VERSION = 1
+_RESOURCE_ATTR = f"{{{RDF_NS}}}resource"
+_ABOUT_ATTR = f"{{{RDF_NS}}}about"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -145,6 +145,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
+def _print_kept(elem, indent: str) -> None:
+    """One line for a kept element: its tag as a URI, then the resources and text it holds."""
+    values = [value for e in elem.iter()
+              for value in (e.get(_RESOURCE_ATTR), e.get(_ABOUT_ATTR), (e.text or "").strip())
+              if value]
+    print(f"{indent}{elem.tag.lstrip('{').replace('}', '', 1)}: {' '.join(values)}")
+
+
 def _print_block(block: DescriptionBlock) -> None:
     print(f"about: {block.about}")
     if block.description:
@@ -155,17 +163,20 @@ def _print_block(block: DescriptionBlock) -> None:
         print(f"  created: {block.created}")
     for stamp in block.modified:
         print(f"  modified: {stamp}")
-    for ref in block.references:
-        kind = "literal" if ref.literal else "resource"
-        print(f"  reference ({kind}): {ref.predicate} -> {ref.value}")
+    for elem in block.kept:
+        _print_kept(elem, "  ")
 
 
 def _show(archive: Archive) -> int:
-    if archive.metadata is None or not archive.metadata.blocks:
+    if archive.metadata_error is not None:
+        print(f"metadata-unreadable: {archive.metadata_error}")
+    elif archive.metadata is None or not (archive.metadata.blocks or archive.metadata.kept):
         print("no metadata")
-        return EXIT_OK
-    for key in sorted(archive.metadata.blocks):
-        _print_block(archive.metadata.blocks[key])
+    else:
+        for key in sorted(archive.metadata.blocks):
+            _print_block(archive.metadata.blocks[key])
+        for node in archive.metadata.kept:
+            _print_kept(node, "")
     return EXIT_OK
 
 
@@ -177,22 +188,18 @@ def cmd_meta(args) -> int:
     archive = _open(args.archive)
     if args.action == "show":
         return _show(archive)
-    location = metadata_location(archive.manifest, archive.container)
-    if archive.metadata is None and location in archive.container:
-        try:
-            parse_metadata(archive.container.get(location))
-        except OmexError as exc:
-            return _fail(f"{location} is unreadable: {exc}")
-    blocks = dict(archive.metadata.blocks) if archive.metadata else {}
+    if archive.metadata_error is not None:
+        return _fail(f"{archive.metadata_path} is unreadable: {archive.metadata_error}")
+    metadata = archive.metadata or MetadataSet()
     # a new block with new lists, so the opened archive's metadata is not changed
-    block = blocks.get(".") or DescriptionBlock(about=".")
-    blocks["."] = dataclasses.replace(
+    block = metadata.blocks.get(".") or DescriptionBlock(about=".")
+    block = dataclasses.replace(
         block,
         description=block.description if args.description is None else args.description,
         creators=block.creators + [parse_creator(text) for text in args.creator or []],
         modified=block.modified + ([Timestamp.now()] if args.touch else []),
     )
-    metadata = MetadataSet(blocks)
+    metadata = dataclasses.replace(metadata, blocks={**metadata.blocks, ".": block})
     Path(args.archive).write_bytes(set_metadata(archive, metadata).to_bytes())
     return EXIT_OK
 

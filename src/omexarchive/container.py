@@ -107,6 +107,21 @@ def shared_path(paths) -> str | None:
     return None
 
 
+def case_collision(paths) -> str | None:
+    """A path of `paths`, or a directory one needs, equal under str.casefold to
+    another path of `paths`, or None; a file system that ignores case can
+    hold only one of the two."""
+    files: dict[str, str] = {}
+    directories = set()
+    for path in paths:
+        if files.setdefault(path.casefold(), path) != path:
+            return path
+        directories.add(path.rpartition("/")[0])
+    for directory in list(directories):
+        directories.update(parents(directory))
+    return next((d for d in sorted(directories) if files.get(d.casefold(), d) != d), None)
+
+
 @dataclass(frozen=True)
 class ContainerEntry:
     path: str

@@ -1,38 +1,40 @@
-"""The recommended metadata.rdf: a restricted RDF/XML vocabulary.
+"""The recommended metadata.rdf: RDF/XML, modelled as far as this package edits it.
 
-Supports the Dublin Core terms description/creator/created/modified,
-vCard creator details, and opaque (predicate, object) references for
-everything else. Full RDF/XML (containers, reification, rdf:ID, blank
-node ids) is out of scope.
+A block is a top-level rdf:Description whose one attribute is an rdf:about
+naming a container path. Its Dublin Core description, vCard creators,
+created and modified dates are modelled; every other child of a block, and
+every other top-level node, is kept as the element read and written back
+as it stood, under the document's own prefixes.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
-from .errors import BadTimestamp, InvalidMetadata, MalformedXml, NotRdf
+from .errors import BadTimestamp, InvalidLocation, InvalidMetadata, MalformedXml, NotRdf
 from .manifest import check_location, escape_text, non_xml_char, quote_attribute
 from .report import ValidationReport
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 DCTERMS_NS = "http://purl.org/dc/terms/"
 VCARD_NS = "http://www.w3.org/2006/vcard/ns#"
-
-_WELL_KNOWN_PREFIXES = {
-    RDF_NS: "rdf",
-    DCTERMS_NS: "dcterms",
-    VCARD_NS: "vCard",
-    "http://biomodels.net/model-qualifiers/": "bqmodel",
-    "http://biomodels.net/biology-qualifiers/": "bqbiol",
-}
+_XML_NS = "http://www.w3.org/XML/1998/namespace"
+# The prefixes of the modelled namespaces where a document binds none, in
+# the order the root element declares them.
+_PREFIXES = {RDF_NS: "rdf", DCTERMS_NS: "dcterms", VCARD_NS: "vCard"}
 
 _RDF_TAG = f"{{{RDF_NS}}}RDF"
 _DESCRIPTION_TAG = f"{{{RDF_NS}}}Description"
 _ABOUT_ATTR = f"{{{RDF_NS}}}about"
 _RESOURCE_ATTR = f"{{{RDF_NS}}}resource"
+_AS_RESOURCE = {f"{{{RDF_NS}}}parseType": "Resource"}
+_DC = f"{{{DCTERMS_NS}}}"
+_VC = f"{{{VCARD_NS}}}"
+_CREATOR_FIELDS = {"family-name", "given-name", "hasEmail", "organization-name", "hasURL"}
 
 _W3CDTF = re.compile(
     r"^(\d{4})"
@@ -58,21 +60,14 @@ class Timestamp:
         year, month, day, hour, minute, second, frac, tzd = m.groups()
         try:
             if hour is None:
-                instant = datetime(
-                    int(year), int(month or 1), int(day or 1), tzinfo=timezone.utc
-                )
+                instant = datetime(int(year), int(month or 1), int(day or 1), tzinfo=timezone.utc)
                 return cls(instant, date_only=True)
             micro = int((frac or "0").ljust(6, "0")[:6])
-            if tzd == "Z":
-                tz = timezone.utc
-            else:
-                sign = 1 if tzd[0] == "+" else -1
-                offset = timedelta(hours=int(tzd[1:3]), minutes=int(tzd[4:6]))
-                tz = timezone(sign * offset)
-            instant = datetime(
-                int(year), int(month), int(day),
-                int(hour), int(minute), int(second or 0), micro, tzinfo=tz,
-            )
+            hours, minutes = (0, 0) if tzd == "Z" else (int(tzd[1:3]), int(tzd[4:6]))
+            offset = timedelta(hours=hours, minutes=minutes)
+            instant = datetime(int(year), int(month), int(day), int(hour), int(minute),
+                               int(second or 0), micro,
+                               tzinfo=timezone(-offset if tzd[0] == "-" else offset))
         except ValueError as exc:
             raise BadTimestamp(text) from exc
         return cls(instant.astimezone(timezone.utc), date_only=False)
@@ -115,23 +110,20 @@ class Creator:
         return " ".join(parts) or "(unnamed)"
 
 
-@dataclass(frozen=True)
-class Reference:
-    """An opaque (predicate URI, object) pair; literal objects flagged."""
-
-    predicate: str
-    value: str
-    literal: bool = False
+def _tree(elem: ET.Element) -> tuple:
+    """`elem` as a value: tag, attributes, text and children with their tails."""
+    return elem.tag, elem.attrib, elem.text, [(_tree(c), c.tail) for c in elem]
 
 
-@dataclass
+@dataclass(eq=False)
 class DescriptionBlock:
+    """What a document says about one path; `kept` holds the children not modelled."""
     about: str
     description: str | None = None
     creators: list[Creator] = field(default_factory=list)
     created: Timestamp | None = None
     modified: list[Timestamp] = field(default_factory=list)
-    references: list[Reference] = field(default_factory=list)
+    kept: list[ET.Element] = field(default_factory=list)
 
     def merge(self, other: "DescriptionBlock") -> None:
         """Union with another block about the same resource."""
@@ -141,13 +133,30 @@ class DescriptionBlock:
             self.created = other.created
         self.creators.extend(other.creators)
         self.modified.extend(other.modified)
-        self.references.extend(other.references)
+        self.kept.extend(other.kept)
+
+    def _value(self) -> tuple:
+        return (self.about, self.description, self.creators, self.created, self.modified,
+                list(map(_tree, self.kept)))
+
+    def __eq__(self, other):
+        if not isinstance(other, DescriptionBlock):
+            return NotImplemented
+        return self._value() == other._value()
 
 
-@dataclass
+@dataclass(eq=False)
 class MetadataSet:
-    """Description blocks keyed by the container path their `about` names."""
+    """Description blocks keyed by the container path their `about` names.
+
+    `kept` holds the other top-level nodes and `attrib` the attributes of
+    rdf:RDF. `prefixes` maps the namespace URIs the document declared to
+    the prefixes they are written with; it does not count in equality.
+    """
     blocks: dict[str, DescriptionBlock] = field(default_factory=dict)
+    kept: list[ET.Element] = field(default_factory=list)
+    attrib: dict[str, str] = field(default_factory=dict)
+    prefixes: dict[str, str] = field(default_factory=dict)
 
     def add(self, block: DescriptionBlock) -> None:
         key = check_location(block.about)
@@ -162,186 +171,199 @@ class MetadataSet:
     def __eq__(self, other):
         if not isinstance(other, MetadataSet):
             return NotImplemented
-        return self.blocks == other.blocks
+        return ((self.blocks, list(map(_tree, self.kept)), self.attrib)
+                == (other.blocks, list(map(_tree, other.kept)), other.attrib))
 
     def __len__(self) -> int:
         return len(self.blocks)
 
 
-def _split_tag(tag: str) -> tuple[str, str]:
-    if tag.startswith("{"):
-        ns, _, local = tag[1:].partition("}")
-        return ns, local
-    return "", tag
+def _bind(prefixes: dict[str, str], uri: str, prefix: str) -> str:
+    """Bind `uri` to `prefix`, numbered where another URI holds it; the empty
+    prefix of a default namespace becomes `ns`."""
+    taken, base, number = set(prefixes.values()), prefix or "ns", 0
+    name = base
+    while name in taken:
+        number += 1
+        name = f"{base}{number}"
+    prefixes[uri] = name
+    return name
 
 
-def _timestamp_from(elem: ET.Element) -> Timestamp:
-    child = elem.find(f"{{{DCTERMS_NS}}}W3CDTF")
-    text = child.text if child is not None else elem.text
-    if text is None or not text.strip():
+def _timestamp_from(elem: ET.Element) -> Timestamp | None:
+    """The date `elem` gives as text or as a W3CDTF node, or None for another form."""
+    if elem.attrib in ({}, _AS_RESOURCE) and [e.tag for e in elem] == [_DC + "W3CDTF"]:
+        elem = elem[0]
+    if elem.attrib or len(elem):
+        return None
+    if elem.text is None or not elem.text.strip():
         raise BadTimestamp("")
-    return Timestamp.parse(text.strip())
+    return Timestamp.parse(elem.text.strip())
 
 
 def _creator_from(elem: ET.Element) -> Creator | None:
-    family = given = email = organization = url = None
+    """The creator `elem` gives in vCard terms, or None where it says more or less."""
+    if elem.attrib != _AS_RESOURCE:
+        return None
+    values: dict[str, str | None] = {}
     for child in elem:
-        ns, local = _split_tag(child.tag)
-        if ns != VCARD_NS:
-            continue
-        if local == "hasName":
-            for part in child:
-                _, part_local = _split_tag(part.tag)
-                text = (part.text or "").strip()
-                if part_local == "family-name":
-                    family = text or family
-                elif part_local == "given-name":
-                    given = text or given
-        elif local == "hasEmail":
-            resource = child.get(_RESOURCE_ATTR, "")
-            email = resource.removeprefix("mailto:") or None
-        elif local == "organization-name":
-            organization = (child.text or "").strip() or None
-        elif local == "hasURL":
-            url = child.get(_RESOURCE_ATTR) or None
-    creator = Creator(family, given, email, organization, url)
+        parts = child if child.tag == _VC + "hasName" and child.attrib == _AS_RESOURCE else [child]
+        for part in parts:
+            local = part.tag.removeprefix(_VC)
+            linked = {_RESOURCE_ATTR} if local in ("hasEmail", "hasURL") else set()
+            if (local not in _CREATOR_FIELDS or local in values or len(part)
+                    or set(part.attrib) != linked):
+                return None
+            values[local] = part.get(_RESOURCE_ATTR) or (part.text or "").strip() or None
+    email = (values.get("hasEmail") or "").removeprefix("mailto:") or None
+    creator = Creator(values.get("family-name"), values.get("given-name"), email,
+                      values.get("organization-name"), values.get("hasURL"))
     return None if creator.is_empty() else creator
 
 
 def parse_metadata(xml: bytes) -> MetadataSet:
+    prefixes = {_XML_NS: "xml"}
     try:
-        root = ET.fromstring(xml)
+        events = ET.iterparse(io.BytesIO(xml), ("start-ns",))
+        for _, (prefix, uri) in events:
+            if uri not in prefixes:
+                _bind(prefixes, uri, prefix)
+        root = events.root
     except ET.ParseError as exc:
         raise MalformedXml(f"metadata is not well-formed XML: {exc}") from exc
     if root.tag != _RDF_TAG:
         raise NotRdf(f"root element {root.tag!r}, expected rdf:RDF")
+    del prefixes[_XML_NS]
 
-    result = MetadataSet()
-    for desc in root:
-        if desc.tag != _DESCRIPTION_TAG:
+    result = MetadataSet(attrib=dict(root.attrib), prefixes=prefixes)
+    for node in root:
+        try:  # a block is an rdf:Description about a path, with no other attribute
+            key = (check_location(node.get(_ABOUT_ATTR)) if node.tag == _DESCRIPTION_TAG
+                   and list(node.attrib) == [_ABOUT_ATTR] else None)
+        except InvalidLocation:
+            key = None
+        if key is None:
+            result.kept.append(node)
             continue
-        about = desc.get(_ABOUT_ATTR)
-        if about is None:
-            raise NotRdf("rdf:Description without rdf:about")
-        block = DescriptionBlock(about=about)
-        for prop in desc:
-            ns, local = _split_tag(prop.tag)
-            predicate = ns + local
-            if ns == DCTERMS_NS and local == "description":
+        block = result.blocks.setdefault(key, DescriptionBlock(node.get(_ABOUT_ATTR)))
+        for prop in node:
+            creator = _creator_from(prop) if prop.tag == _DC + "creator" else None
+            if creator is not None:
+                block.creators.append(creator)
+            elif (prop.tag == _DC + "description" and block.description is None
+                    and not prop.attrib and not len(prop)):
                 block.description = (prop.text or "").strip()
-            elif ns == DCTERMS_NS and local == "creator":
-                creator = _creator_from(prop)
-                if creator is not None:
-                    block.creators.append(creator)
-                elif (prop.text or "").strip():
-                    block.references.append(
-                        Reference(predicate, prop.text.strip(), literal=True)
-                    )
-            elif ns == DCTERMS_NS and local == "created":
-                block.created = _timestamp_from(prop)
-            elif ns == DCTERMS_NS and local == "modified":
-                block.modified.append(_timestamp_from(prop))
+            elif (prop.tag == _DC + "created" and block.created is None
+                    and (stamp := _timestamp_from(prop)) is not None):
+                block.created = stamp
+            elif prop.tag == _DC + "modified" and (stamp := _timestamp_from(prop)) is not None:
+                block.modified.append(stamp)
             else:
-                resource = prop.get(_RESOURCE_ATTR)
-                if resource is not None:
-                    block.references.append(Reference(predicate, resource))
-                else:
-                    text = "".join(prop.itertext()).strip()
-                    block.references.append(Reference(predicate, text, literal=True))
-        result.add(block)
+                block.kept.append(prop)
     return result
 
 
-def _split_predicate(uri: str) -> tuple[str, str]:
-    cut = max(uri.rfind("#"), uri.rfind("/"))
-    if cut < 0 or cut == len(uri) - 1:
-        raise InvalidMetadata(f"cannot derive an XML name from predicate {uri!r}")
-    return uri[: cut + 1], uri[cut + 1:]
+def _block_element(block: DescriptionBlock) -> ET.Element:
+    """The rdf:Description of what `block` models, without its kept children."""
+    desc = ET.Element(_DESCRIPTION_TAG, {_ABOUT_ATTR: block.about})
+    if block.description is not None:
+        ET.SubElement(desc, _DC + "description").text = block.description
+    for creator in block.creators:
+        if creator.is_empty():
+            raise InvalidMetadata(f"empty creator in block about {block.about!r}")
+        elem = ET.SubElement(desc, _DC + "creator", _AS_RESOURCE)
+        if creator.family_name or creator.given_name:
+            name = ET.SubElement(elem, _VC + "hasName", _AS_RESOURCE)
+            for local, text in (("family-name", creator.family_name),
+                                ("given-name", creator.given_name)):
+                if text:
+                    ET.SubElement(name, _VC + local).text = text
+        if creator.email:
+            ET.SubElement(elem, _VC + "hasEmail", {_RESOURCE_ATTR: "mailto:" + creator.email})
+        if creator.organization:
+            ET.SubElement(elem, _VC + "organization-name").text = creator.organization
+        if creator.url:
+            ET.SubElement(elem, _VC + "hasURL", {_RESOURCE_ATTR: creator.url})
+    for local, stamp in [("created", block.created), *(("modified", s) for s in block.modified)]:
+        if stamp is not None:
+            date = ET.SubElement(desc, _DC + local, _AS_RESOURCE)
+            ET.SubElement(date, _DC + "W3CDTF").text = str(stamp)
+    return desc
+
+
+def _escape(text: str) -> str:
+    """`text` as character data; a bare carriage return would read back as a line feed."""
+    return escape_text(text).replace("\r", "&#13;")
+
+
+def _attributes(attrib: dict[str, str], qname) -> str:
+    return "".join(f" {qname(name)}={quote_attribute(value)}" for name, value in attrib.items())
+
+
+def _write(out: list[str], elem: ET.Element, qname, indent: str | None = None,
+           kept: list[ET.Element] = ()) -> None:
+    """Append `elem` as XML, with `kept` as more children after its own.
+
+    With an `indent`, each child of `elem` starts a line one step further
+    in and is laid out so too; without one, and for `kept`, text and
+    whitespace are written as they stand.
+    """
+    tag = qname(elem.tag)
+    out.append(f"<{tag}{_attributes(elem.attrib, qname)}")
+    if elem.text is None and not len(elem) and not kept:
+        out.append("/>")
+        return
+    out.append(">" + _escape(elem.text or ""))
+    if indent is None:
+        for child in elem:
+            _write(out, child, qname)
+            out.append(_escape(child.tail or ""))
+    else:
+        for child in elem:
+            out.append(indent + "  ")
+            _write(out, child, qname, indent + "  ")
+        for child in kept:
+            out.append(indent + "  ")
+            _write(out, child, qname)
+        if len(elem) or kept:
+            out.append(indent)
+    out.append(f"</{tag}>")
 
 
 def serialize_metadata(metadata: MetadataSet) -> bytes:
-    prefixes = dict(_WELL_KNOWN_PREFIXES)
-    counter = 0
-    blocks = [metadata.blocks[key] for key in sorted(metadata.blocks)]
-    for block in blocks:
-        if any(c.is_empty() for c in block.creators):
-            raise InvalidMetadata(f"empty creator in block about {block.about!r}")
-        for ref in block.references:
-            ns, _ = _split_predicate(ref.predicate)
-            if ns not in prefixes:
-                counter += 1
-                prefixes[ns] = f"ns{counter}"
+    """Write the blocks in path order, then the kept nodes, under the document's prefixes.
 
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    xmlns = [f'xmlns:{prefixes[RDF_NS]}={quote_attribute(RDF_NS)}',
-             f'xmlns:{prefixes[DCTERMS_NS]}={quote_attribute(DCTERMS_NS)}',
-             f'xmlns:{prefixes[VCARD_NS]}={quote_attribute(VCARD_NS)}']
-    core = {RDF_NS, DCTERMS_NS, VCARD_NS}
-    for ns, prefix in prefixes.items():
-        if ns not in core and any(
-            _split_predicate(r.predicate)[0] == ns
-            for b in blocks for r in b.references
-        ):
-            xmlns.append(f"xmlns:{prefix}={quote_attribute(ns)}")
-    lines.append("<rdf:RDF " + "\n  ".join(xmlns) + ">")
+    Every prefix is declared on rdf:RDF and none is the default, so an
+    element outside any namespace is written as it was read. A namespace
+    the document did not declare is given a prefix of its own.
+    """
+    prefixes = {_XML_NS: "xml", **metadata.prefixes}
+    for uri, prefix in _PREFIXES.items():
+        if uri not in prefixes:
+            _bind(prefixes, uri, prefix)
+    names: dict[str, str] = {}
 
-    for block in blocks:
-        lines.append(f"  <rdf:Description rdf:about={quote_attribute(block.about)}>")
-        if block.description is not None:
-            lines.append(
-                f"    <dcterms:description>{escape_text(block.description)}"
-                "</dcterms:description>"
-            )
-        for creator in block.creators:
-            lines.append('    <dcterms:creator rdf:parseType="Resource">')
-            if creator.family_name or creator.given_name:
-                lines.append('      <vCard:hasName rdf:parseType="Resource">')
-                if creator.family_name:
-                    lines.append(
-                        f"        <vCard:family-name>{escape_text(creator.family_name)}"
-                        "</vCard:family-name>"
-                    )
-                if creator.given_name:
-                    lines.append(
-                        f"        <vCard:given-name>{escape_text(creator.given_name)}"
-                        "</vCard:given-name>"
-                    )
-                lines.append("      </vCard:hasName>")
-            if creator.email:
-                lines.append(
-                    f"      <vCard:hasEmail rdf:resource="
-                    f'{quote_attribute("mailto:" + creator.email)}/>'
-                )
-            if creator.organization:
-                lines.append(
-                    f"      <vCard:organization-name>{escape_text(creator.organization)}"
-                    "</vCard:organization-name>"
-                )
-            if creator.url:
-                lines.append(
-                    f"      <vCard:hasURL rdf:resource={quote_attribute(creator.url)}/>"
-                )
-            lines.append("    </dcterms:creator>")
-        if block.created is not None:
-            lines.append('    <dcterms:created rdf:parseType="Resource">')
-            lines.append(
-                f"      <dcterms:W3CDTF>{block.created}</dcterms:W3CDTF>"
-            )
-            lines.append("    </dcterms:created>")
-        for stamp in block.modified:
-            lines.append('    <dcterms:modified rdf:parseType="Resource">')
-            lines.append(f"      <dcterms:W3CDTF>{stamp}</dcterms:W3CDTF>")
-            lines.append("    </dcterms:modified>")
-        for ref in block.references:
-            ns, local = _split_predicate(ref.predicate)
-            qname = f"{prefixes[ns]}:{local}"
-            if ref.literal:
-                lines.append(f"    <{qname}>{escape_text(ref.value)}</{qname}>")
-            else:
-                lines.append(f"    <{qname} rdf:resource={quote_attribute(ref.value)}/>")
-        lines.append("  </rdf:Description>")
-    lines.append("</rdf:RDF>")
-    document = "\n".join(lines) + "\n"
+    def qname(tag: str) -> str:
+        if tag not in names:
+            uri, _, local = tag[1:].rpartition("}")
+            names[tag] = (f"{prefixes.get(uri) or _bind(prefixes, uri, '')}:{local}"
+                          if tag[0] == "{" else tag)
+        return names[tag]
+
+    body: list[str] = []
+    for key in sorted(metadata.blocks):
+        body.append("\n  ")
+        _write(body, _block_element(metadata.blocks[key]), qname, "\n  ",
+               metadata.blocks[key].kept)
+    for node in metadata.kept:
+        body.append("\n  ")
+        _write(body, node, qname)
+    rdf, attributes = qname(_RDF_TAG), _attributes(metadata.attrib, qname)
+    declared = {uri: prefixes[uri] for uri in _PREFIXES} | prefixes  # the modelled first
+    del declared[_XML_NS]
+    xmlns = "\n  ".join(f"xmlns:{p}={quote_attribute(uri)}" for uri, p in declared.items())
+    document = "".join(['<?xml version="1.0" encoding="UTF-8"?>\n',
+                        f"<{rdf} {xmlns}{attributes}>", *body, f"\n</{rdf}>\n"])
     bad = non_xml_char(document)
     if bad is not None:
         raise InvalidMetadata(f"character not allowed in XML: {bad!r}")
@@ -353,10 +375,7 @@ def check_minimum_information(metadata: MetadataSet) -> ValidationReport:
     report = ValidationReport()
     block = metadata.get(".")
     if block is None:
-        report.warning(
-            "missing-metadata", ".",
-            "no metadata block describes the archive itself",
-        )
+        report.warning("missing-metadata", ".", "no metadata block describes the archive itself")
         return report.sorted()
     if block.created is None:
         report.warning("missing-created", ".", "no creation date recorded")

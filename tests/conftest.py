@@ -57,6 +57,33 @@ GOLDEN_METADATA = b"""<?xml version="1.0" encoding="UTF-8"?>
 </rdf:RDF>
 """
 
+# Metadata holding what the model does not: an rdf:Bag of identifiers, a
+# language tag, a datatype, a property outside any namespace, a typed node
+# and a blank node.
+UNMODELLED_METADATA = b"""<?xml version="1.0" encoding="UTF-8"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+  xmlns:dcterms="http://purl.org/dc/terms/"
+  xmlns:foaf="http://xmlns.com/foaf/0.1/"
+  xmlns:bqmodel="http://biomodels.net/model-qualifiers/">
+  <rdf:Description rdf:about=".">
+    <dcterms:title xml:lang="en">A model</dcterms:title>
+    <dcterms:extent rdf:datatype="http://www.w3.org/2001/XMLSchema#integer">3</dcterms:extent>
+    <bqmodel:is>
+      <rdf:Bag>
+        <rdf:li rdf:resource="http://identifiers.org/biomodels.db/BIOMD0000000001"/>
+        <rdf:li rdf:resource="http://identifiers.org/taxonomy/9606"/>
+      </rdf:Bag>
+    </bqmodel:is>
+    <is rdf:resource="http://example.org/plain"/>
+  </rdf:Description>
+  <foaf:Person rdf:about="http://orcid.org/0000-0002-6309-7327">
+    <foaf:name>Nicolas Le Novere</foaf:name>
+  </foaf:Person>
+  <rdf:Description rdf:nodeID="n1">
+    <foaf:name>Anonymous</foaf:name>
+  </rdf:Description>
+</rdf:RDF>
+"""
 
 
 def _replace_once(data: bytes, old: bytes, new: bytes) -> bytes:

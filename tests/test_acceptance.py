@@ -17,7 +17,6 @@ from omexarchive import (
     Creator,
     Manifest,
     MetadataSet,
-    Reference,
     Severity,
     ValidationMode,
     add_entry,
@@ -83,12 +82,13 @@ def test_criterion_2_golden_metadata_fidelity(golden_metadata_xml):
         assert block.created.instant == datetime(
             2014, 6, 26, 10, 29, tzinfo=timezone.utc
         )
-        bq = "http://biomodels.net/model-qualifiers/"
-        assert Reference(bq + "is",
-                         "http://identifiers.org/biomodels.db/MODEL1311110001") \
-            in block.references
-        assert Reference(bq + "isDescribedBy",
-                         "http://identifiers.org/arxiv/1311.5696") in block.references
+        bq = "{http://biomodels.net/model-qualifiers/}"
+        resource = "{http://www.w3.org/1999/02/22-rdf-syntax-ns#}resource"
+        kept = [(e.tag, e.get(resource)) for e in block.kept]
+        assert kept == [
+            (bq + "is", "http://identifiers.org/biomodels.db/MODEL1311110001"),
+            (bq + "isDescribedBy", "http://identifiers.org/arxiv/1311.5696"),
+        ]
         assert parse_metadata(serialize_metadata(meta)) == meta
 
 

@@ -476,3 +476,59 @@ def test_set_metadata_creates_entry(golden_files):
     updated = set_metadata(archive, meta)
     assert updated.manifest.find("metadata.rdf") is not None
     assert open_archive(updated.to_bytes()).metadata == meta
+
+
+def _with_metadata(golden_files, document: bytes):
+    from omexarchive import write_container
+
+    return write_container(build_container(dict(golden_files, **{"metadata.rdf": document})))
+
+
+def test_the_metadata_error_is_kept_until_the_metadata_is_replaced_or_removed(golden_files):
+    opened = open_archive(_with_metadata(golden_files, b"<x/>"))
+    reason = "root element 'x', expected rdf:RDF"
+    assert opened.metadata is None and opened.metadata_error == reason
+    grown = add_entry(opened, "notes.txt", TEXT, b"n")
+    assert grown.metadata_error == reason
+    assert remove_entry(grown, "notes.txt").metadata_error == reason
+    assert set_metadata(grown, _stamp()).metadata_error is None
+    assert remove_entry(grown, "metadata.rdf").metadata_error is None
+    assert open_archive(grown.to_bytes()).metadata_error == reason
+
+
+PLAIN_PROPERTY_METADATA = b"""<rdf:RDF
+  xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#">
+  <rdf:Description rdf:about="."><is rdf:resource="http://example.org/plain"/></rdf:Description>
+</rdf:RDF>"""
+
+
+def test_a_property_outside_any_namespace_survives_set_metadata(golden_files):
+    opened = open_archive(_with_metadata(golden_files, PLAIN_PROPERTY_METADATA))
+    updated = set_metadata(opened, opened.metadata)
+    data = updated.container.get("metadata.rdf")
+    assert b'<is rdf:resource="http://example.org/plain"/>' in data
+    assert open_archive(updated.to_bytes()).metadata == opened.metadata
+
+
+@pytest.mark.parametrize("members", [
+    [("a.txt", b"1"), ("A.txt", b"2")],
+    [("a", b"1"), ("A/b", b"2")],
+    [("d/Straße", b"1"), ("d/STRASSE", b"2")],
+])
+def test_case_collisions_are_reported_and_refused_before_extraction(members, tmp_path):
+    data = raw_zip([("manifest.xml", _manifest_for(*(path for path, _ in members)))]
+                   + members)
+    report = validate_archive(data, ValidationMode.LENIENT)
+    assert [(f.rule, f.severity) for f in report if f.rule == "case-collision"] == [
+        ("case-collision", Severity.WARNING)]
+    dest = tmp_path / "dest"
+    with pytest.raises(UnsafePath, match="only in case"):
+        extract_all(open_archive(data), dest)
+    assert not dest.exists()
+
+
+def test_paths_that_differ_in_more_than_case_do_not_collide(tmp_path):
+    members = [("A/x", b"1"), ("a/y", b"2"), ("b", b"3")]
+    data = raw_zip([("manifest.xml", _manifest_for("A/x", "a/y", "b"))] + members)
+    assert "case-collision" not in [f.rule for f in validate_archive(data)]
+    assert len(extract_all(open_archive(data), tmp_path / "dest")) == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from omexarchive import open_archive, set_metadata, write_container
 from omexarchive.cli import main, parse_creator
 from omexarchive.metadata import Creator
 
-from conftest import FOREIGN_MANIFESTS, build_container
+from conftest import FOREIGN_MANIFESTS, UNMODELLED_METADATA, build_container
 
 
 @pytest.fixture
@@ -261,6 +262,54 @@ def test_meta_set_refuses_unreadable_metadata(tmp_path, golden_files, capsys):
     assert err.startswith("error: metadata.rdf is unreadable: ")
     assert err.count("\n") == 1
     assert path.read_bytes() == before
+
+
+def test_meta_set_keeps_what_the_model_does_not_hold(tmp_path, golden_files, capsys):
+    path = tmp_path / "kept.omex"
+    files = dict(golden_files, **{"metadata.rdf": UNMODELLED_METADATA})
+    path.write_bytes(write_container(build_container(files)))
+    before = open_archive(path.read_bytes()).metadata
+    assert main(["meta", str(path), "set", "--touch"]) == 0
+    after = open_archive(path.read_bytes())
+    assert len(after.metadata.get(".").modified) == 1
+    assert after.metadata == dataclasses.replace(before, blocks={
+        ".": dataclasses.replace(before.get("."), modified=after.metadata.get(".").modified)})
+    data = after.container.get("metadata.rdf")
+    for text in (b"BIOMD0000000001", b"taxonomy/9606", b"<foaf:Person", b'xml:lang="en"',
+                 b"XMLSchema#integer", b'<is rdf:resource="http://example.org/plain"/>'):
+        assert text in data
+    assert main(["meta", str(path), "show"]) == 0
+    out = capsys.readouterr().out
+    assert ("  http://biomodels.net/model-qualifiers/is: "
+            "http://identifiers.org/biomodels.db/BIOMD0000000001 "
+            "http://identifiers.org/taxonomy/9606\n") in out
+    assert "  is: http://example.org/plain\n" in out
+    assert "http://xmlns.com/foaf/0.1/Person: http://orcid.org/" in out
+
+
+@pytest.mark.parametrize("command", [["info"], ["meta", "show"]])
+def test_unreadable_metadata_is_named(command, tmp_path, golden_files, capsys):
+    path = tmp_path / "unreadable.omex"
+    path.write_bytes(write_container(build_container(
+        dict(golden_files, **{"metadata.rdf": b"<x/>"}))))
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert capsys.readouterr().out == (
+        "metadata-unreadable: root element 'x', expected rdf:RDF\n")
+
+
+def test_meta_set_refuses_with_the_reason_the_open_kept(tmp_path, golden_files, capsys,
+                                                        monkeypatch):
+    path = tmp_path / "unreadable.omex"
+    path.write_bytes(write_container(build_container(
+        dict(golden_files, **{"metadata.rdf": b"<x/>"}))))
+    parses = []
+    parse = omexarchive.archive.parse_metadata
+    monkeypatch.setattr(omexarchive.archive, "parse_metadata",
+                        lambda data: parses.append(data) or parse(data))
+    assert main(["meta", str(path), "set", "--touch"]) == 2
+    assert capsys.readouterr().err == (
+        "error: metadata.rdf is unreadable: root element 'x', expected rdf:RDF\n")
+    assert parses == [b"<x/>"]
 
 
 def test_meta_show(golden_archive_file, capsys):

@@ -1,8 +1,8 @@
 """The edit path: edits cost what they change, and archives stay values.
 
 `add_entry`, `remove_entry` and `set_metadata` copy the members and the
-manifest index and leave manifest.xml to be written once, when the
-archive's bytes are first needed.
+manifest index and leave manifest.xml and metadata.rdf to be written
+once, when the archive's bytes are first needed.
 """
 
 import dataclasses
@@ -66,15 +66,15 @@ def _sized(entries: int):
 
 @pytest.fixture
 def serializations(monkeypatch):
-    """Counts the calls of serialize_manifest made through the archive module."""
-    calls = []
-    serialize = omexarchive.archive.serialize_manifest
+    """The arguments of each serialize_manifest and serialize_metadata call made
+    through the archive module, by function name."""
+    calls = {"serialize_manifest": [], "serialize_metadata": []}
+    for name, made in calls.items():
+        def counted(value, serialize=getattr(omexarchive.archive, name), made=made):
+            made.append(value)
+            return serialize(value)
 
-    def counted(manifest):
-        calls.append(manifest)
-        return serialize(manifest)
-
-    monkeypatch.setattr(omexarchive.archive, "serialize_manifest", counted)
+        monkeypatch.setattr(omexarchive.archive, name, counted)
     return calls
 
 
@@ -83,12 +83,28 @@ def test_edits_leave_the_manifest_unwritten(serializations):
     archive = add_entry(archive, "new.xml", SBML, b"<sbml/>")
     archive = remove_entry(archive, "d0/f0.txt")
     archive = set_metadata(archive, _with_description(archive, ".", "edited"))
-    assert serializations == []
+    assert serializations["serialize_manifest"] == []
     data = archive.to_bytes()
     assert archive.to_bytes() == data
     assert archive.byte_map()["manifest.xml"] == archive.container.get("manifest.xml")
-    assert len(serializations) == 1
+    assert len(serializations["serialize_manifest"]) == 1
     assert open_archive(data) == archive
+
+
+def test_edits_leave_the_metadata_unwritten(serializations):
+    archive = _sized(50)
+    archive = set_metadata(archive, _with_description(archive, "d0/f0.txt", "zero"))
+    archive = add_entry(archive, "new.xml", SBML, b"<sbml/>")
+    archive = remove_entry(archive, "d0/f0.txt")  # a described path: its block goes too
+    assert archive.metadata.get("d0/f0.txt") is None
+    archive = set_metadata(archive, _with_description(archive, ".", "edited"))
+    assert serializations["serialize_metadata"] == []
+    data = archive.to_bytes()
+    assert archive.to_bytes() == data
+    assert serializations["serialize_metadata"] == [archive.metadata]
+    reopened = open_archive(data)
+    assert reopened == archive
+    assert reopened.metadata.get(".").description == "edited"
 
 
 def test_set_metadata_keeps_the_manifest_it_read(golden_archive_bytes, serializations):
@@ -99,11 +115,11 @@ def test_set_metadata_keeps_the_manifest_it_read(golden_archive_bytes, serializa
     reopened = open_archive(updated.to_bytes())
     assert reopened.container.get("manifest.xml") == opened.container.get("manifest.xml")
     assert reopened.metadata.get(".").description == "new"
-    assert serializations == []
+    assert serializations["serialize_manifest"] == []
     # an edit that changes the entries writes the manifest anew
     grown = add_entry(updated, "extra.txt", TEXT, b"x")
     assert grown.container.get("manifest.xml") != opened.container.get("manifest.xml")
-    assert len(serializations) == 1
+    assert len(serializations["serialize_manifest"]) == 1
 
 
 def test_set_metadata_lists_an_unlisted_metadata_file():
