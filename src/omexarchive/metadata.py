@@ -10,6 +10,7 @@ as it stood, under the document's own prefixes.
 from __future__ import annotations
 
 import io
+import itertools
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -178,16 +179,20 @@ class MetadataSet:
         return len(self.blocks)
 
 
-def _bind(prefixes: dict[str, str], uri: str, prefix: str) -> str:
-    """Bind `uri` to `prefix`, numbered where another URI holds it; the empty
-    prefix of a default namespace becomes `ns`."""
-    taken, base, number = set(prefixes.values()), prefix or "ns", 0
-    name = base
-    while name in taken:
-        number += 1
-        name = f"{base}{number}"
-    prefixes[uri] = name
-    return name
+def _binder(prefixes: dict[str, str]):
+    """A function that binds a URI to a prefix in `prefixes` (URI -> prefix): the
+    prefix asked for, else it numbered, `ns` for the empty prefix of a default
+    namespace. The numbers only grow, so each binding takes constant time."""
+    taken, numbers = set(prefixes.values()), itertools.count(1)
+
+    def bind(uri: str, prefix: str) -> str:
+        name = prefix or "ns"
+        while name in taken:
+            name = f"{prefix or 'ns'}{next(numbers)}"
+        prefixes[uri] = name
+        taken.add(name)
+        return name
+    return bind
 
 
 def _timestamp_from(elem: ET.Element) -> Timestamp | None:
@@ -223,11 +228,12 @@ def _creator_from(elem: ET.Element) -> Creator | None:
 
 def parse_metadata(xml: bytes) -> MetadataSet:
     prefixes = {_XML_NS: "xml"}
+    bind = _binder(prefixes)
     try:
         events = ET.iterparse(io.BytesIO(xml), ("start-ns",))
         for _, (prefix, uri) in events:
             if uri not in prefixes:
-                _bind(prefixes, uri, prefix)
+                bind(uri, prefix)
         root = events.root
     except ET.ParseError as exc:
         raise MalformedXml(f"metadata is not well-formed XML: {exc}") from exc
@@ -338,26 +344,30 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
     the document did not declare is given a prefix of its own.
     """
     prefixes = {_XML_NS: "xml", **metadata.prefixes}
+    bind = _binder(prefixes)
     for uri, prefix in _PREFIXES.items():
         if uri not in prefixes:
-            _bind(prefixes, uri, prefix)
+            bind(uri, prefix)
     names: dict[str, str] = {}
 
     def qname(tag: str) -> str:
         if tag not in names:
             uri, _, local = tag[1:].rpartition("}")
-            names[tag] = (f"{prefixes.get(uri) or _bind(prefixes, uri, '')}:{local}"
+            names[tag] = (f"{prefixes.get(uri) or bind(uri, '')}:{local}"
                           if tag[0] == "{" else tag)
         return names[tag]
 
     body: list[str] = []
-    for key in sorted(metadata.blocks):
-        body.append("\n  ")
-        _write(body, _block_element(metadata.blocks[key]), qname, "\n  ",
-               metadata.blocks[key].kept)
-    for node in metadata.kept:
-        body.append("\n  ")
-        _write(body, node, qname)
+    try:
+        for key in sorted(metadata.blocks):
+            body.append("\n  ")
+            _write(body, _block_element(metadata.blocks[key]), qname, "\n  ",
+                   metadata.blocks[key].kept)
+        for node in metadata.kept:
+            body.append("\n  ")
+            _write(body, node, qname)
+    except RecursionError:  # _write recurses once per level of nesting
+        raise InvalidMetadata("elements nested too deeply to write") from None
     rdf, attributes = qname(_RDF_TAG), _attributes(metadata.attrib, qname)
     declared = {uri: prefixes[uri] for uri in _PREFIXES} | prefixes  # the modelled first
     del declared[_XML_NS]

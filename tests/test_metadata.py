@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 
@@ -422,3 +423,27 @@ def test_rdf_xml_round_trips_and_keeps_what_an_edit_does_not_touch(document):
     assert [_as_tree(e) for e in again.kept] == [_as_tree(e) for e in meta.kept]
     for key, before in meta.blocks.items():
         assert [_as_tree(e) for e in again.get(key).kept] == [_as_tree(e) for e in before.kept]
+
+
+def test_prefixes_bound_again_many_times_take_linear_time():
+    rebound = "".join(f'<ex:p xmlns:ex="http://example.org/{i}#">x</ex:p>' for i in range(20000))
+    xml = ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns:ex2="urn:x">'
+           f'<rdf:Description rdf:about=".">{rebound}</rdf:Description></rdf:RDF>').encode()
+    start = time.perf_counter()
+    meta = parse_metadata(xml)
+    data = serialize_metadata(meta)
+    assert time.perf_counter() - start < 2.0  # a rescan per binding took over a minute
+    assert sorted(meta.prefixes.values())[:4] == ["ex", "ex1", "ex10", "ex100"]
+    assert meta.prefixes["urn:x"] == "ex2" and meta.prefixes["http://example.org/1#"] == "ex1"
+    assert len(set(meta.prefixes.values())) == len(meta.prefixes)
+    assert parse_metadata(data) == meta
+
+
+def test_nesting_too_deep_to_write_is_refused_by_name():
+    depth = 3000
+    xml = ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+           ' xmlns:ex="http://example.org/terms#"><rdf:Description rdf:about=".">'
+           + '<ex:p rdf:parseType="Resource">' * depth + "</ex:p>" * depth
+           + "</rdf:Description></rdf:RDF>").encode()
+    with pytest.raises(InvalidMetadata, match="nested too deeply"):
+        serialize_metadata(parse_metadata(xml))
