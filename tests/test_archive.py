@@ -510,25 +510,35 @@ def test_a_property_outside_any_namespace_survives_set_metadata(golden_files):
     assert open_archive(updated.to_bytes()).metadata == opened.metadata
 
 
-@pytest.mark.parametrize("members", [
-    [("a.txt", b"1"), ("A.txt", b"2")],
-    [("a", b"1"), ("A/b", b"2")],
-    [("d/Straße", b"1"), ("d/STRASSE", b"2")],
-])
-def test_case_collisions_are_reported_and_refused_before_extraction(members, tmp_path):
-    data = raw_zip([("manifest.xml", _manifest_for(*(path for path, _ in members)))]
-                   + members)
-    report = validate_archive(data, ValidationMode.LENIENT)
-    assert [(f.rule, f.severity) for f in report if f.rule == "case-collision"] == [
-        ("case-collision", Severity.WARNING)]
+# members, and the path or directory named as colliding
+_CASE_COLLISIONS = [
+    ([("a.txt", b"1"), ("A.txt", b"2")], "A.txt"),
+    ([("a", b"1"), ("A/b", b"2")], "A"),
+    ([("d/Straße", b"1"), ("d/STRASSE", b"2")], "d/STRASSE"),
+]
+
+
+def _listing_all(members) -> bytes:
+    return raw_zip([("manifest.xml", _manifest_for(*(path for path, _ in members)))] + members)
+
+
+@pytest.mark.parametrize("members,location", _CASE_COLLISIONS)
+def test_case_collisions_are_reported(members, location):
+    report = validate_archive(_listing_all(members), ValidationMode.LENIENT)
+    assert [(f.rule, f.severity, f.location) for f in report if f.rule == "case-collision"] == [
+        ("case-collision", Severity.WARNING, location)]
+
+
+@pytest.mark.parametrize("members,location", _CASE_COLLISIONS)
+def test_extract_refuses_case_collisions_before_writing(members, location, tmp_path):
     dest = tmp_path / "dest"
-    with pytest.raises(UnsafePath, match="only in case"):
-        extract_all(open_archive(data), dest)
+    with pytest.raises(UnsafePath, match="only in case") as refusal:
+        extract_all(open_archive(_listing_all(members)), dest)
+    assert refusal.value.path == location
     assert not dest.exists()
 
 
 def test_paths_that_differ_in_more_than_case_do_not_collide(tmp_path):
-    members = [("A/x", b"1"), ("a/y", b"2"), ("b", b"3")]
-    data = raw_zip([("manifest.xml", _manifest_for("A/x", "a/y", "b"))] + members)
+    data = _listing_all([("A/x", b"1"), ("a/y", b"2"), ("b", b"3")])
     assert "case-collision" not in [f.rule for f in validate_archive(data)]
     assert len(extract_all(open_archive(data), tmp_path / "dest")) == 4
