@@ -14,7 +14,6 @@ from .container import (
     case_collision,
     open_container,
     parents,
-    shared_path,
     write_container,
 )
 from .errors import (
@@ -114,6 +113,17 @@ class Archive:
         if self._derived_metadata_path is not None:
             paths.append(self._derived_metadata_path)
         return Counter(d for path in paths for d in parents(path))
+
+    @cached_property
+    def _path_clashes(self) -> list[tuple[str, str, str]]:
+        """What a file system may not hold, as (rule, path, reason): the first
+        member, in container order, that others need as a directory, then the
+        first case collision."""
+        paths = self.container.paths()
+        directories = +self._directories  # without those an edit emptied
+        found = (("shared-path", next((p for p in paths if directories[p]), None), _SHARED_PATH),
+                 ("case-collision", case_collision(paths, directories), _CASE_COLLISION))
+        return [clash for clash in found if clash[1] is not None]
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -254,9 +264,6 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         else:
             report.items.append(finding)
 
-    collision = case_collision(container.paths())
-    if collision is not None:
-        report.warning("case-collision", collision, _CASE_COLLISION)
     if manifest.find(".") is None:
         report.warning(
             "no-archive-entry", ".",
@@ -280,8 +287,11 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         except OmexError as exc:
             error = str(exc)
             report.warning("metadata-unreadable", location, error)
+    archive = Archive(container, manifest, metadata, error)
+    for rule, path, reason in archive._path_clashes:
+        report.warning(rule, path, reason)
     report.extend(check_minimum_information(metadata or MetadataSet()))
-    return Archive(container, manifest, metadata, error), report.sorted()
+    return archive, report.sorted()
 
 
 def open_archive(data: bytes) -> Archive:
@@ -332,13 +342,9 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     Every target is checked before the first file is written.
     """
     dest = Path(destination).resolve()
-    paths = archive.container.paths()
-    clash = shared_path(set(paths))
-    if clash is not None:
-        raise UnsafePath(clash, _SHARED_PATH)
-    collision = case_collision(paths)
-    if collision is not None:
-        raise UnsafePath(collision, _CASE_COLLISION)
+    if archive._path_clashes:
+        _, path, reason = archive._path_clashes[0]
+        raise UnsafePath(path, reason)
     targets = []
     for entry in archive.container.entries:
         target = dest.joinpath(*PurePosixPath(entry.path).parts)
@@ -368,7 +374,6 @@ def pack_directory(
     format_overrides: dict[str, str] | None = None,
     stamp: bool = True,
     creator: Creator | None = None,
-    created: Timestamp | None = None,
 ) -> Archive:
     """Create an archive from a directory tree.
 
@@ -396,5 +401,5 @@ def pack_directory(
     metadata = None
     if stamp and METADATA_FILENAME not in paths:
         metadata = MetadataSet()
-        metadata.add(stamp_block(creator, created))
+        metadata.add(stamp_block(creator))
     return create_archive(files, metadata)

@@ -3,7 +3,11 @@
 Entries are kept in memory. Reading goes through `zipfile`, which
 inflates each member and checks its CRC-32; for a stored or deflated
 member the container also keeps that member's compressed bytes, as a
-view of the input, and its CRC. Writing emits the ZIP itself with fixed
+view of the input, and its CRC. A member's declared range, its central
+compressed size counted from the end of its local header, must end by
+the next local header or the central directory: members that overlap,
+as in zip bombs, are refused on every interpreter, where `zipfile`
+refuses them only from Python 3.13 on. Writing emits the ZIP itself with fixed
 timestamps and a fixed entry order: an entry that still holds the bytes
 it was read with is copied as stored, with its compression method;
 any other is deflated with the stream `zipfile` uses. The layout and
@@ -95,30 +99,14 @@ def parents(path: str) -> Iterator[str]:
         end = path.rfind("/", 0, end)
 
 
-def shared_path(paths) -> str | None:
-    """A path of `paths` that another one needs as a directory, or None.
-
-    `paths` is a set or another collection with fast membership.
-    """
-    for path in paths:
-        for parent in parents(path):
-            if parent in paths:
-                return parent
-    return None
-
-
-def case_collision(paths) -> str | None:
-    """A path of `paths`, or a directory one needs, equal under str.casefold to
-    another path of `paths`, or None; a file system that ignores case can
-    hold only one of the two."""
+def case_collision(paths, directories) -> str | None:
+    """A path of `paths`, or of the `directories` they need, equal under
+    str.casefold to another path of `paths`, or None; a file system that
+    ignores case can hold only one of the two."""
     files: dict[str, str] = {}
-    directories = set()
     for path in paths:
         if files.setdefault(path.casefold(), path) != path:
             return path
-        directories.add(path.rpartition("/")[0])
-    for directory in list(directories):
-        directories.update(parents(directory))
     return next((d for d in sorted(directories) if files.get(d.casefold(), d) != d), None)
 
 
@@ -192,7 +180,8 @@ class Container:
 
 
 def open_container(data: bytes) -> Container:
-    """Read a ZIP stream into a Container, rejecting unsafe entry names.
+    """Read a ZIP stream into a Container, rejecting unsafe entry names and
+    members whose declared range reaches into the next one.
 
     Each stored or deflated member keeps its bytes as stored, a view of
     `data` taken after zipfile has inflated the member and checked its
@@ -217,24 +206,26 @@ def open_container(data: bytes) -> Container:
                 continue
             if name in container:
                 raise UnsafePath(name, "duplicate entry")
+            # the member's bytes follow its local header's name and extra
+            # field, whose lengths are at offset 26 (zf.read checks the rest);
+            # a truncated header puts `start` past the region
+            at = info.header_offset
+            start = (at + _LOCAL_HEADER.size + int.from_bytes(data[at + 26:at + 28], "little")
+                     + int.from_bytes(data[at + 28:at + 30], "little"))
+            if start + info.compress_size > region_end[at]:
+                raise CorruptEntry(name, f"corrupt entry {name!r}: its declared size reaches "
+                                         "into the next member or the central directory")
             try:
                 payload = zf.read(info)
             except _ZIP_FAILURES as exc:
                 raise CorruptEntry(name, f"corrupt entry {name!r}: {exc}") from exc
             raw = None
             if info.compress_type in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-                # zf.read has checked the local header: name and extra lengths
-                # at offset 26, the member's bytes right after the extra field
-                name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
-                start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
                 # zipfile reads a stored member's payload from its first bytes
-                # and stops inflating at the end of the deflate stream, so a
-                # declared size may reach past the member: such a member is
-                # not copied but deflated anew
-                end = start + (len(payload) if info.compress_type == zipfile.ZIP_STORED
-                               else info.compress_size)
-                if end <= region_end[info.header_offset]:
-                    raw = (info.compress_type, info.CRC, view[start:end])
+                # and stops inflating at the end of the deflate stream
+                size = (len(payload) if info.compress_type == zipfile.ZIP_STORED
+                        else info.compress_size)
+                raw = (info.compress_type, info.CRC, view[start:start + size])
             container.add(ContainerEntry(name, payload, raw))
     return container
 

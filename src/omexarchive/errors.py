@@ -19,7 +19,7 @@ class NotAZip(OmexError):
 
 
 class CorruptEntry(OmexError):
-    """A ZIP entry failed its integrity check (CRC mismatch, truncation)."""
+    """A ZIP entry failed its integrity check (CRC mismatch, truncation, overlap)."""
     rule = "corrupt-entry"
 
     def __init__(self, path, message=None):
@@ -93,7 +93,7 @@ class InvalidLocation(OmexError):
 
 
 class DuplicateLocation(OmexError):
-    """Two entries name the same container path."""
+    """Two entries, or two metadata blocks, name the same container path."""
     rule = "duplicate-location"
 
     def __init__(self, location):

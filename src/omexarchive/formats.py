@@ -73,13 +73,6 @@ def classify_format(uri: str) -> FormatClass:
     return FormatClass(FormatKind.INVALID, uri)
 
 
-def _combine_key(uri: str) -> str | None:
-    fc = classify_format(uri)
-    if fc.kind is FormatKind.COMBINE_REGISTERED:
-        return fc.key
-    return None
-
-
 def _matches_family(key: str, family: str) -> bool:
     return key == family or key.startswith(family + ".") or key.startswith(family + "-")
 
@@ -94,8 +87,9 @@ def infer_extension(manifest: Manifest) -> str:
     for entry in manifest.entries:
         if entry.path == ".":
             continue
-        key = _combine_key(entry.format)
-        if key is None or key.startswith("omex"):
+        fc = classify_format(entry.format)
+        key = fc.key
+        if fc.kind is not FormatKind.COMBINE_REGISTERED or key.startswith("omex"):
             continue  # container bookkeeping or non-COMBINE payload
         if _matches_family(key, _SEDML_PREFIX) or key.startswith("sedml"):
             return "sedx"

@@ -16,7 +16,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
-from .errors import BadTimestamp, InvalidLocation, InvalidMetadata, MalformedXml, NotRdf
+from .errors import (BadTimestamp, DuplicateLocation, InvalidLocation, InvalidMetadata,
+                     MalformedXml, NotRdf)
 from .manifest import check_location, escape_text, non_xml_char, quote_attribute
 from .report import ValidationReport
 
@@ -126,16 +127,6 @@ class DescriptionBlock:
     modified: list[Timestamp] = field(default_factory=list)
     kept: list[ET.Element] = field(default_factory=list)
 
-    def merge(self, other: "DescriptionBlock") -> None:
-        """Union with another block about the same resource."""
-        if self.description is None:
-            self.description = other.description
-        if self.created is None:
-            self.created = other.created
-        self.creators.extend(other.creators)
-        self.modified.extend(other.modified)
-        self.kept.extend(other.kept)
-
     def _value(self) -> tuple:
         return (self.about, self.description, self.creators, self.created, self.modified,
                 list(map(_tree, self.kept)))
@@ -160,11 +151,11 @@ class MetadataSet:
     prefixes: dict[str, str] = field(default_factory=dict)
 
     def add(self, block: DescriptionBlock) -> None:
+        """Add a block; one about a path already described raises DuplicateLocation."""
         key = check_location(block.about)
         if key in self.blocks:
-            self.blocks[key].merge(block)
-        else:
-            self.blocks[key] = block
+            raise DuplicateLocation(block.about)
+        self.blocks[key] = block
 
     def get(self, path: str) -> DescriptionBlock | None:
         return self.blocks.get(path)

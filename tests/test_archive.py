@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import omexarchive
 from omexarchive import (
     Creator,
     MetadataSet,
@@ -536,6 +539,38 @@ def test_extract_refuses_case_collisions_before_writing(members, location, tmp_p
         extract_all(open_archive(_listing_all(members)), dest)
     assert refusal.value.path == location
     assert not dest.exists()
+
+
+# three files that are directories too; a walk over a set of them would
+# name one by the hash seed, and not the first
+_SHARED_PATHS = [("a", b"1"), ("a/x", b"2"), ("b", b"3"), ("b/y", b"4"),
+                 ("c", b"5"), ("c/z", b"6")]
+
+
+def test_a_file_at_a_directory_path_is_reported_first_in_container_order():
+    report = validate_archive(_listing_all(_SHARED_PATHS), ValidationMode.LENIENT)
+    assert report.errors == []
+    assert [(f.rule, f.severity, f.location) for f in report if f.rule == "shared-path"] == [
+        ("shared-path", Severity.WARNING, "a")]
+
+
+def test_extract_names_the_first_shared_path_under_every_hash_seed(tmp_path):
+    path = tmp_path / "shared.omex"
+    path.write_bytes(_listing_all(_SHARED_PATHS))
+    code = ("import sys\n"
+            "from omexarchive import extract_all, open_archive\n"
+            "from omexarchive.errors import UnsafePath\n"
+            "try:\n"
+            "    extract_all(open_archive(open(sys.argv[1], 'rb').read()), sys.argv[2])\n"
+            "except UnsafePath as exc:\n"
+            "    print(exc.path)\n")
+    src = Path(omexarchive.__file__).resolve().parents[1]
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+        result = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "d")],
+                                capture_output=True, text=True, check=True, env=env)
+        assert (seed, result.stdout) == (seed, "a\n")
+    assert not (tmp_path / "d").exists()
 
 
 def test_paths_that_differ_in_more_than_case_do_not_collide(tmp_path):

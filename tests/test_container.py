@@ -1,5 +1,6 @@
 import io
 import random
+import struct
 import zipfile
 import zlib
 
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from omexarchive import (
     Container,
     ContainerEntry,
+    ValidationMode,
+    open_archive,
     open_container,
+    validate_archive,
     write_container,
 )
 from omexarchive.errors import (
@@ -20,8 +24,12 @@ from omexarchive.errors import (
     NotAZip,
     UnsafePath,
 )
+from omexarchive.manifest import MANIFEST_NS, OMEX_FORMAT_URI
 
 from conftest import raw_zip
+
+MINIMAL_MANIFEST = (f'<omexManifest xmlns="{MANIFEST_NS}">'
+                    f'<content location="." format="{OMEX_FORMAT_URI}"/></omexManifest>').encode()
 
 
 def test_single_stored_entry():
@@ -203,3 +211,45 @@ def test_round_trip_property(tree):
         [ContainerEntry(path, data) for path, data in tree.items()]
     )
     assert open_container(write_container(container)).byte_map() == tree
+
+
+def test_a_directory_entry_is_read_past_and_not_written():
+    data = raw_zip([("models/", b""), ("models/model.xml", b"<m/>")])
+    container = open_container(data)
+    assert container.paths() == ["models/model.xml"]
+    with zipfile.ZipFile(io.BytesIO(write_container(container))) as zf:
+        assert zf.namelist() == ["models/model.xml"]
+
+
+def test_an_unsafe_directory_entry_is_refused_by_open_and_validate():
+    data = raw_zip([("manifest.xml", MINIMAL_MANIFEST), ("../x/", b"")])
+    with pytest.raises(UnsafePath):
+        open_archive(data)
+    for mode in ValidationMode:
+        assert [f.rule for f in validate_archive(data, mode)] == ["unsafe-path"]
+
+
+def _overlapping_members() -> bytes:
+    """Member `a.txt`, stored, whose bytes are member `b.txt`'s whole local entry."""
+    inner = raw_zip([("b.txt", b"inner")])
+    start = inner.find(b"PK\x01\x02")
+    b_local = inner[:start]
+    b_central = bytearray(inner[start:inner.find(b"PK\x05\x06")])
+    outer = raw_zip([("manifest.xml", MINIMAL_MANIFEST), ("a.txt", b_local)])
+    start, end = outer.find(b"PK\x01\x02"), outer.find(b"PK\x05\x06")
+    # b.txt's local header is where a.txt's bytes start, just before the directory
+    struct.pack_into("<L", b_central, 42, start - len(b_local))
+    record = bytearray(outer[end:])
+    struct.pack_into("<HHL", record, 8, 3, 3, end - start + len(b_central))
+    return outer[:end] + bytes(b_central) + bytes(record)
+
+
+def test_overlapping_members_are_refused_on_every_interpreter():
+    data = _overlapping_members()
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        assert zf.namelist() == ["manifest.xml", "a.txt", "b.txt"]
+    with pytest.raises(CorruptEntry, match="into the next member") as refusal:
+        open_container(data)
+    assert refusal.value.path == "a.txt"
+    assert [(f.rule, f.location) for f in validate_archive(data, ValidationMode.LENIENT)] == [
+        ("corrupt-entry", "a.txt")]

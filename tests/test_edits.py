@@ -6,6 +6,7 @@ once, when the archive's bytes are first needed.
 """
 
 import dataclasses
+import gc
 import hashlib
 import random
 import sys
@@ -150,11 +151,17 @@ def test_edit_cost_does_not_grow_with_archive_size(monkeypatch):
             calls += event == "call"
 
         del locations[:]
+        # a collection may run Python gc callbacks (hypothesis adds one), whose
+        # calls are not the edit's; with it off, every call counted is the edit's
+        collecting = gc.isenabled()
+        gc.disable()
         sys.setprofile(profile)
         try:
             edit(archive)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
         return len(locations), calls
 
     small, large = _sized(10), _sized(1000)

@@ -108,6 +108,17 @@ def test_missing_attribute_names_entry_and_attribute():
     assert exc.value.entry_index == 0
 
 
+@pytest.mark.parametrize("content,refusal,attribute", [
+    (f'<content format="{OMEX_FORMAT_URI}"/>', MissingAttribute, "location"),
+    (f'<content location="." format="{OMEX_FORMAT_URI}" master="yes"/>', MalformedXml, None),
+], ids=["no-location", "master-yes"])
+def test_content_refusals(content, refusal, attribute):
+    xml = f'<omexManifest xmlns="{MANIFEST_NS}">{content}</omexManifest>'.encode()
+    with pytest.raises(refusal) as exc:
+        parse_manifest(xml)
+    assert getattr(exc.value, "attribute", None) == attribute
+
+
 @pytest.mark.parametrize("raw,expected", [("true", True), ("1", True),
                                           ("false", False), ("0", False)])
 def test_master_boolean_forms(raw, expected):

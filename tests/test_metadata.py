@@ -16,7 +16,8 @@ from omexarchive import (
     parse_metadata,
     serialize_metadata,
 )
-from omexarchive.errors import BadTimestamp, InvalidMetadata, MalformedXml, NotRdf
+from omexarchive.errors import (BadTimestamp, DuplicateLocation, InvalidMetadata,
+                                MalformedXml, NotRdf)
 
 from conftest import UNMODELLED_METADATA
 
@@ -145,6 +146,15 @@ def test_same_about_blocks_merge():
     block = meta.get(".")
     assert block.description == "first"
     assert block.created is not None
+
+
+def test_add_refuses_a_second_block_about_a_path():
+    meta = MetadataSet()
+    meta.add(DescriptionBlock(about=".", description="first"))
+    with pytest.raises(DuplicateLocation):
+        meta.add(DescriptionBlock(about="./", description="second",
+                                  created=Timestamp.parse("2020-01-01")))
+    assert meta == MetadataSet({".": DescriptionBlock(about=".", description="first")})
 
 
 def test_unknown_literal_properties_preserved():
