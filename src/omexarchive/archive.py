@@ -53,6 +53,7 @@ from .metadata import (
 from .report import Severity, ValidationReport
 
 RESERVED_LOCATIONS = frozenset({".", MANIFEST_FILENAME})
+STRICT_ERRORS = frozenset({"unlisted-file", "invalid-format"})
 # A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
 _SHARED_PATH = "file and directory share a path"
 # and one that ignores case cannot hold `a` and `A`, nor `a` and `A/b`
@@ -248,7 +249,7 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
 
     Raises the first fatal OmexError (an unreadable container, a missing
     manifest, a manifest that fails to parse); every other finding goes
-    into the report.
+    into the report. `strict` makes the findings of STRICT_ERRORS errors.
     """
     container = open_container(data)
     if MANIFEST_FILENAME not in container:
@@ -257,13 +258,7 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         )
     manifest = parse_manifest(container.get(MANIFEST_FILENAME))
 
-    report = ValidationReport()
-    for finding in validate_manifest_against(manifest, set(container.paths())):
-        if finding.rule == "unlisted-file" and strict:
-            report.error(finding.rule, finding.location, finding.message)
-        else:
-            report.items.append(finding)
-
+    report = validate_manifest_against(manifest, set(container.paths()))
     if manifest.find(".") is None:
         report.warning(
             "no-archive-entry", ".",
@@ -271,13 +266,9 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         )
 
     for entry in manifest.entries:
-        fc = classify_format(entry.format)
-        if fc.kind is FormatKind.INVALID:
-            severity = Severity.ERROR if strict else Severity.WARNING
-            report.add(
-                severity, "invalid-format", entry.path,
-                f"format URI is not recognized: {entry.format!r}",
-            )
+        if classify_format(entry.format).kind is FormatKind.INVALID:
+            report.warning("invalid-format", entry.path,
+                           f"format URI is not recognized: {entry.format!r}")
 
     metadata = error = None
     location = Archive(container, manifest).metadata_path
@@ -291,6 +282,9 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
     for rule, path, reason in archive._path_clashes:
         report.warning(rule, path, reason)
     report.extend(check_minimum_information(metadata or MetadataSet()))
+    if strict:
+        report.items = [replace(f, severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
+                        for f in report.items]
     return archive, report.sorted()
 
 

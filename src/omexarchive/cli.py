@@ -25,9 +25,11 @@ from .archive import (
     set_metadata,
     validate_archive,
 )
-from .formats import classify_format, infer_extension
+from .formats import EXTENSIONS, classify_format, infer_extension
+from .manifest import write_element
 from .metadata import (
-    RDF_NS,
+    _ABOUT_ATTR,
+    _RESOURCE_ATTR,
     Creator,
     DescriptionBlock,
     MetadataSet,
@@ -36,8 +38,6 @@ from .metadata import (
 from .report import Severity
 
 SCHEMA_VERSION = 1
-_RESOURCE_ATTR = f"{{{RDF_NS}}}resource"
-_ABOUT_ATTR = f"{{{RDF_NS}}}about"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -147,7 +147,12 @@ def cmd_validate(args) -> int:
 
 def _print_kept(elem, indent: str) -> None:
     """One line for a kept element: its tag as a URI, then the resources and text it holds."""
-    values = [value for e in elem.iter()
+    if not isinstance(elem.tag, str):  # a comment or processing instruction, as written
+        out = [indent]
+        write_element(out, elem, str)
+        print("".join(out))
+        return
+    values = [value for e in elem.iter() if isinstance(e.tag, str)
               for value in (e.get(_RESOURCE_ATTR), e.get(_ABOUT_ATTR), (e.text or "").strip())
               if value]
     print(f"{indent}{elem.tag.lstrip('{').replace('}', '', 1)}: {' '.join(values)}")
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="creator for the auto-generated metadata")
     pack.add_argument(
         "--ext", default="auto",
-        choices=["auto", "omex", "sedx", "sbex", "cmex", "sbox", "neux", "phex"],
+        choices=["auto", *EXTENSIONS],
         help="output extension; 'auto' infers it from the manifest",
     )
     pack.set_defaults(func=cmd_pack)

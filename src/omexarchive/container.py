@@ -26,13 +26,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import (
-    CorruptEntry,
-    InvalidContainer,
-    NoSuchEntry,
-    NotAZip,
-    UnsafePath,
-)
+from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
 
 # Fixed DOS date and time for every written entry: the ZIP epoch, 1980-01-01.
 _DOS_DATE, _DOS_TIME = (1 << 5) | 1, 0
@@ -114,11 +108,11 @@ def case_collision(paths, directories) -> str | None:
 class ContainerEntry:
     path: str
     data: bytes
-    # (compression method, CRC-32, bytes as stored in the archive read), set
-    # only by open_container. write_container copies these bytes as they
-    # stand, so an entry with other data must not carry them
-    # (dataclasses.replace does).
-    raw: tuple[int, int, memoryview] | None = field(default=None, compare=False, repr=False)
+    # (compression method, CRC-32, bytes as stored in the archive read), set only
+    # by open_container: write_container copies these bytes as they stand, and
+    # dataclasses.replace, like __init__, leaves them unset.
+    raw: tuple[int, int, memoryview] | None = field(default=None, init=False, compare=False,
+                                                    repr=False)
 
     def __post_init__(self):
         check_path(self.path)
@@ -147,7 +141,7 @@ class Container:
 
     def add(self, entry: ContainerEntry) -> None:
         if entry.path in self._entries:
-            raise InvalidContainer(f"duplicate entry path {entry.path!r}")
+            raise UnsafePath(entry.path, "duplicate entry")
         self._entries[entry.path] = entry
 
     def put(self, path: str, data: bytes) -> None:
@@ -219,14 +213,15 @@ def open_container(data: bytes) -> Container:
                 payload = zf.read(info)
             except _ZIP_FAILURES as exc:
                 raise CorruptEntry(name, f"corrupt entry {name!r}: {exc}") from exc
-            raw = None
+            entry = ContainerEntry(name, payload)
             if info.compress_type in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
                 # zipfile reads a stored member's payload from its first bytes
                 # and stops inflating at the end of the deflate stream
                 size = (len(payload) if info.compress_type == zipfile.ZIP_STORED
                         else info.compress_size)
-                raw = (info.compress_type, info.CRC, view[start:start + size])
-            container.add(ContainerEntry(name, payload, raw))
+                object.__setattr__(entry, "raw",
+                                   (info.compress_type, info.CRC, view[start:start + size]))
+            container.add(entry)
     return container
 
 

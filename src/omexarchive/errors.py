@@ -37,10 +37,6 @@ class UnsafePath(OmexError):
         super().__init__(f"unsafe path {path!r}: {reason}")
 
 
-class InvalidContainer(OmexError):
-    """A container violates its invariants and cannot be serialized."""
-
-
 class NoSuchEntry(OmexError):
     """No entry exists at the requested path."""
 

@@ -22,7 +22,7 @@ _WHITESPACE = re.compile(r"\s")
 # type/subtype per the media-type grammar; dots allowed for x.name forms
 _MEDIA_TYPE = re.compile(r"^[A-Za-z0-9][\w.+-]*/[A-Za-z0-9][\w.+-]*$")
 
-EXTENSIONS = frozenset({"omex", "sedx", "sbex", "cmex", "sbox", "neux", "phex"})
+EXTENSIONS = ("omex", "sedx", "sbex", "cmex", "sbox", "neux", "phex")
 
 # COMBINE spec-key prefix -> extension for single-family archives
 _FAMILY_EXTENSIONS = {

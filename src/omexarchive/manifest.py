@@ -20,6 +20,7 @@ from .errors import (
     InvalidManifest,
     MalformedXml,
     MissingAttribute,
+    OmexError,
     UnsafePath,
     WrongNamespace,
     WrongRootElement,
@@ -44,10 +45,10 @@ NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff
 # The only such characters ASCII text can hold: C0 controls but tab, LF and CR.
 _ASCII_NON_XML = bytes(c for c in range(32) if c not in b"\t\n\r")
 
-# The escapes of xml.sax.saxutils: escape() for text, quoteattr() for attributes.
-_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-_ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES,
-                      **str.maketrans({"\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})}
+# The escapes of xml.sax.saxutils, escape() for text and quoteattr() for attributes,
+# and `&#13;` in text too: a bare carriage return reads back as a line feed.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+_ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES, **str.maketrans({"\n": "&#10;", "\t": "&#9;"})}
 _SPECIAL = re.compile('[&<>\n\r\t"]')
 
 _TRUE_VALUES = {"true", "1"}
@@ -63,7 +64,7 @@ def non_xml_char(text: str) -> str | None:
 
 
 def escape_text(text: str) -> str:
-    """`text` as XML character data, as xml.sax.saxutils.escape writes it."""
+    """`text` as XML character data, as saxutils.escape writes it, and CR as `&#13;`."""
     return text.translate(_TEXT_ESCAPES) if _SPECIAL.search(text) else text
 
 
@@ -75,6 +76,53 @@ def quote_attribute(value: str) -> str:
             return f"'{value}'"
         value = value.replace('"', "&quot;")
     return f'"{value}"'
+
+
+def format_attributes(attrib: dict[str, str], qname) -> str:
+    """`attrib` as it follows a tag, each name written as `qname` gives it."""
+    return "".join(f" {qname(name)}={quote_attribute(value)}" for name, value in attrib.items())
+
+
+def write_element(out: list[str], elem: ET.Element, qname, indent: str | None = None,
+                  kept: list[ET.Element] = ()) -> None:
+    """Append `elem` as XML, with `kept` as more children after its own and
+    each name as `qname` writes it: the one element writer of both documents.
+
+    With an `indent`, each child of `elem` starts a line one step further
+    in and is laid out so too; without one, and for `kept`, text and
+    whitespace are written as they stand.
+    """
+    if not isinstance(elem.tag, str):  # a comment or a processing instruction
+        out.append(f"<!--{elem.text}-->" if elem.tag is ET.Comment else f"<?{elem.text}?>")
+        return
+    tag = qname(elem.tag)
+    out.append(f"<{tag}{format_attributes(elem.attrib, qname)}")
+    if elem.text is None and not len(elem) and not kept:
+        out.append("/>")
+        return
+    out.append(">" + escape_text(elem.text or ""))
+    if indent is None:
+        for child in elem:
+            write_element(out, child, qname)
+            out.append(escape_text(child.tail or ""))
+    else:
+        for child in elem:
+            out.append(indent + "  ")
+            write_element(out, child, qname, indent + "  ")
+        for child in kept:
+            out.append(indent + "  ")
+            write_element(out, child, qname)
+        if len(elem) or kept:
+            out.append(indent)
+    out.append(f"</{tag}>")
+
+
+def encode_document(document: str, error: type[OmexError]) -> bytes:
+    """`document` in UTF-8; a character outside XML 1.0 raises `error`."""
+    bad = non_xml_char(document)
+    if bad is not None:
+        raise error(f"character not allowed in XML: {bad!r}")
+    return document.encode("utf-8")
 
 
 def check_location(location: str) -> str:
@@ -197,24 +245,14 @@ def serialize_manifest(manifest: Manifest) -> bytes:
     """
     if manifest.find(".") is None:
         raise InvalidManifest("a manifest needs an entry for '.'")
-    lines = [
-        '<?xml version="1.0" encoding="utf-8"?>',
-        f'<omexManifest xmlns="{MANIFEST_NS}">',
-    ]
+    root = ET.Element("omexManifest", xmlns=MANIFEST_NS)
     for entry in manifest.entries:
-        attrs = [
-            f"location={quote_attribute(entry.location)}",
-            f"format={quote_attribute(entry.format)}",
-        ]
+        content = ET.SubElement(root, "content", location=entry.location, format=entry.format)
         if entry.master is not None:
-            attrs.append(f'master="{"true" if entry.master else "false"}"')
-        lines.append(f'  <content {" ".join(attrs)}/>')
-    lines.append("</omexManifest>")
-    document = "\n".join(lines) + "\n"
-    bad = non_xml_char(document)
-    if bad is not None:
-        raise InvalidManifest(f"character not allowed in XML: {bad!r}")
-    return document.encode("utf-8")
+            content.set("master", "true" if entry.master else "false")
+    out = ['<?xml version="1.0" encoding="utf-8"?>\n']
+    write_element(out, root, str, "\n")
+    return encode_document("".join(out) + "\n", InvalidManifest)
 
 
 def master_entries(manifest: Manifest) -> list[ContentEntry]:

@@ -3,8 +3,8 @@
 A block is a top-level rdf:Description whose one attribute is an rdf:about
 naming a container path. Its Dublin Core description, vCard creators,
 created and modified dates are modelled; every other child of a block, and
-every other top-level node, is kept as the element read and written back
-as it stood, under the document's own prefixes.
+every other node inside rdf:RDF, comments included, is kept as read and
+written back as it stood, under the document's own prefixes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from datetime import datetime, timedelta, timezone
 
 from .errors import (BadTimestamp, DuplicateLocation, InvalidLocation, InvalidMetadata,
                      MalformedXml, NotRdf)
-from .manifest import check_location, escape_text, non_xml_char, quote_attribute
+from .manifest import (check_location, encode_document, format_attributes, quote_attribute,
+                       write_element)
 from .report import ValidationReport
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -205,7 +206,7 @@ def _creator_from(elem: ET.Element) -> Creator | None:
     for child in elem:
         parts = child if child.tag == _VC + "hasName" and child.attrib == _AS_RESOURCE else [child]
         for part in parts:
-            local = part.tag.removeprefix(_VC)
+            local = part.tag.removeprefix(_VC) if isinstance(part.tag, str) else None
             linked = {_RESOURCE_ATTR} if local in ("hasEmail", "hasURL") else set()
             if (local not in _CREATOR_FIELDS or local in values or len(part)
                     or set(part.attrib) != linked):
@@ -221,7 +222,8 @@ def parse_metadata(xml: bytes) -> MetadataSet:
     prefixes = {_XML_NS: "xml"}
     bind = _binder(prefixes)
     try:
-        events = ET.iterparse(io.BytesIO(xml), ("start-ns",))
+        parser = ET.XMLParser(target=ET.TreeBuilder(insert_comments=True, insert_pis=True))
+        events = ET.iterparse(io.BytesIO(xml), ("start-ns",), parser)
         for _, (prefix, uri) in events:
             if uri not in prefixes:
                 bind(uri, prefix)
@@ -288,45 +290,6 @@ def _block_element(block: DescriptionBlock) -> ET.Element:
     return desc
 
 
-def _escape(text: str) -> str:
-    """`text` as character data; a bare carriage return would read back as a line feed."""
-    return escape_text(text).replace("\r", "&#13;")
-
-
-def _attributes(attrib: dict[str, str], qname) -> str:
-    return "".join(f" {qname(name)}={quote_attribute(value)}" for name, value in attrib.items())
-
-
-def _write(out: list[str], elem: ET.Element, qname, indent: str | None = None,
-           kept: list[ET.Element] = ()) -> None:
-    """Append `elem` as XML, with `kept` as more children after its own.
-
-    With an `indent`, each child of `elem` starts a line one step further
-    in and is laid out so too; without one, and for `kept`, text and
-    whitespace are written as they stand.
-    """
-    tag = qname(elem.tag)
-    out.append(f"<{tag}{_attributes(elem.attrib, qname)}")
-    if elem.text is None and not len(elem) and not kept:
-        out.append("/>")
-        return
-    out.append(">" + _escape(elem.text or ""))
-    if indent is None:
-        for child in elem:
-            _write(out, child, qname)
-            out.append(_escape(child.tail or ""))
-    else:
-        for child in elem:
-            out.append(indent + "  ")
-            _write(out, child, qname, indent + "  ")
-        for child in kept:
-            out.append(indent + "  ")
-            _write(out, child, qname)
-        if len(elem) or kept:
-            out.append(indent)
-    out.append(f"</{tag}>")
-
-
 def serialize_metadata(metadata: MetadataSet) -> bytes:
     """Write the blocks in path order, then the kept nodes, under the document's prefixes.
 
@@ -352,23 +315,20 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
     try:
         for key in sorted(metadata.blocks):
             body.append("\n  ")
-            _write(body, _block_element(metadata.blocks[key]), qname, "\n  ",
-                   metadata.blocks[key].kept)
+            write_element(body, _block_element(metadata.blocks[key]), qname, "\n  ",
+                          metadata.blocks[key].kept)
         for node in metadata.kept:
             body.append("\n  ")
-            _write(body, node, qname)
-    except RecursionError:  # _write recurses once per level of nesting
+            write_element(body, node, qname)
+    except RecursionError:  # write_element recurses once per level of nesting
         raise InvalidMetadata("elements nested too deeply to write") from None
-    rdf, attributes = qname(_RDF_TAG), _attributes(metadata.attrib, qname)
+    rdf, attributes = qname(_RDF_TAG), format_attributes(metadata.attrib, qname)
     declared = {uri: prefixes[uri] for uri in _PREFIXES} | prefixes  # the modelled first
     del declared[_XML_NS]
     xmlns = "\n  ".join(f"xmlns:{p}={quote_attribute(uri)}" for uri, p in declared.items())
     document = "".join(['<?xml version="1.0" encoding="UTF-8"?>\n',
                         f"<{rdf} {xmlns}{attributes}>", *body, f"\n</{rdf}>\n"])
-    bad = non_xml_char(document)
-    if bad is not None:
-        raise InvalidMetadata(f"character not allowed in XML: {bad!r}")
-    return document.encode("utf-8")
+    return encode_document(document, InvalidMetadata)
 
 
 def check_minimum_information(metadata: MetadataSet) -> ValidationReport:

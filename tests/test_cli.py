@@ -287,6 +287,26 @@ def test_meta_set_keeps_what_the_model_does_not_hold(tmp_path, golden_files, cap
     assert "http://xmlns.com/foaf/0.1/Person: http://orcid.org/" in out
 
 
+def test_meta_set_keeps_comments_and_processing_instructions(tmp_path, golden_files, capsys):
+    path = tmp_path / "commented.omex"
+    rdf = (b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+           b' xmlns:dcterms="http://purl.org/dc/terms/">\n'
+           b'  <!-- curated by hand -->\n  <?review pending?>\n'
+           b'  <rdf:Description rdf:about=".">\n'
+           b'    <dcterms:description>kept<!-- inside -->as read</dcterms:description>\n'
+           b'  </rdf:Description>\n</rdf:RDF>\n')
+    path.write_bytes(write_container(build_container(dict(golden_files, **{"metadata.rdf": rdf}))))
+    assert main(["meta", str(path), "set", "--touch"]) == 0
+    data = open_archive(path.read_bytes()).container.get("metadata.rdf")
+    for text in (b"<!-- curated by hand -->", b"<?review pending?>",
+                 b"<dcterms:description>kept<!-- inside -->as read</dcterms:description>"):
+        assert text in data
+    assert main(["meta", str(path), "show"]) == 0
+    out = capsys.readouterr().out
+    assert "<!-- curated by hand -->\n<?review pending?>\n" in out
+    assert "  http://purl.org/dc/terms/description: kept\n" in out
+
+
 @pytest.mark.parametrize("command", [["info"], ["meta", "show"]])
 def test_unreadable_metadata_is_named(command, tmp_path, golden_files, capsys):
     path = tmp_path / "unreadable.omex"

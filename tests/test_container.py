@@ -19,7 +19,6 @@ from omexarchive import (
 )
 from omexarchive.errors import (
     CorruptEntry,
-    InvalidContainer,
     NoSuchEntry,
     NotAZip,
     UnsafePath,
@@ -172,7 +171,7 @@ def test_open_rejects_unsafe_zip_names(name):
 def test_duplicate_paths_rejected():
     container = Container()
     container.put("a.txt", b"1")
-    with pytest.raises(InvalidContainer):
+    with pytest.raises(UnsafePath, match="duplicate entry"):
         container.add(ContainerEntry("a.txt", b"2"))
 
 

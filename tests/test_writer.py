@@ -1,5 +1,6 @@
 """write_container against zipfile: byte parity and the raw-copy path."""
 
+import dataclasses
 import io
 import random
 import struct
@@ -218,6 +219,14 @@ def test_raw_bytes_take_no_part_in_equality_or_repr():
     assert read.raw is not None and fresh.raw is None
     assert read == fresh and hash(read) == hash(fresh)
     assert repr(read) == repr(fresh)
+
+
+def test_replaced_data_is_written_not_the_bytes_read():
+    read = open_container(write_container(Container([ContainerEntry("a.txt", b"old contents")])))
+    entry = dataclasses.replace(read.entries[0], data=b"new contents")
+    assert entry.raw is None
+    written = write_container(Container([entry]))
+    assert open_container(written).get("a.txt") == b"new contents"
 
 
 def test_crc_corrupt_member_is_still_corrupt_entry():
