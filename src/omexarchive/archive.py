@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import getpass
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
@@ -65,55 +65,43 @@ class ValidationMode(enum.Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True, eq=False)
+class _Written:
+    """A member holding what `write()` returns, called when its bytes are first read."""
+    raw = None
+
+    def __init__(self, path: str, write):
+        self.path, self._write = path, write
+
+    @cached_property
+    def data(self) -> bytes:
+        return self._write()
+
+
+@dataclass(frozen=True)
 class Archive:
     """An archive as a value: edits return new archives and leave this one as it was.
 
-    `members` holds manifest.xml only as read, while `manifest` is what it
-    holds, and the metadata file only as read, while `metadata` is what it
-    holds; else `container` writes them from `manifest` and `metadata` when
-    first needed. `metadata_error` says why the metadata file read did not
-    parse, until an edit replaces or removes that file.
+    `container` holds every member, manifest.xml and the metadata file
+    included; an edit that changes `manifest` or `metadata` swaps in a
+    member that writes it when its bytes are first read. `metadata_error`
+    says why the metadata file read did not parse, until an edit replaces
+    or removes that file.
     """
-    members: Container
+    container: Container
     manifest: Manifest
     metadata: MetadataSet | None = None
-    metadata_error: str | None = None
+    metadata_error: str | None = field(default=None, compare=False)
 
     @cached_property
     def metadata_path(self) -> str | None:
-        """The manifest's omex-metadata entry wins; literal metadata.rdf is the
-        fallback, where the archive holds that file or metadata to write there."""
-        fallback = self.metadata is not None or METADATA_FILENAME in self.members
-        return self.manifest.metadata_path or (METADATA_FILENAME if fallback else None)
-
-    @cached_property
-    def _derived_metadata_path(self) -> str | None:
-        """`metadata_path` if `metadata` is to be written there, not read; else None."""
-        if self.metadata is None or self.metadata_path in self.members:
-            return None
-        return self.metadata_path
-
-    @cached_property
-    def container(self) -> Container:
-        """Every member, manifest.xml and the metadata file included."""
-        rdf = self._derived_metadata_path
-        if MANIFEST_FILENAME in self.members and rdf is None:
-            return self.members
-        container = self.members.copy()
-        if rdf is not None:
-            container.put(rdf, serialize_metadata(self.metadata))
-        if MANIFEST_FILENAME not in container:
-            container.put(MANIFEST_FILENAME, serialize_manifest(self.manifest))
-        return container
+        """The manifest's omex-metadata entry wins; literal metadata.rdf is the fallback."""
+        fallback = METADATA_FILENAME if METADATA_FILENAME in self.container else None
+        return self.manifest.metadata_path or fallback
 
     @cached_property
     def _directories(self) -> Counter[str]:
         """How many members each directory holds, at any depth."""
-        paths = self.members.paths()
-        if self._derived_metadata_path is not None:
-            paths.append(self._derived_metadata_path)
-        return Counter(d for path in paths for d in parents(path))
+        return Counter(d for path in self.container.paths() for d in parents(path))
 
     @cached_property
     def _path_clashes(self) -> list[tuple[str, str, str]]:
@@ -131,12 +119,6 @@ class Archive:
 
     def byte_map(self) -> dict[str, bytes]:
         return self.container.byte_map()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Archive):
-            return NotImplemented
-        return ((self.container, self.manifest, self.metadata)
-                == (other.container, other.manifest, other.metadata))
 
 
 def default_creator() -> Creator:
@@ -163,15 +145,16 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
 
     Drops the entry `base` lists at path `remove` and its file (dropping
     the metadata file drops the metadata), adds `files`, pairs of a
-    ContentEntry and its bytes, and records `metadata` when given, to be
-    written with the manifest when the archive's bytes are needed. Only
-    what the call adds is checked: a path that is reserved, taken, or a
-    file at one path and a directory at another is refused, and so is a
-    format `classify_format` calls INVALID. The entries `base` lists are
-    written back as read, after a `.` entry when they lack one. Nothing
-    is counted or written anew that the call does not add or remove.
+    ContentEntry and its bytes, and records `metadata` when given. A
+    manifest or metadata file the call changes is written when the
+    archive's bytes are needed. Only what the call adds is checked: a
+    path that is reserved, taken, or a file at one path and a directory
+    at another is refused, and so is a format `classify_format` calls
+    INVALID. The entries `base` lists are written back as read, after a
+    `.` entry when they lack one. Nothing is counted or written anew that
+    the call does not add or remove.
     """
-    members = base.members.copy()
+    container = base.container.copy()
     manifest = base.manifest
     if manifest.find(".") is None:
         manifest = Manifest((ContentEntry(".", OMEX_FORMAT_URI), *manifest.entries))
@@ -182,8 +165,7 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             raise ReservedLocation(remove)
         if manifest.find(remove) is None:
             raise NoSuchEntry(remove)
-        if remove in members:
-            members.remove(remove)
+        container.remove(remove)
         if remove == rdf:
             kept = metadata = error = None
 
@@ -191,39 +173,41 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
     if metadata is not None:
         kept, error, location = metadata, None, rdf or METADATA_FILENAME
         listing = ContentEntry(location, OMEX_METADATA_FORMAT_URI)
-        if location in members:  # replaced, so not checked as added
-            members.remove(location)  # and written from `metadata` when needed
+        if location not in container:
+            files.append((listing, None))
+        else:  # replaced, so not checked as added
+            container.remove(location)
             if manifest.find(location) is None:
                 added.append(listing)
-        elif manifest.find(location) is None:
-            files.append((listing, None))
 
     for entry, data in files:
         if entry.path in RESERVED_LOCATIONS:
             raise ReservedLocation(entry.path)
-        if manifest.find(entry.path) is not None or entry.path in members:
+        if manifest.find(entry.path) is not None or entry.path in container:
             raise DuplicateLocation(entry.path)
         if classify_format(entry.format).kind is FormatKind.INVALID:
             raise InvalidFormatUri(entry.format)
-        if data is not None:  # None for a new metadata file, written when needed
-            members.put(entry.path, bytes(data))
+        if data is not None:  # None for the metadata file, written below
+            container.put(entry.path, bytes(data))
         added.append(entry)
+    if metadata is not None:
+        container.add(_Written(location, lambda: serialize_metadata(metadata)))
     if added or remove is not None:
         manifest = manifest.edited(added, remove)
-    if manifest is not base.manifest and MANIFEST_FILENAME in members:
-        members.remove(MANIFEST_FILENAME)  # no longer the manifest read
+    if manifest is not base.manifest:
+        if MANIFEST_FILENAME in container:  # no longer the manifest read
+            container.remove(MANIFEST_FILENAME)
+        container.add(_Written(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))
 
-    archive = Archive(members, manifest, kept, error)
+    archive = Archive(container, manifest, kept, error)
     if files or remove is not None:
         directories = base._directories.copy()
-        if remove is not None and (remove in base.members or remove == rdf):
+        if remove is not None:
             directories.subtract(parents(remove))
         for entry, _ in files:
             directories.update(parents(entry.path))
         for entry, _ in files:
-            if directories[entry.path] or any(
-                    d in members or d == MANIFEST_FILENAME or manifest.find(d) is not None
-                    for d in parents(entry.path)):
+            if directories[entry.path] or any(d in container for d in parents(entry.path)):
                 raise InvalidLocation(entry.path, _SHARED_PATH)
         # handed on, so that the next edit need not count them again
         vars(archive)["_directories"] = directories

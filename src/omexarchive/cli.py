@@ -152,10 +152,15 @@ def _print_kept(elem, indent: str) -> None:
         write_element(out, elem, str)
         print("".join(out))
         return
-    values = [value for e in elem.iter() if isinstance(e.tag, str)
-              for value in (e.get(_RESOURCE_ATTR), e.get(_ABOUT_ATTR), (e.text or "").strip())
-              if value]
-    print(f"{indent}{elem.tag.lstrip('{').replace('}', '', 1)}: {' '.join(values)}")
+    values, todo = [], [elem]
+    while todo:  # in document order, tails included, comment and instruction text not
+        node = todo.pop()
+        if isinstance(node, str):
+            values.append(node.strip())
+        elif isinstance(node.tag, str):
+            values += node.get(_RESOURCE_ATTR), node.get(_ABOUT_ATTR), (node.text or "").strip()
+            todo += reversed([part for child in node for part in (child, child.tail or "")])
+    print(f"{indent}{elem.tag.lstrip('{').replace('}', '', 1)}: {' '.join(filter(None, values))}")
 
 
 def _print_block(block: DescriptionBlock) -> None:

@@ -193,7 +193,7 @@ def open_container(data: bytes) -> Container:
         offsets = sorted(info.header_offset for info in zf.infolist())
         region_end = dict(zip(offsets, offsets[1:] + [zf.start_dir]))
         for info in zf.infolist():
-            name = info.filename
+            name = info.orig_filename  # as stored: `filename` is cut at a NUL
             if name.endswith("/"):  # a directory entry; ContainerEntry checks the others
                 if name.rstrip("/"):
                     check_path(name.rstrip("/"))

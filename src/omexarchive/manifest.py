@@ -18,6 +18,7 @@ from .errors import (
     DuplicateLocation,
     InvalidLocation,
     InvalidManifest,
+    InvalidMetadata,
     MalformedXml,
     MissingAttribute,
     OmexError,
@@ -93,6 +94,8 @@ def write_element(out: list[str], elem: ET.Element, qname, indent: str | None = 
     whitespace are written as they stand.
     """
     if not isinstance(elem.tag, str):  # a comment or a processing instruction
+        if elem.tag is ET.PI and "?>" in elem.text:  # well-formed, but read back cut short
+            raise InvalidMetadata(f"a processing instruction cannot hold '?>': {elem.text!r}")
         out.append(f"<!--{elem.text}-->" if elem.tag is ET.Comment else f"<?{elem.text}?>")
         return
     tag = qname(elem.tag)

@@ -13,6 +13,7 @@ import io
 import itertools
 import re
 import xml.etree.ElementTree as ET
+import xml.parsers.expat as expat
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -328,7 +329,12 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
     xmlns = "\n  ".join(f"xmlns:{p}={quote_attribute(uri)}" for uri, p in declared.items())
     document = "".join(['<?xml version="1.0" encoding="UTF-8"?>\n',
                         f"<{rdf} {xmlns}{attributes}>", *body, f"\n</{rdf}>\n"])
-    return encode_document(document, InvalidMetadata)
+    data = encode_document(document, InvalidMetadata)
+    try:  # names, targets and comments the writer does not judge, read as a reader will
+        expat.ParserCreate(namespace_separator="}").Parse(data, True)
+    except expat.ExpatError as exc:
+        raise InvalidMetadata(f"metadata would not be well-formed: {exc}") from None
+    return data
 
 
 def check_minimum_information(metadata: MetadataSet) -> ValidationReport:

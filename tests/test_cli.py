@@ -304,7 +304,23 @@ def test_meta_set_keeps_comments_and_processing_instructions(tmp_path, golden_fi
     assert main(["meta", str(path), "show"]) == 0
     out = capsys.readouterr().out
     assert "<!-- curated by hand -->\n<?review pending?>\n" in out
-    assert "  http://purl.org/dc/terms/description: kept\n" in out
+    assert "  http://purl.org/dc/terms/description: kept as read\n" in out
+
+
+def test_meta_show_prints_mixed_content_whole(tmp_path, golden_files, capsys):
+    path = tmp_path / "mixed.omex"
+    rdf = (b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+           b' xmlns:dcterms="http://purl.org/dc/terms/" xmlns:ex="http://example.org/">'
+           b'<rdf:Description rdf:about=".">'
+           b'<dcterms:description>kept<!-- inside -->as read</dcterms:description>'
+           b'<ex:note>one <ex:b>two<?pi skipped?></ex:b> three'
+           b'<ex:c rdf:resource="http://example.org/r">four</ex:c>five</ex:note>'
+           b'</rdf:Description></rdf:RDF>')
+    path.write_bytes(write_container(build_container(dict(golden_files, **{"metadata.rdf": rdf}))))
+    assert main(["meta", str(path), "show"]) == 0
+    out = capsys.readouterr().out
+    assert "  http://purl.org/dc/terms/description: kept as read\n" in out
+    assert "  http://example.org/note: one two three http://example.org/r four five\n" in out
 
 
 @pytest.mark.parametrize("command", [["info"], ["meta", "show"]])

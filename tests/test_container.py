@@ -228,6 +228,19 @@ def test_an_unsafe_directory_entry_is_refused_by_open_and_validate():
         assert [f.rule for f in validate_archive(data, mode)] == ["unsafe-path"]
 
 
+def test_a_name_holding_nul_is_refused_as_stored():
+    # zipfile cuts a name at its first NUL when writing it, so one is patched in
+    # in both headers; zipfile cuts it when reading too, and would list `a.txt`
+    data = raw_zip([("manifest.xml", MINIMAL_MANIFEST), ("a.txt#.exe", b"evil")])
+    assert data.count(b"a.txt#.exe") == 2
+    data = data.replace(b"a.txt#.exe", b"a.txt\x00.exe")
+    with pytest.raises(UnsafePath, match="NUL character"):
+        open_archive(data)
+    for mode in ValidationMode:
+        assert [(f.rule, f.location) for f in validate_archive(data, mode)] == [
+            ("unsafe-path", "a.txt\x00.exe")]
+
+
 def _overlapping_members() -> bytes:
     """Member `a.txt`, stored, whose bytes are member `b.txt`'s whole local entry."""
     inner = raw_zip([("b.txt", b"inner")])

@@ -24,12 +24,13 @@ from omexarchive import (
     Timestamp,
     add_entry,
     create_archive,
+    extract_all,
     open_archive,
     remove_entry,
     set_metadata,
 )
 from omexarchive.archive import stamp_block
-from omexarchive.errors import OmexError
+from omexarchive.errors import InvalidMetadata, OmexError
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
 from omexarchive.manifest import (
     MANIFEST_NS,
@@ -106,6 +107,34 @@ def test_edits_leave_the_metadata_unwritten(serializations):
     reopened = open_archive(data)
     assert reopened == archive
     assert reopened.metadata.get(".").description == "edited"
+
+
+def test_an_edit_chain_writes_the_metadata_once(serializations):
+    archive = create_archive([("model.xml", SBML, True, b"<sbml/>")], metadata=_stamp())
+    archive.to_bytes()
+    archive = add_entry(archive, "notes.txt", TEXT, b"notes")
+    archive.to_bytes()
+    archive.to_bytes()
+    archive = remove_entry(archive, "notes.txt")
+    data = archive.to_bytes()
+    # each archive holds the metadata member of the one it came from
+    assert len(serializations["serialize_metadata"]) == 1
+    assert len(serializations["serialize_manifest"]) == 3
+    assert open_archive(data) == archive
+
+
+def test_reading_the_container_writes_nothing(tmp_path):
+    archive = create_archive([("model.xml", SBML, True, b"<sbml/>")])
+    meta = MetadataSet()
+    meta.add(DescriptionBlock(about=".", description="bad\x01text"))
+    edited = set_metadata(archive, meta)
+    assert edited.container.paths() == ["model.xml", "metadata.rdf", "manifest.xml"]
+    # text outside XML 1.0 is refused where the metadata file's bytes are needed
+    for use in (edited.to_bytes, edited.byte_map, lambda: edited == archive,
+                lambda: extract_all(edited, tmp_path / "out")):
+        with pytest.raises(InvalidMetadata, match="not allowed in XML"):
+            use()
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_metadata_keeps_the_manifest_it_read(golden_archive_bytes, serializations):
@@ -235,3 +264,30 @@ def test_edits_never_change_an_earlier_archive(edits, opened):
         written = earlier.to_bytes()
         assert data is None or written == data
         assert open_archive(written) == earlier
+
+
+def _edited(archive, edit):
+    if edit[0] == "add":
+        return add_entry(archive, edit[1], TEXT, edit[2])
+    if edit[0] == "remove":
+        return remove_entry(archive, edit[1])
+    if edit[0] == "meta":
+        return set_metadata(archive, _with_description(archive, *edit[1:]))
+    return open_archive(archive.to_bytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+def test_the_container_holds_every_member_after_every_edit(edits):
+    manifest = (f'<omexManifest xmlns="{MANIFEST_NS}">'
+                f'<content location="." format="{OMEX_FORMAT_URI}"/>'
+                f'<content location="b/c.txt" format="{TEXT}"/></omexManifest>').encode()
+    archive = open_archive(raw_zip([("manifest.xml", manifest), ("b/c.txt", b"c"),
+                                    ("unlisted.txt", b"u")]))
+    for edit in edits:
+        try:
+            archive = _edited(archive, edit)
+        except OmexError:
+            continue
+        listed = {entry.path for entry in archive.manifest.entries} - {"."}
+        assert set(archive.container.paths()) == {"manifest.xml", "unlisted.txt", *listed}

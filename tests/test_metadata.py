@@ -457,3 +457,27 @@ def test_nesting_too_deep_to_write_is_refused_by_name():
            + "</rdf:Description></rdf:RDF>").encode()
     with pytest.raises(InvalidMetadata, match="nested too deeply"):
         serialize_metadata(parse_metadata(xml))
+
+
+@pytest.mark.parametrize("node", [
+    ET.Element("bad tag"),
+    ET.Element(BQMODEL + "is", {"bad attr": "x"}),
+    ET.Comment("a--b"),
+    ET.Comment("ends-"),
+    ET.ProcessingInstruction("xml", "v"),  # a target only the declaration may have
+    ET.ProcessingInstruction("p", "a?>b"),  # would end early, and read back changed
+], ids=["tag", "attribute", "double-hyphen", "final-hyphen", "xml-target", "pi-end"])
+def test_a_node_that_cannot_be_read_back_is_refused(node):
+    with pytest.raises(InvalidMetadata):
+        serialize_metadata(MetadataSet(kept=[node]))
+    block = DescriptionBlock(about=".", kept=[ET.Element(BQMODEL + "is"), node])
+    with pytest.raises(InvalidMetadata):
+        serialize_metadata(MetadataSet({".": block}))
+
+
+def test_comments_and_instructions_that_can_be_read_back_are_written():
+    nodes = [ET.Comment(" a - b "), ET.ProcessingInstruction("p", "a ? > b")]
+    data = serialize_metadata(MetadataSet(kept=nodes))
+    assert b"<!-- a - b -->" in data and b"<?p a ? > b?>" in data
+    assert [(n.tag, n.text) for n in parse_metadata(data).kept] == [
+        (n.tag, n.text) for n in nodes]
