@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import enum
 import getpass
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
-from .container import (
-    Container,
-    case_collision,
-    open_container,
-    parents,
-    write_container,
-)
+from .container import _SHARED_PATH, Container, ContainerEntry, open_container, write_container
 from .errors import (
     DanglingManifestEntry,
     DuplicateLocation,
@@ -54,10 +47,6 @@ from .report import Severity, ValidationReport
 
 RESERVED_LOCATIONS = frozenset({".", MANIFEST_FILENAME})
 STRICT_ERRORS = frozenset({"unlisted-file", "invalid-format"})
-# A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
-_SHARED_PATH = "file and directory share a path"
-# and one that ignores case cannot hold `a` and `A`, nor `a` and `A/b`
-_CASE_COLLISION = "another path differs from it only in case"
 
 
 class ValidationMode(enum.Enum):
@@ -97,22 +86,6 @@ class Archive:
         """The manifest's omex-metadata entry wins; literal metadata.rdf is the fallback."""
         fallback = METADATA_FILENAME if METADATA_FILENAME in self.container else None
         return self.manifest.metadata_path or fallback
-
-    @cached_property
-    def _directories(self) -> Counter[str]:
-        """How many members each directory holds, at any depth."""
-        return Counter(d for path in self.container.paths() for d in parents(path))
-
-    @cached_property
-    def _path_clashes(self) -> list[tuple[str, str, str]]:
-        """What a file system may not hold, as (rule, path, reason): the first
-        member, in container order, that others need as a directory, then the
-        first case collision."""
-        paths = self.container.paths()
-        directories = +self._directories  # without those an edit emptied
-        found = (("shared-path", next((p for p in paths if directories[p]), None), _SHARED_PATH),
-                 ("case-collision", case_collision(paths, directories), _CASE_COLLISION))
-        return [clash for clash in found if clash[1] is not None]
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -188,7 +161,7 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
         if classify_format(entry.format).kind is FormatKind.INVALID:
             raise InvalidFormatUri(entry.format)
         if data is not None:  # None for the metadata file, written below
-            container.put(entry.path, bytes(data))
+            container.add(ContainerEntry(entry.path, bytes(data)))
         added.append(entry)
     if metadata is not None:
         container.add(_Written(location, lambda: serialize_metadata(metadata)))
@@ -199,19 +172,10 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             container.remove(MANIFEST_FILENAME)
         container.add(_Written(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))
 
-    archive = Archive(container, manifest, kept, error)
-    if files or remove is not None:
-        directories = base._directories.copy()
-        if remove is not None:
-            directories.subtract(parents(remove))
-        for entry, _ in files:
-            directories.update(parents(entry.path))
-        for entry, _ in files:
-            if directories[entry.path] or any(d in container for d in parents(entry.path)):
-                raise InvalidLocation(entry.path, _SHARED_PATH)
-        # handed on, so that the next edit need not count them again
-        vars(archive)["_directories"] = directories
-    return archive
+    for entry, _ in files:
+        if container.shares_path(entry.path):
+            raise InvalidLocation(entry.path, _SHARED_PATH)
+    return Archive(container, manifest, kept, error)
 
 
 def create_archive(
@@ -262,14 +226,13 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
         except OmexError as exc:
             error = str(exc)
             report.warning("metadata-unreadable", location, error)
-    archive = Archive(container, manifest, metadata, error)
-    for rule, path, reason in archive._path_clashes:
+    for rule, path, reason in container.clashes():
         report.warning(rule, path, reason)
     report.extend(check_minimum_information(metadata or MetadataSet()))
     if strict:
         report.items = [replace(f, severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
                         for f in report.items]
-    return archive, report.sorted()
+    return Archive(container, manifest, metadata, error), report.sorted()
 
 
 def open_archive(data: bytes) -> Archive:
@@ -320,8 +283,9 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     Every target is checked before the first file is written.
     """
     dest = Path(destination).resolve()
-    if archive._path_clashes:
-        _, path, reason = archive._path_clashes[0]
+    clashes = archive.container.clashes()
+    if clashes:
+        _, path, reason = clashes[0]
         raise UnsafePath(path, reason)
     targets = []
     for entry in archive.container.entries:

@@ -23,6 +23,7 @@ import re
 import struct
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -52,6 +53,10 @@ _VERSION, _ZIP64_VERSION = 20, 45
 _UTF8_NAME = 0x800
 _UNIX = 3
 _EXTERNAL_ATTR = 0o644 << 16
+# A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
+_SHARED_PATH = "file and directory share a path"
+# and one that ignores case cannot hold `a` and `A`, nor `a` and `A/b`
+_CASE_COLLISION = "another path differs from it only in case"
 
 
 def check_path(path: str) -> str:
@@ -119,10 +124,12 @@ class ContainerEntry:
 
 
 class Container:
-    """An ordered set of entries with unique paths. Value semantics."""
+    """An ordered set of entries with unique paths, and how many of them
+    each directory holds at any depth. Value semantics."""
 
     def __init__(self, entries: list[ContainerEntry] | None = None):
         self._entries: dict[str, ContainerEntry] = {}
+        self._directories: Counter[str] = Counter()
         for entry in entries or []:
             self.add(entry)
 
@@ -143,15 +150,13 @@ class Container:
         if entry.path in self._entries:
             raise UnsafePath(entry.path, "duplicate entry")
         self._entries[entry.path] = entry
-
-    def put(self, path: str, data: bytes) -> None:
-        """Add or replace the entry at `path`."""
-        self._entries[path] = ContainerEntry(path, data)
+        self._directories.update(parents(entry.path))
 
     def remove(self, path: str) -> None:
         if path not in self._entries:
             raise NoSuchEntry(path)
         del self._entries[path]
+        self._directories.subtract(parents(path))
 
     def get(self, path: str) -> bytes:
         try:
@@ -162,7 +167,23 @@ class Container:
     def copy(self) -> "Container":
         copy = Container()
         copy._entries = self._entries.copy()
+        copy._directories = self._directories.copy()
         return copy
+
+    def shares_path(self, path: str) -> bool:
+        """Whether a file system would need `path` as a file and as a
+        directory: members lie under it, or a directory above it is a member."""
+        return self._directories[path] > 0 or any(d in self._entries for d in parents(path))
+
+    def clashes(self) -> list[tuple[str, str, str]]:
+        """What a file system may not hold, as (rule, path, reason): the first
+        member, in container order, that others need as a directory, then the
+        first case collision."""
+        paths = self.paths()
+        directories = +self._directories  # without those a removal emptied
+        found = (("shared-path", next((p for p in paths if directories[p]), None), _SHARED_PATH),
+                 ("case-collision", case_collision(paths, directories), _CASE_COLLISION))
+        return [clash for clash in found if clash[1] is not None]
 
     def byte_map(self) -> dict[str, bytes]:
         return {e.path: e.data for e in self.entries}

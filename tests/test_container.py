@@ -94,7 +94,7 @@ def test_reserialization_idempotence():
 
 def test_get_after_add():
     container = Container()
-    container.put("a/b.txt", b"x")
+    container.add(ContainerEntry("a/b.txt", b"x"))
     assert container.get("a/b.txt") == b"x"
 
 
@@ -105,7 +105,7 @@ def test_get_absent_path():
 
 def test_get_after_remove():
     container = Container()
-    container.put("a/b.txt", b"x")
+    container.add(ContainerEntry("a/b.txt", b"x"))
     container.remove("a/b.txt")
     with pytest.raises(NoSuchEntry):
         container.get("a/b.txt")
@@ -119,9 +119,9 @@ def test_write_determinism():
 
 def test_manifest_written_first():
     container = Container()
-    container.put("zebra.txt", b"z")
-    container.put("manifest.xml", b"<m/>")
-    container.put("aardvark.txt", b"a")
+    container.add(ContainerEntry("zebra.txt", b"z"))
+    container.add(ContainerEntry("manifest.xml", b"<m/>"))
+    container.add(ContainerEntry("aardvark.txt", b"a"))
     names = zipfile.ZipFile(io.BytesIO(write_container(container))).namelist()
     assert names == ["manifest.xml", "aardvark.txt", "zebra.txt"]
 
@@ -170,7 +170,7 @@ def test_open_rejects_unsafe_zip_names(name):
 
 def test_duplicate_paths_rejected():
     container = Container()
-    container.put("a.txt", b"1")
+    container.add(ContainerEntry("a.txt", b"1"))
     with pytest.raises(UnsafePath, match="duplicate entry"):
         container.add(ContainerEntry("a.txt", b"2"))
 

@@ -165,7 +165,8 @@ def _metadata() -> MetadataSet:
 def test_replaced_member_is_deflated_again():
     data, payload = _level9_archive()
     container = open_container(data)
-    container.put("model.xml", payload)
+    container.remove("model.xml")
+    container.add(ContainerEntry("model.xml", payload))
     written = write_container(container)
     assert stored_bytes(written, "model.xml") != stored_bytes(data, "model.xml")
     assert written == zipfile_write(container)
