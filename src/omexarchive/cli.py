@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -69,6 +70,27 @@ def _open(path: str) -> Archive:
     return open_archive(Path(path).read_bytes())
 
 
+def _replace(path, data: bytes) -> None:
+    """Write `data` to the file at `path` in one step: it goes to a new file
+    beside the resolved target, flushed to disk and renamed over it, so a
+    write that fails leaves the target as it was. The file keeps the
+    target's mode; a new one gets the umask default."""
+    target = Path(path).resolve()
+    temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as out:
+            if target.exists():
+                os.fchmod(fd, stat.S_IMODE(target.stat().st_mode))
+            out.write(data)
+            out.flush()
+            os.fsync(fd)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def cmd_pack(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -92,7 +114,7 @@ def cmd_pack(args) -> int:
     if ext == "auto":
         ext = infer_extension(archive.manifest)
     out = Path(args.output).with_suffix("." + ext)
-    out.write_bytes(archive.to_bytes())
+    _replace(out, archive.to_bytes())
     print(out)
     return EXIT_OK
 
@@ -210,7 +232,7 @@ def cmd_meta(args) -> int:
         modified=block.modified + ([Timestamp.now()] if args.touch else []),
     )
     metadata = dataclasses.replace(metadata, blocks={**metadata.blocks, ".": block})
-    Path(args.archive).write_bytes(set_metadata(archive, metadata).to_bytes())
+    _replace(args.archive, set_metadata(archive, metadata).to_bytes())
     return EXIT_OK
 
 

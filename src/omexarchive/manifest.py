@@ -94,9 +94,10 @@ def write_element(out: list[str], elem: ET.Element, qname, indent: str | None = 
     whitespace are written as they stand.
     """
     if not isinstance(elem.tag, str):  # a comment or a processing instruction
-        if elem.tag is ET.PI and "?>" in elem.text:  # well-formed, but read back cut short
-            raise InvalidMetadata(f"a processing instruction cannot hold '?>': {elem.text!r}")
-        out.append(f"<!--{elem.text}-->" if elem.tag is ET.Comment else f"<?{elem.text}?>")
+        text = elem.text or ""
+        if elem.tag is ET.PI and "?>" in text:  # well-formed, but read back cut short
+            raise InvalidMetadata(f"a processing instruction cannot hold '?>': {text!r}")
+        out.append(f"<!--{text}-->" if elem.tag is ET.Comment else f"<?{text}?>")
         return
     tag = qname(elem.tag)
     out.append(f"<{tag}{format_attributes(elem.attrib, qname)}")

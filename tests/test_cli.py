@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import os
+import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +241,48 @@ def test_meta_set_leaves_the_opened_metadata_as_it_was(golden_archive_file, monk
     assert main(["meta", str(golden_archive_file), "set", "--touch",
                  "--description", "new", "--creator", "Jane Doe"]) == 0
     assert edited[0].metadata == before
+
+
+# the command in a child that may write no file beyond 100,000 bytes; with
+# SIGXFSZ ignored, a longer write fails with EFBIG instead of killing it
+_LIMITED = ("import resource, signal, sys\n"
+            "from omexarchive.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("command", ["meta", "pack"])
+def test_a_write_that_fails_midway_leaves_the_archive_as_it_was(command, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "blob.bin").write_bytes(random.Random(1).randbytes(200_000))
+    path = tmp_path / "a.omex"
+    assert main(["pack", str(src), str(path), "--no-stamp", "--ext", "omex"]) == 0
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    args = (["meta", str(path), "set", "--touch"] if command == "meta"
+            else ["pack", str(src), str(path), "--ext", "omex"])
+    root = Path(omexarchive.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", _LIMITED, *args], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(root)))
+    assert (result.returncode, result.stderr[:7]) == (2, "error: ")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.omex", "src"]
+
+
+def test_written_archives_keep_the_mode_of_the_file_they_replace(fixture_dir, tmp_path,
+                                                                 capsys):
+    path = tmp_path / "a.omex"
+    umask = os.umask(0o077)
+    try:  # a new file gets the umask default
+        assert main(["pack", str(fixture_dir), str(path), "--ext", "omex"]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    path.chmod(0o640)
+    assert main(["meta", str(path), "set", "--touch"]) == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert len(open_archive(path.read_bytes()).metadata.get(".").modified) == 1
 
 
 def test_meta_set_refuses_text_outside_xml(golden_archive_file, capsys):

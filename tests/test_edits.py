@@ -12,7 +12,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omexarchive.archive
@@ -30,7 +30,7 @@ from omexarchive import (
     set_metadata,
 )
 from omexarchive.archive import stamp_block
-from omexarchive.errors import InvalidMetadata, OmexError
+from omexarchive.errors import InvalidLocation, InvalidMetadata, OmexError
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
 from omexarchive.manifest import (
     MANIFEST_NS,
@@ -291,3 +291,38 @@ def test_the_container_holds_every_member_after_every_edit(edits):
             continue
         listed = {entry.path for entry in archive.manifest.entries} - {"."}
         assert set(archive.container.paths()) == {"manifest.xml", "unlisted.txt", *listed}
+
+
+# No two files here differ only in case: the first of such a pair depends on
+# container order, which an edit keeps and a reopened archive has sorted.
+_NESTED = ["a", "a/x", "a/x/y", "A/y", "b", "b/c", "b/c/d", "manifest.xml/x"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["add", "remove"]), st.sampled_from(_NESTED)),
+                      max_size=12))
+@example(edits=[("remove", "a/x")])  # `a` holds no member after it, so no longer clashes
+def test_the_container_counts_directories_as_a_reopened_archive_does(edits):
+    manifest = (f'<omexManifest xmlns="{MANIFEST_NS}">'
+                f'<content location="." format="{OMEX_FORMAT_URI}"/>'
+                f'<content location="a" format="{TEXT}"/>'
+                f'<content location="a/x" format="{TEXT}"/></omexManifest>').encode()
+    archive = open_archive(raw_zip([("manifest.xml", manifest), ("a", b"1"), ("a/x", b"2")]))
+    assert [clash[:2] for clash in archive.container.clashes()] == [("shared-path", "a")]
+    for action, path in edits:
+        taken = archive.container.paths()
+        if action == "remove":
+            if path not in taken:
+                continue
+            archive = remove_entry(archive, path)
+        elif path not in taken:
+            # counted afresh: members under `path`, and members above it
+            shared = (sum(p.startswith(path + "/") for p in taken)
+                      + sum(path.startswith(p + "/") for p in taken))
+            try:
+                archive = add_entry(archive, path, TEXT, b"x")
+            except InvalidLocation:
+                assert shared
+                continue
+            assert not shared
+        assert archive.container.clashes() == open_archive(archive.to_bytes()).container.clashes()

@@ -466,7 +466,9 @@ def test_nesting_too_deep_to_write_is_refused_by_name():
     ET.Comment("ends-"),
     ET.ProcessingInstruction("xml", "v"),  # a target only the declaration may have
     ET.ProcessingInstruction("p", "a?>b"),  # would end early, and read back changed
-], ids=["tag", "attribute", "double-hyphen", "final-hyphen", "xml-target", "pi-end"])
+    ET.Element(ET.PI),  # no target
+], ids=["tag", "attribute", "double-hyphen", "final-hyphen", "xml-target", "pi-end",
+        "pi-empty"])
 def test_a_node_that_cannot_be_read_back_is_refused(node):
     with pytest.raises(InvalidMetadata):
         serialize_metadata(MetadataSet(kept=[node]))
@@ -481,3 +483,9 @@ def test_comments_and_instructions_that_can_be_read_back_are_written():
     assert b"<!-- a - b -->" in data and b"<?p a ? > b?>" in data
     assert [(n.tag, n.text) for n in parse_metadata(data).kept] == [
         (n.tag, n.text) for n in nodes]
+
+
+def test_an_empty_comment_is_written_empty():
+    data = serialize_metadata(MetadataSet(kept=[ET.Comment()]))
+    assert b"<!---->" in data
+    assert [(n.tag, n.text) for n in parse_metadata(data).kept] == [(ET.Comment, "")]
