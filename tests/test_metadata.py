@@ -468,7 +468,7 @@ def test_nesting_too_deep_to_write_is_refused_by_name():
     ET.ProcessingInstruction("p", "a?>b"),  # would end early, and read back changed
     ET.Element(ET.PI),  # no target
 ], ids=["tag", "attribute", "double-hyphen", "final-hyphen", "xml-target", "pi-end",
-        "pi-empty"])
+        "pi-no-target"])
 def test_a_node_that_cannot_be_read_back_is_refused(node):
     with pytest.raises(InvalidMetadata):
         serialize_metadata(MetadataSet(kept=[node]))
