@@ -11,7 +11,6 @@ from .archive import (
     add_entry,
     create_archive,
     extract_all,
-    master_of,
     open_archive,
     pack_directory,
     remove_entry,
@@ -78,7 +77,6 @@ __all__ = [
     "format_for_filename",
     "infer_extension",
     "master_entries",
-    "master_of",
     "open_archive",
     "open_container",
     "pack_directory",

@@ -29,7 +29,6 @@ from .manifest import (
     ContentEntry,
     Manifest,
     check_location,
-    master_entries,
     parse_manifest,
     serialize_manifest,
     validate_manifest_against,
@@ -89,9 +88,6 @@ class Archive:
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
-
-    def byte_map(self) -> dict[str, bytes]:
-        return self.container.byte_map()
 
 
 def default_creator() -> Creator:
@@ -306,10 +302,6 @@ def set_metadata(archive: Archive, metadata: MetadataSet) -> Archive:
     return _build(archive, metadata=metadata)
 
 
-def master_of(archive: Archive) -> list[ContentEntry]:
-    return master_entries(archive.manifest)
-
-
 def pack_directory(
     directory,
     masters: set[str] | None = None,
@@ -322,8 +314,8 @@ def pack_directory(
     Formats default via format_for_filename; `masters` and the keys of
     `format_overrides` are locations. A file name's `%` is written to its
     location as `%25`, so the location names the file. A root
-    manifest.xml is ignored (it is regenerated); an existing metadata.rdf
-    is packed verbatim and suppresses auto-stamping.
+    manifest.xml is ignored (it is regenerated). `stamp` adds a creation
+    block when the packed tree gives the archive no metadata file.
     """
     root = Path(directory)
     masters = {check_location(m) for m in (masters or set())}
@@ -340,8 +332,9 @@ def pack_directory(
     unknown_masters = masters - paths
     if unknown_masters:
         raise NoSuchEntry(sorted(unknown_masters)[0])
-    metadata = None
-    if stamp and METADATA_FILENAME not in paths:
+    archive = create_archive(files)
+    if stamp and archive.metadata_path is None:
         metadata = MetadataSet()
         metadata.add(stamp_block(creator))
-    return create_archive(files, metadata)
+        archive = set_metadata(archive, metadata)
+    return archive

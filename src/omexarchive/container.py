@@ -219,8 +219,6 @@ def open_container(data: bytes) -> Container:
                 if name.rstrip("/"):
                     check_path(name.rstrip("/"))
                 continue
-            if name in container:
-                raise UnsafePath(name, "duplicate entry")
             # the member's bytes follow its local header's name and extra
             # field, whose lengths are at offset 26 (zf.read checks the rest);
             # a truncated header puts `start` past the region

@@ -53,9 +53,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
     def __iter__(self):
         return iter(self.items)
 

@@ -126,13 +126,13 @@ def test_criterion_3_full_cycle_property(tmp_path):
             first = pack_directory(src, stamp=False).to_bytes()
             archive = open_archive(first)
             expected = dict(files)
-            expected["manifest.xml"] = archive.byte_map()["manifest.xml"]
-            assert archive.byte_map() == expected
+            expected["manifest.xml"] = archive.container.byte_map()["manifest.xml"]
+            assert archive.container.byte_map() == expected
             dest = tmp_path / f"out{index}"
             extract_all(archive, dest)
             second = pack_directory(dest, stamp=False).to_bytes()
             assert second == first
-            assert open_archive(second).byte_map() == expected
+            assert open_archive(second).container.byte_map() == expected
 
 
 def test_criterion_4_compression_property():

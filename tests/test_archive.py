@@ -19,9 +19,10 @@ from omexarchive import (
     add_entry,
     create_archive,
     extract_all,
-    master_of,
+    master_entries,
     open_archive,
     parse_manifest,
+    parse_metadata,
     remove_entry,
     set_metadata,
     validate_archive,
@@ -335,8 +336,8 @@ def test_add_then_remove_is_identity(golden_files):
 def test_add_changes_only_the_new_entry_and_manifest(golden_files):
     archive = create_archive(_golden_like_files(golden_files))
     grown = add_entry(archive, "models/m2.xml", SBML, b"<sbml/>")
-    before = archive.byte_map()
-    after = grown.byte_map()
+    before = archive.container.byte_map()
+    after = grown.container.byte_map()
     changed = {p for p in before if before[p] != after.get(p)}
     assert changed == {"manifest.xml"}
     assert set(after) - set(before) == {"models/m2.xml"}
@@ -435,14 +436,14 @@ def test_extract_then_repack_full_cycle(golden_files, tmp_path):
             "simulation.xml": SEDML,
         },
     )
-    assert repacked.byte_map()["models/model.xml"] == golden_files["models/model.xml"]
-    assert open_archive(repacked.to_bytes()).byte_map().keys() == \
-        open_archive(first).byte_map().keys()
+    assert repacked.container.byte_map()["models/model.xml"] == golden_files["models/model.xml"]
+    assert open_archive(repacked.to_bytes()).container.byte_map().keys() == \
+        open_archive(first).container.byte_map().keys()
 
 
 def test_master_of(golden_files):
     archive = create_archive(_golden_like_files(golden_files))
-    assert [e.path for e in master_of(archive)] == ["simulation.xml"]
+    assert [e.path for e in master_entries(archive.manifest)] == ["simulation.xml"]
 
 
 def test_pack_directory_stamps_by_default(tmp_path):
@@ -462,7 +463,19 @@ def test_pack_directory_existing_metadata_suppresses_stamp(
     (tmp_path / "model.sbml").write_bytes(b"<sbml/>")
     (tmp_path / "metadata.rdf").write_bytes(golden_metadata_xml)
     archive = pack_directory(tmp_path, stamp=True)
-    assert archive.byte_map()["metadata.rdf"] == golden_metadata_xml
+    assert archive.container.byte_map()["metadata.rdf"] == golden_metadata_xml
+
+
+@pytest.mark.parametrize("rdf", ["notes.rdf", "sub/metadata.rdf"])
+def test_pack_directory_stamps_no_metadata_file_beside_the_one_packed(tmp_path, rdf,
+                                                                      golden_metadata_xml):
+    (tmp_path / "model.xml").write_bytes(b"<sbml/>")
+    (tmp_path / rdf).parent.mkdir(exist_ok=True)
+    (tmp_path / rdf).write_bytes(golden_metadata_xml)
+    archive = open_archive(pack_directory(tmp_path, stamp=True).to_bytes())
+    assert "metadata.rdf" not in archive.container
+    assert archive.metadata_path == rdf
+    assert archive.metadata == parse_metadata(golden_metadata_xml)
 
 
 def test_pack_directory_unknown_master(tmp_path):

@@ -182,6 +182,18 @@ def test_duplicate_zip_entries_rejected():
         open_container(data)
 
 
+def test_a_duplicate_whose_member_is_corrupt_is_corrupt_entry():
+    # a duplicate name is refused when the member is added, after it is read
+    with pytest.warns(UserWarning, match="Duplicate name"):
+        data = bytearray(raw_zip([("a.txt", b"first-payload"), ("a.txt", b"second-payload")]))
+    data[data.find(b"second-payload")] ^= 0xFF
+    with pytest.raises(CorruptEntry, match="Bad CRC-32") as exc:
+        open_container(bytes(data))
+    assert exc.value.path == "a.txt"
+    [finding] = validate_archive(bytes(data), ValidationMode.LENIENT)
+    assert (finding.rule, finding.location) == ("corrupt-entry", "a.txt")
+
+
 def test_crc_mismatch_names_the_entry():
     payload = b"SENTINEL-PAYLOAD-0123456789"
     buf = io.BytesIO()

@@ -88,7 +88,7 @@ def test_edits_leave_the_manifest_unwritten(serializations):
     assert serializations["serialize_manifest"] == []
     data = archive.to_bytes()
     assert archive.to_bytes() == data
-    assert archive.byte_map()["manifest.xml"] == archive.container.get("manifest.xml")
+    assert archive.container.byte_map()["manifest.xml"] == archive.container.get("manifest.xml")
     assert len(serializations["serialize_manifest"]) == 1
     assert open_archive(data) == archive
 
@@ -130,7 +130,7 @@ def test_reading_the_container_writes_nothing(tmp_path):
     edited = set_metadata(archive, meta)
     assert edited.container.paths() == ["model.xml", "metadata.rdf", "manifest.xml"]
     # text outside XML 1.0 is refused where the metadata file's bytes are needed
-    for use in (edited.to_bytes, edited.byte_map, lambda: edited == archive,
+    for use in (edited.to_bytes, edited.container.byte_map, lambda: edited == archive,
                 lambda: extract_all(edited, tmp_path / "out")):
         with pytest.raises(InvalidMetadata, match="not allowed in XML"):
             use()

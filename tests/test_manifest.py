@@ -251,6 +251,17 @@ def test_non_xml_char_finds_what_the_pattern_finds(text):
     assert non_xml_char(text) == (bad.group() if bad else None)
 
 
+def test_non_xml_char_refuses_exactly_what_the_char_production_excludes():
+    # Char ::= #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+    def is_char(cp):
+        return (cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF
+                or 0xE000 <= cp <= 0xFFFD or 0x10000 <= cp <= 0x10FFFF)
+
+    wrong = [hex(cp) for cp in range(0x110000)
+             if (non_xml_char(chr(cp)) is None) != is_char(cp)]
+    assert wrong == []
+
+
 _location = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=6),
     min_size=1, max_size=3,
