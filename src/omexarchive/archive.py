@@ -70,21 +70,40 @@ class Archive:
     """An archive as a value: edits return new archives and leave this one as it was.
 
     `container` holds every member, manifest.xml and the metadata file
-    included; an edit that changes `manifest` or `metadata` swaps in a
-    member that writes it when its bytes are first read. `metadata_error`
-    says why the metadata file read did not parse, until an edit replaces
-    or removes that file.
+    included; an edit that changes the manifest or the metadata swaps in a
+    member that writes it when its bytes are first read. `metadata` and
+    `metadata_error` are what the file at `metadata_path` says, read once.
     """
     container: Container
     manifest: Manifest
-    metadata: MetadataSet | None = None
-    metadata_error: str | None = field(default=None, compare=False)
+    # (metadata, error) set only by _build, which hands on what it wrote or what its
+    # base read; left unset by __init__ and dataclasses.replace, so the file is read
+    _read: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def metadata_path(self) -> str | None:
         """The manifest's omex-metadata entry wins; literal metadata.rdf is the fallback."""
         fallback = METADATA_FILENAME if METADATA_FILENAME in self.container else None
         return self.manifest.metadata_path or fallback
+
+    @cached_property
+    def _metadata(self) -> tuple[MetadataSet | None, str | None]:
+        if self._read is not None:
+            return self._read
+        if self.metadata_path in self.container:
+            try:
+                return parse_metadata(self.container.get(self.metadata_path)), None
+            except OmexError as exc:
+                return None, str(exc)
+        return None, None
+
+    @property
+    def metadata(self) -> MetadataSet | None:
+        return self._metadata[0]
+
+    @property
+    def metadata_error(self) -> str | None:
+        return self._metadata[1]
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -112,23 +131,22 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
            remove: str | None = None) -> Archive:
     """Derive an archive from `base`: the one place the archive rules apply.
 
-    Drops the entry `base` lists at path `remove` and its file (dropping
-    the metadata file drops the metadata), adds `files`, pairs of a
-    ContentEntry and its bytes, and records `metadata` when given. A
-    manifest or metadata file the call changes is written when the
-    archive's bytes are needed. Only what the call adds is checked: a
-    path that is reserved, taken, or a file at one path and a directory
-    at another is refused, and so is a format `classify_format` calls
-    INVALID. The entries `base` lists are written back as read, after a
-    `.` entry when they lack one. Nothing is counted or written anew that
-    the call does not add or remove.
+    Drops the entry `base` lists at path `remove` and its file (the
+    metadata goes with its file), adds `files`, pairs of a ContentEntry
+    and its bytes, and writes `metadata` when given. A manifest or
+    metadata file the call changes is written when the archive's bytes
+    are needed. Only what the call adds is checked: a path that is
+    reserved, taken, or a file at one path and a directory at another is
+    refused, and so is a format `classify_format` calls INVALID. The
+    entries `base` lists are written back as read, after a `.` entry when
+    they lack one. Nothing is counted, read or written anew that the call
+    does not add or remove.
     """
     container = base.container.copy()
     manifest = base.manifest
     if manifest.find(".") is None:
         manifest = Manifest((ContentEntry(".", OMEX_FORMAT_URI), *manifest.entries))
     rdf = base.metadata_path
-    kept, error = base.metadata, base.metadata_error
     if remove is not None:
         if remove in RESERVED_LOCATIONS:
             raise ReservedLocation(remove)
@@ -136,11 +154,11 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             raise NoSuchEntry(remove)
         container.remove(remove)
         if remove == rdf:
-            kept = metadata = error = None
+            metadata = None
 
     files, added = list(files), []
     if metadata is not None:
-        kept, error, location = metadata, None, rdf or METADATA_FILENAME
+        location = rdf or METADATA_FILENAME
         listing = ContentEntry(location, OMEX_METADATA_FORMAT_URI)
         if location not in container:
             files.append((listing, None))
@@ -171,21 +189,23 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
     for entry, _ in files:
         if container.shares_path(entry.path):
             raise InvalidLocation(entry.path, _SHARED_PATH)
-    return Archive(container, manifest, kept, error)
+    archive = Archive(container, manifest)
+    if metadata is not None:
+        object.__setattr__(archive, "_read", (metadata, None))
+    elif archive.metadata_path == rdf:  # the same file
+        object.__setattr__(archive, "_read", base._metadata)
+    return archive
 
 
-def create_archive(
-    files,
-    metadata: MetadataSet | None = None,
-) -> Archive:
+def create_archive(files) -> Archive:
     """Build an archive from (location, format-URI, master, bytes) tuples.
 
-    The `.` manifest entry is added automatically; when `metadata` is
-    given it is serialized to metadata.rdf with a manifest entry.
+    The `.` manifest entry is added automatically; `set_metadata` adds
+    metadata.
     """
     entries = [(ContentEntry(location, format_uri, master or None), data)
                for location, format_uri, master, data in files]
-    return _build(Archive(Container(), Manifest(())), entries, metadata)
+    return _build(Archive(Container(), Manifest(())), entries)
 
 
 def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
@@ -214,21 +234,16 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
             report.warning("invalid-format", entry.path,
                            f"format URI is not recognized: {entry.format!r}")
 
-    metadata = error = None
-    location = Archive(container, manifest).metadata_path
-    if location is not None and location in container:
-        try:
-            metadata = parse_metadata(container.get(location))
-        except OmexError as exc:
-            error = str(exc)
-            report.warning("metadata-unreadable", location, error)
+    archive = Archive(container, manifest)
+    if archive.metadata_error is not None:
+        report.warning("metadata-unreadable", archive.metadata_path, archive.metadata_error)
     for rule, path, reason in container.clashes():
         report.warning(rule, path, reason)
-    report.extend(check_minimum_information(metadata or MetadataSet()))
+    report.extend(check_minimum_information(archive.metadata or MetadataSet()))
     if strict:
         report.items = [replace(f, severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
                         for f in report.items]
-    return Archive(container, manifest, metadata, error), report.sorted()
+    return archive, report.sorted()
 
 
 def open_archive(data: bytes) -> Archive:

@@ -101,13 +101,12 @@ def cmd_pack(args) -> int:
         if not sep or not uri:
             return _fail(f"--format expects LOCATION=URI, got {item!r}")
         overrides[location] = uri
-    stamp = not args.no_stamp and os.environ.get("OMEX_NO_STAMP") != "1"
     creator = parse_creator(args.creator) if args.creator else None
     archive = pack_directory(
         directory,
         masters=set(args.master or []),
         format_overrides=overrides,
-        stamp=stamp,
+        stamp=not args.no_stamp,
         creator=creator,
     )
     ext = args.ext

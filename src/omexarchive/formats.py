@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import mimetypes
 import re
 from dataclasses import dataclass
@@ -124,14 +125,21 @@ _SUFFIX_FORMATS = {
 OCTET_STREAM_URI = MEDIATYPE_PREFIX + "application/octet-stream"
 
 
+@functools.cache
+def _builtin_types() -> mimetypes.MimeTypes:
+    # the interpreter's own table, not the host's mime.types files; built on
+    # first use, since building it reads those files into the module's table
+    return mimetypes.MimeTypes()
+
+
 def format_for_filename(name: str) -> str:
-    """Guess a default format URI from a filename. Convenience only."""
+    """Guess a default format URI from a filename, alike on every host. Convenience only."""
     base = name.rsplit("/", 1)[-1]
     dot = base.rfind(".")
     suffix = base[dot:].lower() if dot > 0 else ""
     if suffix in _SUFFIX_FORMATS:
         return _SUFFIX_FORMATS[suffix]
-    guessed, _ = mimetypes.guess_type(base)
+    guessed, _ = _builtin_types().guess_type(base)
     if guessed:
         return MEDIATYPE_PREFIX + guessed
     return OCTET_STREAM_URI

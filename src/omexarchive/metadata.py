@@ -168,9 +168,6 @@ class MetadataSet:
         return ((self.blocks, list(map(_tree, self.kept)), self.attrib)
                 == (other.blocks, list(map(_tree, other.kept)), other.attrib))
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
 
 def _binder(prefixes: dict[str, str]):
     """A function that binds a URI to a prefix in `prefixes` (URI -> prefix): the

@@ -69,10 +69,8 @@ def test_create_minimal():
 def test_create_golden_like(golden_files, golden_metadata_xml, golden_manifest_xml):
     from omexarchive import parse_metadata
 
-    archive = create_archive(
-        _golden_like_files(golden_files),
-        metadata=parse_metadata(golden_metadata_xml),
-    )
+    archive = set_metadata(create_archive(_golden_like_files(golden_files)),
+                           parse_metadata(golden_metadata_xml))
     expected = parse_manifest(golden_manifest_xml)
     got = {(e.path, e.format, bool(e.master))
            for e in archive.manifest.entries}
@@ -118,7 +116,7 @@ def _stamp() -> MetadataSet:
 
 def test_create_refuses_a_directory_named_like_the_metadata():
     with pytest.raises(InvalidLocation, match="file and directory share a path"):
-        create_archive([("metadata.rdf/x", TEXT, False, b"")], metadata=_stamp())
+        set_metadata(create_archive([("metadata.rdf/x", TEXT, False, b"")]), _stamp())
 
 
 def test_set_metadata_checks_only_the_paths_it_adds():
@@ -379,7 +377,7 @@ def test_remove_drops_metadata_block(golden_files):
     meta.add(stamp_block(Creator(family_name="Doe"),
                          Timestamp.parse("2020-01-01T00:00:00Z")))
     meta.add(DescriptionBlock(about="doc/article.pdf", description="the paper"))
-    archive = create_archive(_golden_like_files(golden_files), metadata=meta)
+    archive = set_metadata(create_archive(_golden_like_files(golden_files)), meta)
     trimmed = remove_entry(archive, "doc/article.pdf")
     assert trimmed.metadata.get("doc/article.pdf") is None
     assert archive.metadata.get("doc/article.pdf").description == "the paper"

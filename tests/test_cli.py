@@ -14,7 +14,7 @@ import omexarchive
 import omexarchive.cli
 from omexarchive import open_archive, set_metadata, write_container
 from omexarchive.cli import main, parse_creator
-from omexarchive.metadata import Creator
+from omexarchive.metadata import Creator, DescriptionBlock
 
 from conftest import FOREIGN_MANIFESTS, UNMODELLED_METADATA, build_container
 
@@ -332,6 +332,21 @@ def test_meta_set_keeps_what_the_model_does_not_hold(tmp_path, golden_files, cap
     assert "http://xmlns.com/foaf/0.1/Person: http://orcid.org/" in out
 
 
+def test_meta_set_keeps_a_metadata_file_without_blocks(tmp_path, golden_files):
+    path = tmp_path / "dataset.omex"
+    rdf = (b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+           b' xmlns:ex="http://example.org/">'
+           b'<ex:Dataset rdf:about="http://example.org/d1"/></rdf:RDF>')
+    path.write_bytes(write_container(build_container(dict(golden_files, **{"metadata.rdf": rdf}))))
+    before = open_archive(path.read_bytes()).metadata
+    assert not before.blocks and len(before.kept) == 1
+    assert main(["meta", str(path), "set", "--description", "hi"]) == 0
+    after = open_archive(path.read_bytes())
+    assert after.metadata == dataclasses.replace(
+        before, blocks={".": DescriptionBlock(about=".", description="hi")})
+    assert b'<ex:Dataset rdf:about="http://example.org/d1"/>' in after.container.get("metadata.rdf")
+
+
 def test_meta_set_keeps_comments_and_processing_instructions(tmp_path, golden_files, capsys):
     path = tmp_path / "commented.omex"
     rdf = (b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
@@ -396,15 +411,6 @@ def test_meta_set_refuses_with_the_reason_the_open_kept(tmp_path, golden_files, 
 def test_meta_show(golden_archive_file, capsys):
     assert main(["meta", str(golden_archive_file), "show"]) == 0
     assert "Recon 2.1" in capsys.readouterr().out
-
-
-def test_env_var_mirrors_no_stamp(fixture_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OMEX_NO_STAMP", "1")
-    out = tmp_path / "env.omex"
-    assert main(["pack", str(fixture_dir), str(out), "--ext", "omex"]) == 0
-    capsys.readouterr()
-    archive = open_archive(out.read_bytes())
-    assert archive.metadata is None
 
 
 def test_usage_error_exit_code(capsys):

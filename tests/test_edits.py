@@ -29,7 +29,7 @@ from omexarchive import (
     remove_entry,
     set_metadata,
 )
-from omexarchive.archive import stamp_block
+from omexarchive.archive import pack_directory, stamp_block
 from omexarchive.errors import InvalidLocation, InvalidMetadata, OmexError
 from omexarchive.formats import COMBINE_PREFIX, MEDIATYPE_PREFIX
 from omexarchive.manifest import (
@@ -38,6 +38,7 @@ from omexarchive.manifest import (
     OMEX_METADATA_FORMAT_URI,
     check_location,
 )
+from omexarchive.metadata import serialize_metadata
 
 from conftest import raw_zip
 
@@ -62,22 +63,32 @@ def _with_description(archive, about: str, text: str) -> MetadataSet:
 
 
 def _sized(entries: int):
-    return create_archive([(f"d{i % 9}/f{i}.txt", TEXT, False, b"%d" % i)
-                           for i in range(entries)], metadata=_stamp())
+    return set_metadata(create_archive([(f"d{i % 9}/f{i}.txt", TEXT, False, b"%d" % i)
+                                        for i in range(entries)]), _stamp())
+
+
+def _counted(monkeypatch, *names):
+    """The arguments of each call made through the archive module to the
+    functions `names`, by function name."""
+    calls = {name: [] for name in names}
+    for name, made in calls.items():
+        def counted(value, call=getattr(omexarchive.archive, name), made=made):
+            made.append(value)
+            return call(value)
+
+        monkeypatch.setattr(omexarchive.archive, name, counted)
+    return calls
 
 
 @pytest.fixture
 def serializations(monkeypatch):
-    """The arguments of each serialize_manifest and serialize_metadata call made
-    through the archive module, by function name."""
-    calls = {"serialize_manifest": [], "serialize_metadata": []}
-    for name, made in calls.items():
-        def counted(value, serialize=getattr(omexarchive.archive, name), made=made):
-            made.append(value)
-            return serialize(value)
+    return _counted(monkeypatch, "serialize_manifest", "serialize_metadata")
 
-        monkeypatch.setattr(omexarchive.archive, name, counted)
-    return calls
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The bytes of each parse_metadata call made through the archive module."""
+    return _counted(monkeypatch, "parse_metadata")["parse_metadata"]
 
 
 def test_edits_leave_the_manifest_unwritten(serializations):
@@ -110,7 +121,7 @@ def test_edits_leave_the_metadata_unwritten(serializations):
 
 
 def test_an_edit_chain_writes_the_metadata_once(serializations):
-    archive = create_archive([("model.xml", SBML, True, b"<sbml/>")], metadata=_stamp())
+    archive = set_metadata(create_archive([("model.xml", SBML, True, b"<sbml/>")]), _stamp())
     archive.to_bytes()
     archive = add_entry(archive, "notes.txt", TEXT, b"notes")
     archive.to_bytes()
@@ -161,6 +172,69 @@ def test_set_metadata_lists_an_unlisted_metadata_file():
     assert open_archive(updated.to_bytes()) == updated
 
 
+def _reopens_as_it_is(archive):
+    reopened = open_archive(archive.to_bytes())
+    assert reopened == archive
+    assert reopened.metadata == archive.metadata
+
+
+def test_adding_a_metadata_file_gives_the_archive_its_metadata():
+    plain = create_archive([("a.txt", TEXT, False, b"x")])
+    added = add_entry(plain, "x.rdf", OMEX_METADATA_FORMAT_URI, _described("in x.rdf"))
+    assert added.metadata_path == "x.rdf"
+    assert added.metadata.get(".").description == "in x.rdf"
+    _reopens_as_it_is(added)
+
+
+def test_removing_the_first_metadata_file_reads_the_next():
+    both = add_entry(set_metadata(create_archive([("a.txt", TEXT, False, b"x")]), _stamp()),
+                     "x.rdf", OMEX_METADATA_FORMAT_URI, _described("in x.rdf"))
+    assert both.metadata_path == "metadata.rdf" and both.metadata == _stamp()
+    left = remove_entry(both, "metadata.rdf")
+    assert left.metadata_path == "x.rdf"
+    assert left.metadata.get(".").description == "in x.rdf"
+    _reopens_as_it_is(left)
+
+
+def test_set_metadata_writes_the_file_the_manifest_lists():
+    listed = create_archive([("x.rdf", OMEX_METADATA_FORMAT_URI, False, _described("old"))])
+    written = set_metadata(listed, _stamp())
+    assert written.metadata_path == "x.rdf" and "metadata.rdf" not in written.container
+    assert written.metadata == _stamp()
+    _reopens_as_it_is(written)
+
+
+def test_removing_a_self_described_metadata_file_leaves_no_metadata():
+    meta = _stamp()
+    meta.add(DescriptionBlock(about="metadata.rdf", description="this file"))
+    archive = set_metadata(create_archive([("model.xml", SBML, True, b"<sbml/>")]), meta)
+    trimmed = remove_entry(archive, "metadata.rdf")
+    assert "metadata.rdf" not in trimmed.container
+    assert trimmed.manifest.find("metadata.rdf") is None
+    assert trimmed.metadata_path is None and trimmed.metadata is None
+    _reopens_as_it_is(trimmed)
+
+
+def test_an_edit_chain_parses_the_metadata_once(golden_archive_bytes, parses):
+    opened = archive = open_archive(golden_archive_bytes)
+    for i in range(20):
+        archive = add_entry(archive, f"added/{i}.txt", TEXT, b"%d" % i)
+    for i in range(20):
+        archive = remove_entry(archive, f"added/{i}.txt")
+    assert archive.metadata is opened.metadata
+    assert len(parses) == 1
+
+
+def test_packing_a_metadata_file_leaves_it_unparsed(tmp_path, golden_files, parses):
+    for path, data in golden_files.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_bytes(data)
+    archive = pack_directory(tmp_path)
+    archive.to_bytes()
+    assert archive.metadata_path == "metadata.rdf"
+    assert parses == []
+
+
 def test_edit_cost_does_not_grow_with_archive_size(monkeypatch):
     """One edit makes as many checks and Python calls on 1,000 entries as on 10."""
     locations = []
@@ -202,7 +276,7 @@ def test_edit_cost_does_not_grow_with_archive_size(monkeypatch):
 def _seeded_session(seed: int, edits: int):
     """A fixed mix of adds, removes, metadata edits and reopenings."""
     rng = random.Random(seed)
-    archive = create_archive([("model.xml", SBML, True, b"<sbml/>")], metadata=_stamp())
+    archive = set_metadata(create_archive([("model.xml", SBML, True, b"<sbml/>")]), _stamp())
     live = ["model.xml"]
     for step in range(edits):
         roll = rng.random()
@@ -235,35 +309,15 @@ _EDITS = st.lists(st.one_of(
     st.tuples(st.just("remove"), st.sampled_from(_NAMES)),
     st.tuples(st.just("meta"), st.sampled_from([".", *_NAMES]),
               st.text(alphabet="xyz<&\"'", max_size=6)),
+    st.tuples(st.just("rdf"), st.sampled_from(["x.rdf", "metadata.rdf"]),
+              st.text(alphabet="xyz<&\"'", max_size=6)),
     st.tuples(st.just("reopen")),
 ), max_size=14)
 
 
-@settings(max_examples=150, deadline=None)
-@given(edits=_EDITS, opened=st.booleans())
-def test_edits_never_change_an_earlier_archive(edits, opened):
-    archive = create_archive([("b/c.txt", TEXT, False, b"c")], metadata=_stamp())
-    if opened:
-        archive = open_archive(archive.to_bytes())
-    history = [(archive, archive.to_bytes())]
-    for step, edit in enumerate(edits):
-        try:
-            if edit[0] == "add":
-                archive = add_entry(archive, edit[1], TEXT, edit[2])
-            elif edit[0] == "remove":
-                archive = remove_entry(archive, edit[1])
-            elif edit[0] == "meta":
-                archive = set_metadata(archive, _with_description(archive, *edit[1:]))
-            else:
-                archive = open_archive(archive.to_bytes())
-        except OmexError:
-            continue  # a refused edit, such as a file under a file
-        # every other archive is first written after all later edits
-        history.append((archive, archive.to_bytes() if step % 2 else None))
-    for earlier, data in history:
-        written = earlier.to_bytes()
-        assert data is None or written == data
-        assert open_archive(written) == earlier
+def _described(text: str) -> bytes:
+    """A metadata file describing the archive as `text`."""
+    return serialize_metadata(MetadataSet({".": DescriptionBlock(about=".", description=text)}))
 
 
 def _edited(archive, edit):
@@ -273,7 +327,31 @@ def _edited(archive, edit):
         return remove_entry(archive, edit[1])
     if edit[0] == "meta":
         return set_metadata(archive, _with_description(archive, *edit[1:]))
+    if edit[0] == "rdf":
+        return add_entry(archive, edit[1], OMEX_METADATA_FORMAT_URI, _described(edit[2]))
     return open_archive(archive.to_bytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS, opened=st.booleans())
+def test_edits_never_change_an_earlier_archive(edits, opened):
+    archive = set_metadata(create_archive([("b/c.txt", TEXT, False, b"c")]), _stamp())
+    if opened:
+        archive = open_archive(archive.to_bytes())
+    history = [(archive, archive.to_bytes())]
+    for step, edit in enumerate(edits):
+        try:
+            archive = _edited(archive, edit)
+        except OmexError:
+            continue  # a refused edit, such as a file under a file
+        # every other archive is first written after all later edits
+        history.append((archive, archive.to_bytes() if step % 2 else None))
+    for earlier, data in history:
+        written = earlier.to_bytes()
+        assert data is None or written == data
+        reopened = open_archive(written)
+        assert reopened == earlier
+        assert reopened.metadata == earlier.metadata
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+import mimetypes
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from omexarchive import (
     infer_extension,
     parse_manifest,
 )
-from omexarchive.formats import COMBINE_PREFIX, EXTENSIONS, MEDIATYPE_PREFIX
+from omexarchive.formats import COMBINE_PREFIX, EXTENSIONS, MEDIATYPE_PREFIX, OCTET_STREAM_URI
 from omexarchive.manifest import OMEX_FORMAT_URI
 
 
@@ -124,3 +126,10 @@ def test_inferred_extension_is_in_the_known_set(uris):
 )
 def test_format_for_filename(name, expected):
     assert format_for_filename(name) == expected
+
+
+def test_format_for_filename_ignores_types_the_host_adds():
+    # as a host's mime.types file would; the suffix is this test's own
+    mimetypes.add_type("application/x-omexarchive-host-only", ".omexhostonly")
+    assert mimetypes.guess_type("a.omexhostonly")[0] == "application/x-omexarchive-host-only"
+    assert format_for_filename("a.omexhostonly") == OCTET_STREAM_URI

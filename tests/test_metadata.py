@@ -32,7 +32,7 @@ def _kept(block):
 
 def test_parse_golden(golden_metadata_xml):
     meta = parse_metadata(golden_metadata_xml)
-    assert len(meta) == 1
+    assert len(meta.blocks) == 1
     block = meta.get(".")
     assert block.description == (
         "Expanded version of the human metabolic reconstruction Recon 2.1"
@@ -57,7 +57,7 @@ def test_parse_golden(golden_metadata_xml):
 
 def test_empty_rdf_document():
     xml = b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>'
-    assert len(parse_metadata(xml)) == 0
+    assert len(parse_metadata(xml).blocks) == 0
 
 
 def test_round_trip_golden(golden_metadata_xml):
@@ -142,7 +142,7 @@ def test_same_about_blocks_merge():
       </rdf:Description>
     </rdf:RDF>"""
     meta = parse_metadata(xml)
-    assert len(meta) == 1
+    assert len(meta.blocks) == 1
     block = meta.get(".")
     assert block.description == "first"
     assert block.created is not None
@@ -290,7 +290,7 @@ def test_a_top_level_blank_node_is_kept():
       <rdf:Description rdf:about="http://example.org/not-a-path"/>
     </rdf:RDF>"""
     meta = parse_metadata(xml)
-    assert len(meta) == 0 and len(meta.kept) == 3
+    assert len(meta.blocks) == 0 and len(meta.kept) == 3
     assert parse_metadata(serialize_metadata(meta)) == meta
 
 
