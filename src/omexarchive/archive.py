@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import getpass
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 
@@ -26,6 +26,7 @@ from .manifest import (
     METADATA_FILENAME,
     OMEX_FORMAT_URI,
     OMEX_METADATA_FORMAT_URI,
+    RESERVED_LOCATIONS,
     ContentEntry,
     Manifest,
     check_location,
@@ -44,7 +45,6 @@ from .metadata import (
 )
 from .report import Severity, ValidationReport
 
-RESERVED_LOCATIONS = frozenset({".", MANIFEST_FILENAME})
 STRICT_ERRORS = frozenset({"unlisted-file", "invalid-format"})
 
 
@@ -76,9 +76,6 @@ class Archive:
     """
     container: Container
     manifest: Manifest
-    # (metadata, error) set only by _build, which hands on what it wrote or what its
-    # base read; left unset by __init__ and dataclasses.replace, so the file is read
-    _read: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def metadata_path(self) -> str | None:
@@ -86,10 +83,8 @@ class Archive:
         fallback = METADATA_FILENAME if METADATA_FILENAME in self.container else None
         return self.manifest.metadata_path or fallback
 
-    @cached_property
+    @cached_property  # _build fills it with what it wrote or what its base read
     def _metadata(self) -> tuple[MetadataSet | None, str | None]:
-        if self._read is not None:
-            return self._read
         if self.metadata_path in self.container:
             try:
                 return parse_metadata(self.container.get(self.metadata_path)), None
@@ -132,15 +127,16 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
     """Derive an archive from `base`: the one place the archive rules apply.
 
     Drops the entry `base` lists at path `remove` and its file (the
-    metadata goes with its file), adds `files`, pairs of a ContentEntry
-    and its bytes, and writes `metadata` when given. A manifest or
-    metadata file the call changes is written when the archive's bytes
-    are needed. Only what the call adds is checked: a path that is
-    reserved, taken, or a file at one path and a directory at another is
-    refused, and so is a format `classify_format` calls INVALID. The
-    entries `base` lists are written back as read, after a `.` entry when
-    they lack one. Nothing is counted, read or written anew that the call
-    does not add or remove.
+    metadata goes with its file), then adds `files`, pairs of a
+    ContentEntry and its bytes, or writes `metadata`, never both: the
+    metadata file replaces its member or is added, and is listed when the
+    manifest does not list it. A manifest or metadata file the call
+    changes is written when the archive's bytes are needed. Only what the
+    call adds is checked: a path that is reserved, taken, or a file at
+    one path and a directory at another is refused, and so is a format
+    `classify_format` calls INVALID. The entries `base` lists are written
+    back as read, after a `.` entry when they lack one. Nothing is
+    counted, read or written anew that the call does not add or remove.
     """
     container = base.container.copy()
     manifest = base.manifest
@@ -156,17 +152,7 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
         if remove == rdf:
             metadata = None
 
-    files, added = list(files), []
-    if metadata is not None:
-        location = rdf or METADATA_FILENAME
-        listing = ContentEntry(location, OMEX_METADATA_FORMAT_URI)
-        if location not in container:
-            files.append((listing, None))
-        else:  # replaced, so not checked as added
-            container.remove(location)
-            if manifest.find(location) is None:
-                added.append(listing)
-
+    added = []
     for entry, data in files:
         if entry.path in RESERVED_LOCATIONS:
             raise ReservedLocation(entry.path)
@@ -174,10 +160,17 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             raise DuplicateLocation(entry.path)
         if classify_format(entry.format).kind is FormatKind.INVALID:
             raise InvalidFormatUri(entry.format)
-        if data is not None:  # None for the metadata file, written below
-            container.add(ContainerEntry(entry.path, bytes(data)))
+        container.add(ContainerEntry(entry.path, bytes(data)))
         added.append(entry)
+    new = [entry.path for entry in added]
     if metadata is not None:
+        location = rdf or METADATA_FILENAME
+        if location in container:
+            container.remove(location)
+        else:
+            new.append(location)
+        if manifest.find(location) is None:
+            added.append(ContentEntry(location, OMEX_METADATA_FORMAT_URI))
         container.add(_Written(location, lambda: serialize_metadata(metadata)))
     if added or remove is not None:
         manifest = manifest.edited(added, remove)
@@ -186,14 +179,14 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             container.remove(MANIFEST_FILENAME)
         container.add(_Written(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))
 
-    for entry, _ in files:
-        if container.shares_path(entry.path):
-            raise InvalidLocation(entry.path, _SHARED_PATH)
+    for path in new:
+        if container.shares_path(path):
+            raise InvalidLocation(path, _SHARED_PATH)
     archive = Archive(container, manifest)
     if metadata is not None:
-        object.__setattr__(archive, "_read", (metadata, None))
-    elif archive.metadata_path == rdf:  # the same file
-        object.__setattr__(archive, "_read", base._metadata)
+        vars(archive)["_metadata"] = metadata, None
+    elif "_metadata" in vars(base) and archive.metadata_path == rdf:  # the same file, read
+        vars(archive)["_metadata"] = base._metadata
     return archive
 
 
@@ -327,10 +320,11 @@ def pack_directory(
     """Create an archive from a directory tree.
 
     Formats default via format_for_filename; `masters` and the keys of
-    `format_overrides` are locations. A file name's `%` is written to its
-    location as `%25`, so the location names the file. A root
-    manifest.xml is ignored (it is regenerated). `stamp` adds a creation
-    block when the packed tree gives the archive no metadata file.
+    `format_overrides` are locations of files in the tree, or NoSuchEntry
+    is raised. A file name's `%` is written to its location as `%25`, so
+    the location names the file. A root manifest.xml is ignored (it is
+    regenerated). `stamp` adds a creation block when the packed tree
+    gives the archive no metadata file.
     """
     root = Path(directory)
     masters = {check_location(m) for m in (masters or set())}
@@ -344,9 +338,9 @@ def pack_directory(
         fmt = overrides.get(rel, format_for_filename(rel))
         files.append((rel.replace("%", "%25"), fmt, rel in masters, file.read_bytes()))
         paths.add(rel)
-    unknown_masters = masters - paths
-    if unknown_masters:
-        raise NoSuchEntry(sorted(unknown_masters)[0])
+    unknown = (masters | overrides.keys()) - paths
+    if unknown:
+        raise NoSuchEntry(sorted(unknown)[0])
     archive = create_archive(files)
     if stamp and archive.metadata_path is None:
         metadata = MetadataSet()

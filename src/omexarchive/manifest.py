@@ -35,6 +35,8 @@ OMEX_METADATA_FORMAT_URI = (
 )
 MANIFEST_FILENAME = "manifest.xml"
 METADATA_FILENAME = "metadata.rdf"
+# The archive itself and its manifest: never a file an edit adds, nor the metadata file.
+RESERVED_LOCATIONS = frozenset({".", MANIFEST_FILENAME})
 
 _ROOT_TAG = f"{{{MANIFEST_NS}}}omexManifest"
 _CONTENT_TAG = f"{{{MANIFEST_NS}}}content"
@@ -170,8 +172,8 @@ class ContentEntry:
 class Manifest:
     """Entries in document order, indexed by path; paths are unique.
 
-    `metadata_path` is the path of the first entry but `.` in the
-    omex-metadata format, or None.
+    `metadata_path` is the path of the first entry in the omex-metadata
+    format but `.` and manifest.xml, or None.
     """
     entries: tuple[ContentEntry, ...]
 
@@ -184,7 +186,7 @@ class Manifest:
             if by_path.setdefault(entry.path, entry) is not entry:
                 raise DuplicateLocation(entry.path)
             if (metadata_path is None and entry.format == OMEX_METADATA_FORMAT_URI
-                    and entry.path != "."):
+                    and entry.path not in RESERVED_LOCATIONS):
                 metadata_path = entry.path
         object.__setattr__(self, "entries", tuple(by_path.values()))
         object.__setattr__(self, "_by_path", by_path)

@@ -478,8 +478,11 @@ def test_pack_directory_stamps_no_metadata_file_beside_the_one_packed(tmp_path, 
 
 def test_pack_directory_unknown_master(tmp_path):
     (tmp_path / "a.xml").write_bytes(b"<a/>")
-    with pytest.raises(NoSuchEntry):
-        pack_directory(tmp_path, masters={"missing.xml"}, stamp=False)
+    # a --format override of a file the tree lacks is refused as a --master is
+    for unknown in ({"masters": {"missing.xml"}},
+                    {"format_overrides": {"missing.xml": f"{MEDIATYPE_PREFIX}text/plain"}}):
+        with pytest.raises(NoSuchEntry):
+            pack_directory(tmp_path, stamp=False, **unknown)
 
 
 def test_set_metadata_creates_entry(golden_files):

@@ -18,8 +18,12 @@ from hypothesis import strategies as st
 import omexarchive.archive
 import omexarchive.manifest
 from omexarchive import (
+    Archive,
+    Container,
+    ContentEntry,
     Creator,
     DescriptionBlock,
+    Manifest,
     MetadataSet,
     Timestamp,
     add_entry,
@@ -204,6 +208,25 @@ def test_set_metadata_writes_the_file_the_manifest_lists():
     _reopens_as_it_is(written)
 
 
+def test_set_metadata_writes_a_listed_file_the_container_lacks():
+    listed = Archive(Container(), Manifest((ContentEntry(".", OMEX_FORMAT_URI),
+                                            ContentEntry("x.rdf", OMEX_METADATA_FORMAT_URI))))
+    written = set_metadata(listed, _stamp())
+    assert written.container.paths() == ["x.rdf"]
+    assert written.manifest is listed.manifest
+    assert written.metadata == _stamp()
+
+
+def test_the_manifest_is_never_the_metadata_file(golden_files):
+    manifest = golden_files["manifest.xml"]
+    assert manifest.count(b'location="metadata.rdf"') == 1
+    golden_files["manifest.xml"] = manifest.replace(b'location="metadata.rdf"',
+                                                    b'location="manifest.xml"')
+    opened = open_archive(raw_zip(golden_files.items()))
+    assert opened.metadata_path == "metadata.rdf" and opened.metadata_error is None
+    _reopens_as_it_is(set_metadata(opened, _stamp()))
+
+
 def test_removing_a_self_described_metadata_file_leaves_no_metadata():
     meta = _stamp()
     meta.add(DescriptionBlock(about="metadata.rdf", description="this file"))
@@ -222,6 +245,15 @@ def test_an_edit_chain_parses_the_metadata_once(golden_archive_bytes, parses):
     for i in range(20):
         archive = remove_entry(archive, f"added/{i}.txt")
     assert archive.metadata is opened.metadata
+    assert len(parses) == 1
+
+
+def test_an_edit_leaves_an_unread_metadata_file_unparsed(parses):
+    archive = create_archive([("metadata.rdf", OMEX_METADATA_FORMAT_URI, False,
+                               _described("unread"))])
+    edited = add_entry(archive, "n.txt", TEXT, b"n")
+    assert parses == []
+    assert edited.metadata.get(".").description == "unread"
     assert len(parses) == 1
 
 
