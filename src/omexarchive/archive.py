@@ -174,7 +174,7 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
         container.add(_Written(location, lambda: serialize_metadata(metadata)))
     if added or remove is not None:
         manifest = manifest.edited(added, remove)
-    if manifest is not base.manifest:
+    if manifest is not base.manifest or MANIFEST_FILENAME not in container:
         if MANIFEST_FILENAME in container:  # no longer the manifest read
             container.remove(MANIFEST_FILENAME)
         container.add(_Written(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))

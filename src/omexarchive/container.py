@@ -1,26 +1,28 @@
 """Byte-level ZIP container access with deterministic serialization.
 
-Entries are kept in memory. Reading goes through `zipfile`, which
-inflates each member and checks its CRC-32; for a stored or deflated
-member the container also keeps that member's compressed bytes, as a
-view of the input, and its CRC. A member's declared range, its central
-compressed size counted from the end of its local header, must end by
-the next local header or the central directory: members that overlap,
-as in zip bombs, are refused on every interpreter, where `zipfile`
-refuses them only from Python 3.13 on. Writing emits the ZIP itself with fixed
-timestamps and a fixed entry order: an entry that still holds the bytes
-it was read with is copied as stored, with its compression method;
-any other is deflated with the stream `zipfile` uses. The layout and
-the zip64 rules are those of `zipfile`, so identical containers
-serialize to identical bytes, and a container read from an archive this
-module wrote serializes to that archive again.
+Entries are kept in memory. Reading parses the archive with `struct` and
+`zlib`, and takes and refuses what `zipfile` does: the end record, the
+zip64 records and prepended bytes are found as it finds them, names are
+taken as stored, and each member's local header must carry its signature
+and name. A member's declared range must end by the next local header or
+the central directory, so overlapping members, as in zip bombs, are
+refused. Stored, deflated, bzip2 and LZMA members are inflated, holding at
+most their declared size, and CRC-checked; where `zipfile` let a damaged
+bzip2 or LZMA stream raise, the member is refused. A stored or deflated
+member keeps its bytes as stored, a view of the input. Writing emits the
+ZIP itself with fixed timestamps and a fixed entry order: an entry that
+still holds the bytes it was read with is copied as stored, with its
+compression method; any other is deflated with the stream `zipfile` uses.
+The layout and the zip64 rules are those of `zipfile`, so identical
+containers serialize to identical bytes, and a container read from an
+archive this module wrote serializes to that archive again.
 """
 
 from __future__ import annotations
 
-import io
 import re
 import struct
+import sys
 import zipfile
 import zlib
 from collections import Counter
@@ -38,11 +40,6 @@ _SEGMENT_MAX = 255
 # Looks like a URI scheme or a Windows drive letter at the start of a path.
 _SCHEME_OR_DRIVE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-# What zipfile and zlib raise on damaged input besides BadZipFile: unknown
-# compression or encryption, undecodable names, bad deflate data, truncation.
-_ZIP_FAILURES = (zipfile.BadZipFile, zlib.error, EOFError,
-                 NotImplementedError, RuntimeError, ValueError)
-
 # Records of PKWARE APPNOTE 4.3, packed as zipfile packs them.
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
 _CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
@@ -50,7 +47,15 @@ _END_RECORD = struct.Struct("<4s4H2LH")
 _ZIP64_END_RECORD = struct.Struct("<4sQ2H2L4Q")
 _ZIP64_LOCATOR = struct.Struct("<4sLQL")
 _VERSION, _ZIP64_VERSION = 20, 45
+_MAX_EXTRACT_VERSION = 63  # the newest ZIP version zipfile reads
+_STORED, _DEFLATED, _BZIP2, _LZMA = 0, 8, 12, 14
 _UTF8_NAME = 0x800
+# flags of members zipfile cannot read without a password or at all:
+# encrypted, compressed patched data, strongly encrypted
+_UNREADABLE = 0x1 | 0x20 | 0x40
+# bytes inflated at a time past a member's declared size, from pieces of input
+# so short that copying what is left of one costs little
+_STEP, _PIECE = 1 << 16, 1 << 10
 _UNIX = 3
 _EXTERNAL_ATTR = 0o644 << 16
 # A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
@@ -194,53 +199,194 @@ class Container:
         return self.byte_map() == other.byte_map()
 
 
+def _zip64_fields(extra: bytes, size: int, stored: int, offset: int) -> tuple[int, int, int]:
+    """A central record's size, stored size and local header offset, with
+    those that max out read from its zip64 extra field, as zipfile reads them."""
+    while len(extra) >= 4:
+        kind, length = struct.unpack_from("<HH", extra)
+        if length + 4 > len(extra):
+            raise NotAZip(f"Corrupt extra field {kind:04x} (size={length})")
+        if kind == 1:  # 8 bytes for each field that maxes out, in this order
+            values, fields = extra[4:length + 4], [size, stored, offset]
+            for i, maxed in enumerate((size in (0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF),
+                                       stored == 0xFFFFFFFF, offset == 0xFFFFFFFF)):
+                if maxed:
+                    if len(values) < 8:
+                        raise NotAZip("Corrupt zip64 extra field")
+                    fields[i], values = int.from_bytes(values[:8], "little"), values[8:]
+            size, stored, offset = fields
+        extra = extra[length + 4:]
+    return size, stored, offset
+
+
+def _name(raw: bytes, flags: int) -> str:
+    """A ZIP name as zipfile decodes it: UTF-8 when flag 0x800 is set, cp437
+    otherwise; both read ASCII as ASCII, which UTF-8 decodes fastest."""
+    return raw.decode("utf-8" if flags & _UTF8_NAME or raw.isascii() else "cp437")
+
+
+def _directory(data: bytes) -> tuple[int, list[tuple]]:
+    """Where the central directory starts, and its records in central order:
+    (name, flags, method, CRC-32, stored size, size, local header offset).
+
+    The end record, its zip64 records and any bytes prepended to the
+    archive are found as zipfile finds them.
+    """
+    end = len(data) - _END_RECORD.size
+    if not (end >= 0 and data.startswith(b"PK\x05\x06", end) and data.endswith(b"\0\0")):
+        # a comment follows the end record: take the last signature within 64 KiB
+        end = data.rfind(b"PK\x05\x06", max(end - (1 << 16), 0))
+        if end < 0 or end + _END_RECORD.size > len(data):
+            raise NotAZip("File is not a zip file")
+    *_, length, offset, _ = _END_RECORD.unpack_from(data, end)
+    start = end - length
+    # a zip64 end record and its locator lie right before the end record
+    zip64_end = end - _ZIP64_LOCATOR.size
+    signature, disk, _, disks = _ZIP64_LOCATOR.unpack_from(data, max(zip64_end, 0))
+    if signature == b"PK\x06\x07":
+        if disk != 0 or disks > 1:
+            raise NotAZip("zipfiles that span multiple disks are not supported")
+        zip64_end -= _ZIP64_END_RECORD.size
+        record = data[max(zip64_end, 0):max(zip64_end, 0) + _ZIP64_END_RECORD.size]
+        if len(record) == _ZIP64_END_RECORD.size and record.startswith(b"PK\x06\x06"):
+            *_, length, offset = _ZIP64_END_RECORD.unpack(record)
+            start = zip64_end - length
+    if start < 0:
+        raise NotAZip("Bad offset for central directory")
+    prepended = start - offset
+    central, at, records = data[start:start + length], 0, []
+    while at < length:
+        if at + _CENTRAL_HEADER.size > length:
+            raise NotAZip("Truncated central directory")
+        (signature, _, _, version, _, flags, method, _, _, crc, stored, size, name_length,
+         extra_length, comment_length, _, _, _, offset) = _CENTRAL_HEADER.unpack_from(central, at)
+        if signature != b"PK\x01\x02":
+            raise NotAZip("Bad magic number for central directory")
+        at += _CENTRAL_HEADER.size
+        try:
+            name = _name(central[at:at + name_length], flags)
+        except UnicodeDecodeError as exc:
+            raise NotAZip(str(exc)) from exc
+        if version > _MAX_EXTRACT_VERSION:
+            raise NotAZip(f"zip file version {version / 10:.1f}")
+        at += name_length
+        size, stored, offset = _zip64_fields(central[at:at + extra_length], size, stored, offset)
+        records.append((name, flags, method, crc, stored, size, offset + prepended))
+        at += extra_length + comment_length
+    return start, records
+
+
+def _inflate(method: int, stored: memoryview, size: int) -> tuple[bytes, bool]:
+    """The first `size` bytes a member inflates to, and whether its stream ended.
+
+    zipfile inflates a whole stream and keeps its first `size` bytes, so
+    damage anywhere in it refuses the member: what lies past `size` is
+    inflated a step at a time and dropped, which keeps memory bounded.
+    Damaged data raises ValueError.
+    """
+    # what the decompressors raise on damaged data; the except clause reads it
+    # when one raises, so the LZMA branch can add its own
+    damaged: tuple[type[Exception], ...] = (zlib.error, OSError)  # bz2 raises OSError
+    limit = min(size + 1, sys.maxsize)
+    try:
+        if method == _DEFLATED:
+            inflater = zlib.decompressobj(-15)
+            payload = inflater.decompress(stored, limit)
+            if len(payload) > size:  # fed in pieces, so the input left is never copied whole
+                rest = memoryview(inflater.unconsumed_tail)
+                for at in range(0, len(rest), _PIECE):
+                    piece = rest[at:at + _PIECE]
+                    while piece and not inflater.eof:
+                        inflater.decompress(piece, _STEP)
+                        piece = inflater.unconsumed_tail
+            return payload[:size], inflater.eof
+        if method == _BZIP2:
+            import bz2
+            inflater = bz2.BZ2Decompressor()
+        else:  # LZMA: a version and the length of the LZMA1 properties that follow
+            import lzma
+            damaged += (lzma.LZMAError,)
+            end = 4 + int.from_bytes(stored[2:4], "little")
+            if len(stored) <= end:  # zipfile reads no bytes from such a member
+                return b"", False
+            inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
+                lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(stored[4:end]))])
+            stored = stored[end:]
+        payload = inflater.decompress(stored, limit)
+        while len(payload) > size and not inflater.eof and not inflater.needs_input:
+            inflater.decompress(b"", _STEP)
+        return payload[:size], inflater.eof
+    except damaged as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerEntry:
+    """The member a central record describes, whose bytes must end by `end`,
+    where the next member or the central directory starts."""
+    name, flags, method, crc, stored_size, size, at = record
+
+    def refuse(reason: str) -> CorruptEntry:
+        return CorruptEntry(name, f"corrupt entry {name!r}: {reason}")
+
+    if not 0 <= at <= len(data) - _LOCAL_HEADER.size:
+        raise refuse("its local header lies outside the archive")
+    (signature, _, _, local_flags, *_, name_length,
+     extra_length) = _LOCAL_HEADER.unpack_from(data, at)
+    start = at + _LOCAL_HEADER.size + name_length + extra_length
+    if start + stored_size > end:
+        raise refuse("its declared size reaches into the next member or the central directory")
+    try:
+        local_name = _name(data[at + _LOCAL_HEADER.size:start - extra_length], local_flags)
+    except UnicodeDecodeError:
+        local_name = None
+    if signature != b"PK\x03\x04" or local_name != name:
+        raise refuse("its local header does not match its central record")
+    if flags & _UNREADABLE:
+        raise refuse("encrypted or patched data")
+    if method not in (_STORED, _DEFLATED, _BZIP2, _LZMA):
+        raise refuse(f"compression type {method}")
+    stored = view[start:start + stored_size]
+    if method == _STORED:
+        payload, ended = bytes(stored[:size]), False
+    else:
+        try:
+            payload, ended = _inflate(method, stored, size)
+        except ValueError as exc:
+            raise refuse(str(exc)) from exc
+    # bytes missing at the end of the archive are refused unless the member
+    # got all it needs without them
+    if len(stored) < stored_size and not (stored and (ended or len(payload) >= size)):
+        raise refuse("its data runs past the end of the archive")
+    if zlib.crc32(payload) != crc:
+        raise refuse(f"Bad CRC-32 for file {name!r}")
+    entry = ContainerEntry(name, payload)
+    if method in (_STORED, _DEFLATED):  # a stored member's payload is its first bytes
+        raw = stored[:len(payload)] if method == _STORED else stored
+        object.__setattr__(entry, "raw", (method, crc, raw))
+    return entry
+
+
 def open_container(data: bytes) -> Container:
     """Read a ZIP stream into a Container, rejecting unsafe entry names and
     members whose declared range reaches into the next one.
 
     Each stored or deflated member keeps its bytes as stored, a view of
-    `data` taken after zipfile has inflated the member and checked its
-    CRC-32.
+    `data`, once they have been inflated and their CRC-32 checked.
     """
     data = bytes(data)  # a no-op for bytes; copies a bytearray the caller may change
     view = memoryview(data)
-    try:
-        zf = zipfile.ZipFile(io.BytesIO(data))
-    except _ZIP_FAILURES as exc:
-        raise NotAZip(str(exc)) from exc
+    directory, records = _directory(data)
+    # a member's bytes end where the next member or the central directory starts
+    offsets = sorted({record[-1] for record in records})
+    ends = dict(zip(offsets, offsets[1:] + [directory]))
     container = Container()
-    with zf:
-        # a member's bytes end where the next member or the central directory starts
-        offsets = sorted(info.header_offset for info in zf.infolist())
-        region_end = dict(zip(offsets, offsets[1:] + [zf.start_dir]))
-        for info in zf.infolist():
-            name = info.orig_filename  # as stored: `filename` is cut at a NUL
-            if name.endswith("/"):  # a directory entry; ContainerEntry checks the others
-                if name.rstrip("/"):
-                    check_path(name.rstrip("/"))
-                continue
-            # the member's bytes follow its local header's name and extra
-            # field, whose lengths are at offset 26 (zf.read checks the rest);
-            # a truncated header puts `start` past the region
-            at = info.header_offset
-            start = (at + _LOCAL_HEADER.size + int.from_bytes(data[at + 26:at + 28], "little")
-                     + int.from_bytes(data[at + 28:at + 30], "little"))
-            if start + info.compress_size > region_end[at]:
-                raise CorruptEntry(name, f"corrupt entry {name!r}: its declared size reaches "
-                                         "into the next member or the central directory")
-            try:
-                payload = zf.read(info)
-            except _ZIP_FAILURES as exc:
-                raise CorruptEntry(name, f"corrupt entry {name!r}: {exc}") from exc
-            entry = ContainerEntry(name, payload)
-            if info.compress_type in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-                # zipfile reads a stored member's payload from its first bytes
-                # and stops inflating at the end of the deflate stream
-                size = (len(payload) if info.compress_type == zipfile.ZIP_STORED
-                        else info.compress_size)
-                object.__setattr__(entry, "raw",
-                                   (info.compress_type, info.CRC, view[start:start + size]))
-            container.add(entry)
+    for record in records:
+        name = record[0]
+        if name.endswith("/"):  # a directory entry; ContainerEntry checks the others
+            if name.rstrip("/"):
+                check_path(name.rstrip("/"))
+            continue
+        container.add(_entry(data, view, record, ends[record[-1]]))
     return container
 
 
@@ -256,7 +402,7 @@ def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
         return method, crc, [stored]
     # the stream zipfile.writestr produces at this level
     deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
-    return (zipfile.ZIP_DEFLATED, zlib.crc32(entry.data),
+    return (_DEFLATED, zlib.crc32(entry.data),
             [deflater.compress(entry.data), deflater.flush()])
 
 

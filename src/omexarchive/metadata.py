@@ -4,7 +4,8 @@ A block is a top-level rdf:Description whose one attribute is an rdf:about
 naming a container path. Its Dublin Core description, vCard creators,
 created and modified dates are modelled; every other child of a block, and
 every other node inside rdf:RDF, comments included, is kept as read and
-written back as it stood, under the document's own prefixes.
+written back as it stood, under the document's own prefixes. So are the
+comments and processing instructions before and after rdf:RDF.
 """
 
 from __future__ import annotations
@@ -144,13 +145,17 @@ class MetadataSet:
     """Description blocks keyed by the container path their `about` names.
 
     `kept` holds the other top-level nodes and `attrib` the attributes of
-    rdf:RDF. `prefixes` maps the namespace URIs the document declared to
-    the prefixes they are written with; it does not count in equality.
+    rdf:RDF; `before` and `after` hold the comments and processing
+    instructions outside it. `prefixes` maps the namespace URIs the
+    document declared to the prefixes they are written with; it does not
+    count in equality.
     """
     blocks: dict[str, DescriptionBlock] = field(default_factory=dict)
     kept: list[ET.Element] = field(default_factory=list)
     attrib: dict[str, str] = field(default_factory=dict)
     prefixes: dict[str, str] = field(default_factory=dict)
+    before: list[ET.Element] = field(default_factory=list)
+    after: list[ET.Element] = field(default_factory=list)
 
     def add(self, block: DescriptionBlock) -> None:
         """Add a block; one about a path already described raises DuplicateLocation."""
@@ -165,8 +170,11 @@ class MetadataSet:
     def __eq__(self, other):
         if not isinstance(other, MetadataSet):
             return NotImplemented
-        return ((self.blocks, list(map(_tree, self.kept)), self.attrib)
-                == (other.blocks, list(map(_tree, other.kept)), other.attrib))
+        return self._value() == other._value()
+
+    def _value(self) -> tuple:
+        return (self.blocks, self.attrib,
+                *(list(map(_tree, nodes)) for nodes in (self.kept, self.before, self.after)))
 
 
 def _binder(prefixes: dict[str, str]):
@@ -219,10 +227,18 @@ def _creator_from(elem: ET.Element) -> Creator | None:
 def parse_metadata(xml: bytes) -> MetadataSet:
     prefixes = {_XML_NS: "xml"}
     bind = _binder(prefixes)
+    nodes: list[ET.Element] = []  # the comments and processing instructions, in order
+    opened = None  # how many came before rdf:RDF, which declares the first namespace
     try:
         parser = ET.XMLParser(target=ET.TreeBuilder(insert_comments=True, insert_pis=True))
-        events = ET.iterparse(io.BytesIO(xml), ("start-ns",), parser)
-        for _, (prefix, uri) in events:
+        events = ET.iterparse(io.BytesIO(xml), ("start-ns", "comment", "pi"), parser)
+        for event, value in events:
+            if event != "start-ns":
+                nodes.append(value)
+                continue
+            if opened is None:
+                opened = len(nodes)
+            prefix, uri = value
             if uri not in prefixes:
                 bind(uri, prefix)
         root = events.root
@@ -232,7 +248,12 @@ def parse_metadata(xml: bytes) -> MetadataSet:
         raise NotRdf(f"root element {root.tag!r}, expected rdf:RDF")
     del prefixes[_XML_NS]
 
-    result = MetadataSet(attrib=dict(root.attrib), prefixes=prefixes)
+    opened = opened or 0
+    # those after the first namespace are inside rdf:RDF, where the tree holds them, or after it
+    inside = ({id(node) for node in root.iter() if not isinstance(node.tag, str)}
+              if len(nodes) > opened else set())
+    result = MetadataSet(attrib=dict(root.attrib), prefixes=prefixes, before=nodes[:opened],
+                         after=[node for node in nodes[opened:] if id(node) not in inside])
     for node in root:
         try:  # a block is an rdf:Description about a path, with no other attribute
             key = (check_location(node.get(_ABOUT_ATTR)) if node.tag == _DESCRIPTION_TAG
@@ -309,6 +330,13 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
                           if tag[0] == "{" else tag)
         return names[tag]
 
+    def lines(nodes: list[ET.Element]) -> list[str]:
+        out: list[str] = []
+        for node in nodes:
+            write_element(out, node, qname)
+            out.append("\n")
+        return out
+
     body: list[str] = []
     try:
         for key in sorted(metadata.blocks):
@@ -324,8 +352,9 @@ def serialize_metadata(metadata: MetadataSet) -> bytes:
     declared = {uri: prefixes[uri] for uri in _PREFIXES} | prefixes  # the modelled first
     del declared[_XML_NS]
     xmlns = "\n  ".join(f"xmlns:{p}={quote_attribute(uri)}" for uri, p in declared.items())
-    document = "".join(['<?xml version="1.0" encoding="UTF-8"?>\n',
-                        f"<{rdf} {xmlns}{attributes}>", *body, f"\n</{rdf}>\n"])
+    document = "".join(['<?xml version="1.0" encoding="UTF-8"?>\n', *lines(metadata.before),
+                        f"<{rdf} {xmlns}{attributes}>", *body, f"\n</{rdf}>\n",
+                        *lines(metadata.after)])
     data = encode_document(document, InvalidMetadata)
     try:  # names, targets and comments the writer does not judge, read as a reader will
         expat.ParserCreate(namespace_separator="}").Parse(data, True)

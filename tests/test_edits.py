@@ -211,10 +211,12 @@ def test_set_metadata_writes_the_file_the_manifest_lists():
 def test_set_metadata_writes_a_listed_file_the_container_lacks():
     listed = Archive(Container(), Manifest((ContentEntry(".", OMEX_FORMAT_URI),
                                             ContentEntry("x.rdf", OMEX_METADATA_FORMAT_URI))))
-    written = set_metadata(listed, _stamp())
-    assert written.container.paths() == ["x.rdf"]
-    assert written.manifest is listed.manifest
-    assert written.metadata == _stamp()
+    for metadata in (_stamp(), MetadataSet()):  # the manifest goes in though it is unchanged
+        written = set_metadata(listed, metadata)
+        assert written.container.paths() == ["x.rdf", "manifest.xml"]
+        assert written.manifest is listed.manifest
+        assert written.metadata == metadata
+        _reopens_as_it_is(written)
 
 
 def test_the_manifest_is_never_the_metadata_file(golden_files):

@@ -489,3 +489,21 @@ def test_an_empty_comment_is_written_empty():
     data = serialize_metadata(MetadataSet(kept=[ET.Comment()]))
     assert b"<!---->" in data
     assert [(n.tag, n.text) for n in parse_metadata(data).kept] == [(ET.Comment, "")]
+
+
+def test_comments_and_instructions_outside_rdf_are_kept_in_place(golden_metadata_xml):
+    declaration, rest = golden_metadata_xml.split(b"\n", 1)
+    xml = (declaration + b"\n<!-- keep me -->\n<?pi before?>\n" + rest
+           + b"<!-- after -->\n<?pi after?>\n")
+    meta = parse_metadata(xml)
+    assert [(n.tag, n.text) for n in meta.before] == [(ET.Comment, " keep me "),
+                                                      (ET.PI, "pi before")]
+    assert [(n.tag, n.text) for n in meta.after] == [(ET.Comment, " after "), (ET.PI, "pi after")]
+    assert meta.kept == []
+    written = serialize_metadata(meta)
+    places = [written.index(part) for part in (b"<!-- keep me -->", b"<?pi before?>",
+                                               b"<rdf:RDF", b"</rdf:RDF>", b"<!-- after -->",
+                                               b"<?pi after?>")]
+    assert places == sorted(places)
+    assert parse_metadata(written) == meta
+    assert parse_metadata(written) != parse_metadata(golden_metadata_xml)
