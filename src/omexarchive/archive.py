@@ -53,18 +53,6 @@ class ValidationMode(enum.Enum):
     LENIENT = "lenient"
 
 
-class _Written:
-    """A member holding what `write()` returns, called when its bytes are first read."""
-    raw = None
-
-    def __init__(self, path: str, write):
-        self.path, self._write = path, write
-
-    @cached_property
-    def data(self) -> bytes:
-        return self._write()
-
-
 @dataclass(frozen=True)
 class Archive:
     """An archive as a value: edits return new archives and leave this one as it was.
@@ -171,13 +159,13 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             new.append(location)
         if manifest.find(location) is None:
             added.append(ContentEntry(location, OMEX_METADATA_FORMAT_URI))
-        container.add(_Written(location, lambda: serialize_metadata(metadata)))
+        container.add(ContainerEntry(location, lambda: serialize_metadata(metadata)))
     if added or remove is not None:
         manifest = manifest.edited(added, remove)
     if manifest is not base.manifest or MANIFEST_FILENAME not in container:
         if MANIFEST_FILENAME in container:  # no longer the manifest read
             container.remove(MANIFEST_FILENAME)
-        container.add(_Written(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))
+        container.add(ContainerEntry(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))
 
     for path in new:
         if container.shares_path(path):

@@ -8,14 +8,15 @@ and name. A member's declared range must end by the next local header or
 the central directory, so overlapping members, as in zip bombs, are
 refused. Stored, deflated, bzip2 and LZMA members are inflated, holding at
 most their declared size, and CRC-checked; where `zipfile` let a damaged
-bzip2 or LZMA stream raise, the member is refused. A stored or deflated
-member keeps its bytes as stored, a view of the input. Writing emits the
-ZIP itself with fixed timestamps and a fixed entry order: an entry that
-still holds the bytes it was read with is copied as stored, with its
-compression method; any other is deflated with the stream `zipfile` uses.
-The layout and the zip64 rules are those of `zipfile`, so identical
-containers serialize to identical bytes, and a container read from an
-archive this module wrote serializes to that archive again.
+bzip2 or LZMA stream raise, or took a stream that ends before the declared
+size, the member is refused. A stored or deflated member keeps its bytes
+as stored, a view of the input. Writing emits the ZIP itself with fixed
+timestamps and a fixed entry order: an entry that still holds the bytes it
+was read with is copied as stored, with its compression method; any other
+is deflated with the stream `zipfile` uses. The layout and the zip64 rules
+are those of `zipfile`, so identical containers serialize to identical
+bytes, and a container read from an archive this module wrote serializes
+to that archive again.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import sys
 import zipfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
@@ -114,18 +114,32 @@ def case_collision(paths, directories) -> str | None:
     return next((d for d in sorted(directories) if files.get(d.casefold(), d) != d), None)
 
 
-@dataclass(frozen=True)
 class ContainerEntry:
-    path: str
-    data: bytes
-    # (compression method, CRC-32, bytes as stored in the archive read), set only
-    # by open_container: write_container copies these bytes as they stand, and
-    # dataclasses.replace, like __init__, leaves them unset.
-    raw: tuple[int, int, memoryview] | None = field(default=None, init=False, compare=False,
-                                                    repr=False)
+    """A member at a checked path. `data` is its bytes, or a callable that
+    returns them, called once, when `data` is first read. `stored` is
+    (compression method, CRC-32, bytes as stored) of a member read, which
+    write_container copies as they stand. Entries compare, hash and print
+    by path and bytes alone."""
 
-    def __post_init__(self):
-        check_path(self.path)
+    def __init__(self, path: str, data, stored: tuple[int, int, memoryview] | None = None):
+        self.path, self._data, self.stored = check_path(path), data, stored
+
+    @property
+    def data(self) -> bytes:
+        if callable(self._data):
+            self._data = self._data()
+        return self._data
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ContainerEntry):
+            return NotImplemented
+        return (self.path, self.data) == (other.path, other.data)
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.data))
+
+    def __repr__(self) -> str:
+        return f"ContainerEntry(path={self.path!r}, data={self.data!r})"
 
 
 class Container:
@@ -276,8 +290,8 @@ def _directory(data: bytes) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _inflate(method: int, stored: memoryview, size: int) -> tuple[bytes, bool]:
-    """The first `size` bytes a member inflates to, and whether its stream ended.
+def _inflate(method: int, stored: memoryview, size: int) -> bytes:
+    """The first `size` bytes a member inflates to, or all of them when fewer.
 
     zipfile inflates a whole stream and keeps its first `size` bytes, so
     damage anywhere in it refuses the member: what lies past `size` is
@@ -299,7 +313,7 @@ def _inflate(method: int, stored: memoryview, size: int) -> tuple[bytes, bool]:
                     while piece and not inflater.eof:
                         inflater.decompress(piece, _STEP)
                         piece = inflater.unconsumed_tail
-            return payload[:size], inflater.eof
+            return payload[:size]
         if method == _BZIP2:
             import bz2
             inflater = bz2.BZ2Decompressor()
@@ -308,14 +322,14 @@ def _inflate(method: int, stored: memoryview, size: int) -> tuple[bytes, bool]:
             damaged += (lzma.LZMAError,)
             end = 4 + int.from_bytes(stored[2:4], "little")
             if len(stored) <= end:  # zipfile reads no bytes from such a member
-                return b"", False
+                return b""
             inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
                 lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(stored[4:end]))])
             stored = stored[end:]
         payload = inflater.decompress(stored, limit)
         while len(payload) > size and not inflater.eof and not inflater.needs_input:
             inflater.decompress(b"", _STEP)
-        return payload[:size], inflater.eof
+        return payload[:size]
     except damaged as exc:
         raise ValueError(str(exc)) from exc
 
@@ -347,23 +361,23 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
         raise refuse(f"compression type {method}")
     stored = view[start:start + stored_size]
     if method == _STORED:
-        payload, ended = bytes(stored[:size]), False
+        payload = bytes(stored[:size])
     else:
         try:
-            payload, ended = _inflate(method, stored, size)
+            payload = _inflate(method, stored, size)
         except ValueError as exc:
             raise refuse(str(exc)) from exc
     # bytes missing at the end of the archive are refused unless the member
     # got all it needs without them
-    if len(stored) < stored_size and not (stored and (ended or len(payload) >= size)):
+    if len(stored) < stored_size and not (stored and len(payload) == size):
         raise refuse("its data runs past the end of the archive")
+    if len(payload) < size:
+        raise refuse("its data ends before its declared size")
     if zlib.crc32(payload) != crc:
         raise refuse(f"Bad CRC-32 for file {name!r}")
-    entry = ContainerEntry(name, payload)
-    if method in (_STORED, _DEFLATED):  # a stored member's payload is its first bytes
-        raw = stored[:len(payload)] if method == _STORED else stored
-        object.__setattr__(entry, "raw", (method, crc, raw))
-    return entry
+    if method == _STORED:  # its payload is its first bytes
+        return ContainerEntry(name, payload, (method, crc, stored[:size]))
+    return ContainerEntry(name, payload, (method, crc, stored) if method == _DEFLATED else None)
 
 
 def open_container(data: bytes) -> Container:
@@ -397,8 +411,8 @@ def _write_order(paths: list[str]) -> list[str]:
 
 def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
     """An entry's compression method, CRC-32 and bytes as stored, in parts."""
-    if entry.raw is not None:
-        method, crc, stored = entry.raw
+    if entry.stored is not None:
+        method, crc, stored = entry.stored
         return method, crc, [stored]
     # the stream zipfile.writestr produces at this level
     deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
@@ -411,7 +425,7 @@ def write_container(container: Container) -> bytes:
 
     The bytes are those zipfile.ZipFile.writestr writes for the same
     entries, zip64 records included, except that a member that still
-    holds its raw bytes is copied instead of deflated again.
+    holds its bytes as stored is copied instead of deflated again.
     """
     zip64_limit = zipfile.ZIP64_LIMIT  # read at call time, as zipfile does
     # Parts are joined once at the end: growing one buffer instead raised

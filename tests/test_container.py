@@ -154,6 +154,24 @@ def test_entry_accepts_segments_of_255_bytes(path):
     assert ContainerEntry(path, b"").path == path
 
 
+def test_a_written_member_checks_its_path_before_it_writes():
+    calls = []
+    with pytest.raises(UnsafePath, match="parent-directory segment"):
+        ContainerEntry("../x", lambda: calls.append(1) or b"x")
+    assert calls == []
+
+
+def test_a_written_member_writes_once_however_often_it_is_read():
+    calls = []
+    entry = ContainerEntry("a.txt", lambda: calls.append(1) or b"written")
+    assert calls == []
+    assert [entry.data, entry.data] == [b"written", b"written"]
+    assert entry == ContainerEntry("a.txt", b"written")
+    assert hash(entry) == hash(ContainerEntry("a.txt", b"written"))
+    assert write_container(Container([entry])) == write_container(Container([entry]))
+    assert calls == [1]
+
+
 def test_open_rejects_a_long_zip_name():
     with pytest.raises(UnsafePath, match="segment too long"):
         open_container(raw_zip([("d/" + "a" * 256, b"")]))
