@@ -12,11 +12,13 @@ bzip2 or LZMA stream raise, or took a stream that ends before the declared
 size, the member is refused. A stored or deflated member keeps its bytes
 as stored, a view of the input. Writing emits the ZIP itself with fixed
 timestamps and a fixed entry order: an entry that still holds the bytes it
-was read with is copied as stored, with its compression method; any other
-is deflated with the stream `zipfile` uses. The layout and the zip64 rules
-are those of `zipfile`, so identical containers serialize to identical
-bytes, and a container read from an archive this module wrote serializes
-to that archive again.
+was read with is copied as stored, with its compression method; an entry
+longer than 64 KiB whose first 64 KiB deflate no smaller is stored; any
+other is deflated with the stream `zipfile` uses. The layout and the zip64
+rules are those of `zipfile`: the bytes are those `zipfile.writestr` writes
+except for the members copied or stored, identical containers serialize to
+identical bytes, and a container read from an archive this module wrote
+serializes to that archive again.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
 # Fixed DOS date and time for every written entry: the ZIP epoch, 1980-01-01.
 _DOS_DATE, _DOS_TIME = (1 << 5) | 1, 0
 _DEFLATE_LEVEL = 6
+# A new member longer than this is stored when deflating its first this many
+# bytes does not shrink them, as already compressed data does not shrink; a
+# shorter one is always deflated, as zipfile.writestr deflates it.
+_PROBE = 1 << 16
 # The longest path segment in UTF-8 bytes: the name limit of ext4, APFS, NTFS.
 _SEGMENT_MAX = 255
 
@@ -414,10 +420,14 @@ def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
     if entry.stored is not None:
         method, crc, stored = entry.stored
         return method, crc, [stored]
+    data = entry.data
+    if len(data) > _PROBE:
+        probe = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
+        if len(probe.compress(memoryview(data)[:_PROBE])) + len(probe.flush()) >= _PROBE:
+            return _STORED, zlib.crc32(data), [data]
     # the stream zipfile.writestr produces at this level
     deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
-    return (_DEFLATED, zlib.crc32(entry.data),
-            [deflater.compress(entry.data), deflater.flush()])
+    return _DEFLATED, zlib.crc32(data), [deflater.compress(data), deflater.flush()]
 
 
 def write_container(container: Container) -> bytes:
@@ -425,7 +435,9 @@ def write_container(container: Container) -> bytes:
 
     The bytes are those zipfile.ZipFile.writestr writes for the same
     entries, zip64 records included, except that a member that still
-    holds its bytes as stored is copied instead of deflated again.
+    holds its bytes as stored is copied instead of deflated again, and a
+    member longer than 64 KiB whose first 64 KiB deflate no smaller is
+    written ZIP_STORED, as writestr would write it stored.
     """
     zip64_limit = zipfile.ZIP64_LIMIT  # read at call time, as zipfile does
     # Parts are joined once at the end: growing one buffer instead raised

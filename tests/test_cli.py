@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,34 @@ def test_pack_unpack_round_trip(fixture_dir, tmp_path, capsys):
         if path.is_file():
             rel = path.relative_to(fixture_dir)
             assert (dest / rel).read_bytes() == path.read_bytes()
+
+
+def test_a_random_file_is_packed_stored_and_kept_stored(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    blob = random.Random(17).randbytes(1 << 20)
+    (src / "blob.bin").write_bytes(blob)
+    (src / "notes.txt").write_bytes(b"notes on the run\n" * 100)
+    a, b = tmp_path / "a.omex", tmp_path / "b.omex"
+    for out in (a, b):
+        assert main(["pack", str(src), str(out), "--no-stamp", "--ext", "omex"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+    def info(name):
+        with zipfile.ZipFile(a) as zf:
+            return zf.getinfo(name)
+
+    packed = info("blob.bin")
+    assert packed.compress_type == zipfile.ZIP_STORED
+    assert info("notes.txt").compress_type == zipfile.ZIP_DEFLATED
+    assert main(["meta", str(a), "set", "--description", "random bytes"]) == 0
+    kept = info("blob.bin")
+    assert ((kept.compress_type, kept.compress_size, kept.file_size, kept.CRC)
+            == (zipfile.ZIP_STORED, packed.compress_size, packed.file_size, packed.CRC))
+    dest = tmp_path / "dest"
+    assert main(["unpack", str(a), str(dest)]) == 0
+    capsys.readouterr()
+    assert (dest / "blob.bin").read_bytes() == blob
 
 
 def test_pack_unpack_keeps_percent_and_space_names(tmp_path, capsys):

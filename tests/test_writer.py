@@ -30,15 +30,16 @@ from omexarchive.errors import CorruptEntry
 TEXT = "http://purl.org/NET/mediatypes/text/plain"
 
 
-def zipfile_write(container: Container) -> bytes:
-    """The oracle: what zipfile.writestr writes for the container's entries."""
+def zipfile_write(container: Container, stored: frozenset[str] = frozenset()) -> bytes:
+    """The oracle: what zipfile.writestr writes for the container's entries,
+    those at `stored` as ZIP_STORED and the rest deflated."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", allowZip64=True) as zf:
         for path in _write_order(container.paths()):
             info = zipfile.ZipInfo(path, date_time=(1980, 1, 1, 0, 0, 0))
             info.create_system = 3
             info.external_attr = 0o644 << 16
-            info.compress_type = zipfile.ZIP_DEFLATED
+            info.compress_type = zipfile.ZIP_STORED if path in stored else zipfile.ZIP_DEFLATED
             zf.writestr(info, container.get(path), compresslevel=6)
     return buf.getvalue()
 
@@ -243,3 +244,64 @@ def test_crc_corrupt_member_is_still_corrupt_entry():
     assert exc.value.path == "model.xml"
     report = validate_archive(bytes(corrupt), ValidationMode.LENIENT)
     assert [f.rule for f in report.errors] == ["corrupt-entry"]
+
+
+def _methods(data: bytes) -> dict[str, int]:
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        return {info.filename: info.compress_type for info in zf.infolist()}
+
+
+def test_a_long_member_deflate_cannot_shrink_is_stored():
+    container = Container([ContainerEntry("manifest.xml", b"<omexManifest/>"),
+                           ContainerEntry("blob.bin", random.Random(6).randbytes(200_000))])
+    written = write_container(container)
+    assert _methods(written) == {"manifest.xml": zipfile.ZIP_DEFLATED,
+                                 "blob.bin": zipfile.ZIP_STORED}
+    assert written == zipfile_write(container, stored=frozenset({"blob.bin"}))
+    assert open_container(written) == container
+
+
+def test_a_member_of_64_kib_is_not_probed():
+    container = Container([ContainerEntry("blob.bin", random.Random(7).randbytes(1 << 16))])
+    written = write_container(container)
+    assert _methods(written) == {"blob.bin": zipfile.ZIP_DEFLATED}
+    assert written == zipfile_write(container)
+
+
+def test_the_probe_reads_only_the_first_64_kib():
+    # the zeros after the probe would deflate to almost nothing, yet the
+    # member is stored: the price of reading 64 KiB instead of the whole
+    data = random.Random(8).randbytes(1 << 16) + bytes(500_000)
+    written = write_container(Container([ContainerEntry("blob.bin", data)]))
+    assert _methods(written) == {"blob.bin": zipfile.ZIP_STORED}
+    assert stored_bytes(written, "blob.bin") == data
+
+
+def test_a_stored_member_under_a_lowered_zip64_limit(monkeypatch):
+    # the stored member is over the limit, and the member after it starts past it
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 70_000)
+    container = Container([ContainerEntry("a.bin", random.Random(9).randbytes(80_000)),
+                           ContainerEntry("b.txt", b"small")])
+    written = write_container(container)
+    assert _methods(written)["a.bin"] == zipfile.ZIP_STORED
+    assert written == zipfile_write(container, stored=frozenset({"a.bin"}))
+    assert write_container(open_container(written)) == written
+
+
+def test_a_long_member_deflate_shrinks_is_deflated():
+    text = (b"<species id='s1' compartment='c1' initialAmount='1'/>\n" * 4_000)[:200_000]
+    container = Container([ContainerEntry("a.txt", text)])
+    written = write_container(container)
+    assert _methods(written) == {"a.txt": zipfile.ZIP_DEFLATED}
+    assert written == zipfile_write(container)
+
+
+def test_an_edit_copies_a_member_written_stored():
+    data = random.Random(10).randbytes(200_000)
+    packed = open_archive(_zipfile_archive(b"<sbml/>", zipfile.ZIP_DEFLATED))
+    archive = open_archive(add_entry(packed, "blob.bin", TEXT, data).to_bytes())
+    read = [e for e in archive.container.entries if e.path == "blob.bin"][0]
+    assert read.stored is not None and read.stored[0] == zipfile.ZIP_STORED
+    edited = add_entry(archive, "b.txt", TEXT, b"b").to_bytes()
+    assert _methods(edited)["blob.bin"] == zipfile.ZIP_STORED
+    assert stored_bytes(edited, "blob.bin") == stored_bytes(archive.to_bytes(), "blob.bin") == data
