@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 import struct
 import sys
-import zipfile
 import zlib
 from collections import Counter
 from typing import Iterator
@@ -63,6 +62,8 @@ _UNREADABLE = 0x1 | 0x20 | 0x40
 # so short that copying what is left of one costs little
 _STEP, _PIECE = 1 << 16, 1 << 10
 _UNIX = 3
+# zipfile's ZIP64_LIMIT and ZIP_FILECOUNT_LIMIT: past them a record needs zip64
+_ZIP64_LIMIT, _FILECOUNT_LIMIT = (1 << 31) - 1, (1 << 16) - 1
 _EXTERNAL_ATTR = 0o644 << 16
 # A ZIP tree can hold `a` and `a/b`; a filesystem cannot.
 _SHARED_PATH = "file and directory share a path"
@@ -296,7 +297,7 @@ def _directory(data: bytes) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _inflate(method: int, stored: memoryview, size: int) -> bytes:
+def _inflate(method: int, stored: memoryview, size: int) -> bytes | memoryview:
     """The first `size` bytes a member inflates to, or all of them when fewer.
 
     zipfile inflates a whole stream and keeps its first `size` bytes, so
@@ -309,6 +310,8 @@ def _inflate(method: int, stored: memoryview, size: int) -> bytes:
     damaged: tuple[type[Exception], ...] = (zlib.error, OSError)  # bz2 raises OSError
     limit = min(size + 1, sys.maxsize)
     try:
+        if method == _STORED:
+            return stored[:size]
         if method == _DEFLATED:
             inflater = zlib.decompressobj(-15)
             payload = inflater.decompress(stored, limit)
@@ -366,13 +369,10 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
     if method not in (_STORED, _DEFLATED, _BZIP2, _LZMA):
         raise refuse(f"compression type {method}")
     stored = view[start:start + stored_size]
-    if method == _STORED:
-        payload = bytes(stored[:size])
-    else:
-        try:
-            payload = _inflate(method, stored, size)
-        except ValueError as exc:
-            raise refuse(str(exc)) from exc
+    try:
+        payload = _inflate(method, stored, size)
+    except ValueError as exc:
+        raise refuse(str(exc)) from exc
     # bytes missing at the end of the archive are refused unless the member
     # got all it needs without them
     if len(stored) < stored_size and not (stored and len(payload) == size):
@@ -381,8 +381,8 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
         raise refuse("its data ends before its declared size")
     if zlib.crc32(payload) != crc:
         raise refuse(f"Bad CRC-32 for file {name!r}")
-    if method == _STORED:  # its payload is its first bytes
-        return ContainerEntry(name, payload, (method, crc, stored[:size]))
+    if method == _STORED:  # its payload is a view of the input, copied when first read
+        return ContainerEntry(name, payload.tobytes, (method, crc, payload))
     return ContainerEntry(name, payload, (method, crc, stored) if method == _DEFLATED else None)
 
 
@@ -439,7 +439,6 @@ def write_container(container: Container) -> bytes:
     member longer than 64 KiB whose first 64 KiB deflate no smaller is
     written ZIP_STORED, as writestr would write it stored.
     """
-    zip64_limit = zipfile.ZIP64_LIMIT  # read at call time, as zipfile does
     # Parts are joined once at the end: growing one buffer instead raised
     # the peak RSS of `omex meta set` on a 20 MiB archive by 11 MiB.
     local: list[bytes | memoryview] = []
@@ -448,14 +447,15 @@ def write_container(container: Container) -> bytes:
     for path in _write_order(container.paths()):
         entry = container._entries[path]
         method, crc, parts = _member(entry)
-        size, stored_size = len(entry.data), sum(map(len, parts))
+        stored_size = sum(map(len, parts))
+        size = stored_size if method == _STORED else len(entry.data)
         try:
             name, flags = path.encode("ascii"), 0
         except UnicodeEncodeError:
             name, flags = path.encode("utf-8"), _UTF8_NAME
 
         # zipfile picks the local zip64 extra from the size alone, before compressing
-        zip64 = size * 1.05 > zip64_limit
+        zip64 = size * 1.05 > _ZIP64_LIMIT
         version = _ZIP64_VERSION if zip64 else _VERSION
         extra = struct.pack("<HHQQ", 1, 16, size, stored_size) if zip64 else b""
         sizes = (0xFFFFFFFF, 0xFFFFFFFF) if zip64 else (stored_size, size)
@@ -465,10 +465,10 @@ def write_container(container: Container) -> bytes:
         local += (header, name, extra, *parts)
 
         # and the central zip64 extra from the values over the limit
-        over = [size, stored_size] if max(size, stored_size) > zip64_limit else []
+        over = [size, stored_size] if max(size, stored_size) > _ZIP64_LIMIT else []
         sizes = (0xFFFFFFFF, 0xFFFFFFFF) if over else (stored_size, size)
         header_offset = offset
-        if offset > zip64_limit:
+        if offset > _ZIP64_LIMIT:
             over.append(offset)
             header_offset = 0xFFFFFFFF
         if over:
@@ -485,8 +485,8 @@ def write_container(container: Container) -> bytes:
     count, directory_offset = len(container), offset
     directory_size = sum(map(len, central))
     end: list[bytes] = []
-    if (count > zipfile.ZIP_FILECOUNT_LIMIT or directory_offset > zip64_limit
-            or directory_size > zip64_limit):
+    if (count > _FILECOUNT_LIMIT or directory_offset > _ZIP64_LIMIT
+            or directory_size > _ZIP64_LIMIT):
         end += (_ZIP64_END_RECORD.pack(b"PK\x06\x06", 44, _ZIP64_VERSION,
                                        _ZIP64_VERSION, 0, 0, count, count,
                                        directory_size, directory_offset),

@@ -111,12 +111,20 @@ class InvalidFormatUri(OmexError):
 
 # -- metadata ----------------------------------------------------------------
 
+class MalformedMetadata(MalformedXml):
+    """The metadata is not well-formed XML."""
+    rule = "metadata-unreadable"
+    location = ""
+
+
 class NotRdf(OmexError):
     """The document is not the expected RDF/XML shape."""
+    rule = "metadata-unreadable"
 
 
 class BadTimestamp(OmexError):
     """A created/modified value is not a valid W3CDTF timestamp."""
+    rule = "metadata-unreadable"
 
     def __init__(self, value):
         self.value = value

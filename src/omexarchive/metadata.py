@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 from .errors import (BadTimestamp, DuplicateLocation, InvalidLocation, InvalidMetadata,
-                     MalformedXml, NotRdf)
+                     MalformedMetadata, NotRdf)
 from .manifest import (check_location, encode_document, format_attributes, quote_attribute,
                        write_element)
 from .report import ValidationReport
@@ -243,7 +243,7 @@ def parse_metadata(xml: bytes) -> MetadataSet:
                 bind(uri, prefix)
         root = events.root
     except ET.ParseError as exc:
-        raise MalformedXml(f"metadata is not well-formed XML: {exc}") from exc
+        raise MalformedMetadata(f"metadata is not well-formed XML: {exc}") from exc
     if root.tag != _RDF_TAG:
         raise NotRdf(f"root element {root.tag!r}, expected rdf:RDF")
     del prefixes[_XML_NS]

@@ -470,10 +470,16 @@ def test_unexpected_exception_exits_2(argv, golden_archive_file, tmp_path,
     assert capsys.readouterr().err == "error: boom\n"
 
 
-def test_importing_the_cli_leaves_urllib_request_unloaded():
+@pytest.mark.parametrize("flags,modules", [
     # xml.sax.saxutils imports urllib.request, 40 ms of every command's start
-    code = "import sys, omexarchive.cli; print('urllib.request' in sys.modules)"
+    ([], ["urllib.request"]),
+    # zipfile imports bz2, lzma, shutil and threading; the container needs none of
+    # them to start. -S, as a site .pth file may import zipfile into any interpreter
+    (["-S"], ["zipfile", "bz2", "lzma"]),
+], ids=["urllib.request", "zipfile"])
+def test_importing_the_cli_leaves_modules_unloaded(flags, modules):
+    code = f"import sys, omexarchive.cli; print([m for m in {modules!r} if m in sys.modules])"
     src = Path(omexarchive.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout.strip() == "False"
+    result = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                            text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip() == "[]"

@@ -17,7 +17,7 @@ from omexarchive import (
     serialize_metadata,
 )
 from omexarchive.errors import (BadTimestamp, DuplicateLocation, InvalidMetadata,
-                                MalformedXml, NotRdf)
+                                MalformedXml, NotRdf, OmexError)
 
 from conftest import UNMODELLED_METADATA
 
@@ -86,6 +86,15 @@ def test_not_rdf():
 def test_malformed_xml():
     with pytest.raises(MalformedXml):
         parse_metadata(b"<rdf:RDF")
+
+
+@pytest.mark.parametrize("text", [b"<x", b"<notRdf/>", None],
+                         ids=["malformed", "not-rdf", "bad-timestamp"])
+def test_a_parse_error_names_the_rule_validation_uses(text, golden_metadata_xml):
+    text = text or golden_metadata_xml.replace(b"2014-06-26T10:29:00Z", b"yesterday")
+    with pytest.raises(OmexError) as exc:
+        parse_metadata(text)
+    assert (exc.value.rule, exc.value.location) == ("metadata-unreadable", "")
 
 
 def test_bad_timestamp_names_value(golden_metadata_xml):

@@ -3,6 +3,7 @@
 import io
 import random
 import struct
+import tracemalloc
 import zipfile
 import zlib
 
@@ -24,7 +25,7 @@ from omexarchive import (
     write_container,
 )
 from omexarchive.archive import stamp_block
-from omexarchive.container import _write_order
+from omexarchive.container import _FILECOUNT_LIMIT, _ZIP64_LIMIT, _write_order
 from omexarchive.errors import CorruptEntry
 
 TEXT = "http://purl.org/NET/mediatypes/text/plain"
@@ -89,8 +90,9 @@ def test_zip64_end_record_over_65535_entries():
 
 def test_zip64_extras_under_a_lowered_limit(monkeypatch):
     # sizes below, near (file_size * 1.05 over the limit) and above the
-    # limit, and header offsets past it
+    # limit, and header offsets past it; the writer and its oracle share the limit
     monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 1000)
+    monkeypatch.setattr("omexarchive.container._ZIP64_LIMIT", 1000)
     rng = random.Random(3)
     container = Container([
         ContainerEntry("a.bin", rng.randbytes(500)),
@@ -104,6 +106,10 @@ def test_zip64_extras_under_a_lowered_limit(monkeypatch):
     reopened = open_container(written)
     assert reopened == container
     assert write_container(reopened) == written
+
+
+def test_zip64_thresholds_are_those_of_zipfile():
+    assert (_ZIP64_LIMIT, _FILECOUNT_LIMIT) == (zipfile.ZIP64_LIMIT, zipfile.ZIP_FILECOUNT_LIMIT)
 
 
 def _level9_archive() -> tuple[bytes, bytes]:
@@ -280,6 +286,7 @@ def test_the_probe_reads_only_the_first_64_kib():
 def test_a_stored_member_under_a_lowered_zip64_limit(monkeypatch):
     # the stored member is over the limit, and the member after it starts past it
     monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 70_000)
+    monkeypatch.setattr("omexarchive.container._ZIP64_LIMIT", 70_000)
     container = Container([ContainerEntry("a.bin", random.Random(9).randbytes(80_000)),
                            ContainerEntry("b.txt", b"small")])
     written = write_container(container)
@@ -305,3 +312,19 @@ def test_an_edit_copies_a_member_written_stored():
     edited = add_entry(archive, "b.txt", TEXT, b"b").to_bytes()
     assert _methods(edited)["blob.bin"] == zipfile.ZIP_STORED
     assert stored_bytes(edited, "blob.bin") == stored_bytes(archive.to_bytes(), "blob.bin") == data
+
+
+def test_a_member_read_stored_is_held_once_and_copied_as_read():
+    # the entry holds a view of the input, not a copy, until its data is read
+    data = random.Random(11).randbytes(4 << 20)
+    written = write_container(Container([ContainerEntry("blob.bin", data)]))
+    assert _methods(written) == {"blob.bin": zipfile.ZIP_STORED}
+    tracemalloc.start()
+    try:
+        container = open_container(written)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert write_container(container) == written
+    assert container.get("blob.bin") == data
