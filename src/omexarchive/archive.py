@@ -285,7 +285,7 @@ def extract_all(archive: Archive, destination) -> list[Path]:
         # container invariants forbid traversal; keep a last-line check anyway
         if not target.resolve().is_relative_to(dest):
             raise UnsafePath(entry.path, "escapes the destination directory")
-        targets.append((target, entry.data))
+        targets.append((target, entry.view))
     dest.mkdir(parents=True, exist_ok=True)
     for target, data in targets:
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -126,17 +126,16 @@ def cmd_unpack(args) -> int:
 
 def cmd_list(args) -> int:
     archive = _open(args.archive)
+    members = {member.path: member for member in archive.container.entries}
     rows = []
     for entry in archive.manifest.entries:
-        size = None
-        if entry.path in archive.container:
-            size = len(archive.container.get(entry.path))
+        member = members.get(entry.path)
         rows.append(
             {
                 "location": entry.path,
                 "format": entry.format,
                 "formatClass": classify_format(entry.format).kind.value,
-                "size": size,
+                "size": None if member is None else len(member.view),
                 "master": bool(entry.master),
             }
         )

@@ -6,19 +6,20 @@ zip64 records and prepended bytes are found as it finds them, names are
 taken as stored, and each member's local header must carry its signature
 and name. A member's declared range must end by the next local header or
 the central directory, so overlapping members, as in zip bombs, are
-refused. Stored, deflated, bzip2 and LZMA members are inflated, holding at
-most their declared size, and CRC-checked; where `zipfile` let a damaged
-bzip2 or LZMA stream raise, or took a stream that ends before the declared
-size, the member is refused. A stored or deflated member keeps its bytes
-as stored, a view of the input. Writing emits the ZIP itself with fixed
-timestamps and a fixed entry order: an entry that still holds the bytes it
-was read with is copied as stored, with its compression method; an entry
-longer than 64 KiB whose first 64 KiB deflate no smaller is stored; any
-other is deflated with the stream `zipfile` uses. The layout and the zip64
-rules are those of `zipfile`: the bytes are those `zipfile.writestr` writes
-except for the members copied or stored, identical containers serialize to
-identical bytes, and a container read from an archive this module wrote
-serializes to that archive again.
+refused. Stored, deflated, bzip2 and LZMA members are inflated to at most
+one byte past their declared size, and must come out at exactly that size
+and pass their CRC-32: where `zipfile` let a damaged bzip2 or LZMA stream
+raise, or took a stream shorter or longer than declared, the member is
+refused. A stored or deflated member keeps its bytes as stored, a view of
+the input. Writing emits the ZIP itself with fixed timestamps and a fixed
+entry order: an entry that still holds the bytes it was read with is
+copied as stored, with its compression method; an entry longer than 64 KiB
+whose first 64 KiB deflate no smaller is stored; any other is deflated
+with the stream `zipfile` uses. The layout and the zip64 rules are those
+of `zipfile`: the bytes are those `zipfile.writestr` writes except for the
+members copied or stored, identical containers serialize to identical
+bytes, and a container read from an archive this module wrote serializes
+to that archive again.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ _UTF8_NAME = 0x800
 # flags of members zipfile cannot read without a password or at all:
 # encrypted, compressed patched data, strongly encrypted
 _UNREADABLE = 0x1 | 0x20 | 0x40
-# bytes inflated at a time past a member's declared size, from pieces of input
-# so short that copying what is left of one costs little
-_STEP, _PIECE = 1 << 16, 1 << 10
 _UNIX = 3
 # zipfile's ZIP64_LIMIT and ZIP_FILECOUNT_LIMIT: past them a record needs zip64
 _ZIP64_LIMIT, _FILECOUNT_LIMIT = (1 << 31) - 1, (1 << 16) - 1
@@ -136,6 +134,11 @@ class ContainerEntry:
         if callable(self._data):
             self._data = self._data()
         return self._data
+
+    @property
+    def view(self) -> bytes | memoryview:
+        """Its bytes without a copy: a stored member's as read, else `data`."""
+        return self.stored[2] if self.stored and self.stored[0] == _STORED else self.data
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
@@ -298,12 +301,9 @@ def _directory(data: bytes) -> tuple[int, list[tuple]]:
 
 
 def _inflate(method: int, stored: memoryview, size: int) -> bytes | memoryview:
-    """The first `size` bytes a member inflates to, or all of them when fewer.
-
-    zipfile inflates a whole stream and keeps its first `size` bytes, so
-    damage anywhere in it refuses the member: what lies past `size` is
-    inflated a step at a time and dropped, which keeps memory bounded.
-    Damaged data raises ValueError.
+    """What a member inflates to, cut at one byte past its declared `size`, so
+    a stream that runs on costs that byte and no more. Damaged data raises
+    ValueError.
     """
     # what the decompressors raise on damaged data; the except clause reads it
     # when one raises, so the LZMA branch can add its own
@@ -311,18 +311,9 @@ def _inflate(method: int, stored: memoryview, size: int) -> bytes | memoryview:
     limit = min(size + 1, sys.maxsize)
     try:
         if method == _STORED:
-            return stored[:size]
+            return stored[:limit]
         if method == _DEFLATED:
-            inflater = zlib.decompressobj(-15)
-            payload = inflater.decompress(stored, limit)
-            if len(payload) > size:  # fed in pieces, so the input left is never copied whole
-                rest = memoryview(inflater.unconsumed_tail)
-                for at in range(0, len(rest), _PIECE):
-                    piece = rest[at:at + _PIECE]
-                    while piece and not inflater.eof:
-                        inflater.decompress(piece, _STEP)
-                        piece = inflater.unconsumed_tail
-            return payload[:size]
+            return zlib.decompressobj(-15).decompress(stored, limit)
         if method == _BZIP2:
             import bz2
             inflater = bz2.BZ2Decompressor()
@@ -335,10 +326,7 @@ def _inflate(method: int, stored: memoryview, size: int) -> bytes | memoryview:
             inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
                 lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(stored[4:end]))])
             stored = stored[end:]
-        payload = inflater.decompress(stored, limit)
-        while len(payload) > size and not inflater.eof and not inflater.needs_input:
-            inflater.decompress(b"", _STEP)
-        return payload[:size]
+        return inflater.decompress(stored, limit)
     except damaged as exc:
         raise ValueError(str(exc)) from exc
 
@@ -373,12 +361,11 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
         payload = _inflate(method, stored, size)
     except ValueError as exc:
         raise refuse(str(exc)) from exc
-    # bytes missing at the end of the archive are refused unless the member
-    # got all it needs without them
-    if len(stored) < stored_size and not (stored and len(payload) == size):
+    if len(payload) != size:
+        raise refuse("its data ends before its declared size" if len(payload) < size
+                     else "its data runs past its declared size")
+    if stored_size and not stored:  # an empty member whose bytes lie past the archive's end
         raise refuse("its data runs past the end of the archive")
-    if len(payload) < size:
-        raise refuse("its data ends before its declared size")
     if zlib.crc32(payload) != crc:
         raise refuse(f"Bad CRC-32 for file {name!r}")
     if method == _STORED:  # its payload is a view of the input, copied when first read

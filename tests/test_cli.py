@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -130,6 +131,34 @@ def test_a_random_file_is_packed_stored_and_kept_stored(tmp_path, capsys):
     assert main(["unpack", str(a), str(dest)]) == 0
     capsys.readouterr()
     assert (dest / "blob.bin").read_bytes() == blob
+
+
+@pytest.mark.parametrize("command", ["list", "unpack"])
+def test_list_and_unpack_leave_a_member_read_stored_uncopied(tmp_path, capsys, command):
+    src = tmp_path / "src"
+    src.mkdir()
+    blob = random.Random(19).randbytes(4 << 20)
+    (src / "blob.bin").write_bytes(blob)
+    archive = tmp_path / "a.omex"
+    assert main(["pack", str(src), str(archive), "--no-stamp", "--ext", "omex"]) == 0
+    dest = tmp_path / "dest"
+    args = {"list": ["list", str(archive), "--json"],
+            "unpack": ["unpack", str(archive), str(dest)]}[command]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    # beyond the archive's own bytes, read from its file
+    assert peak - archive.stat().st_size < 1 << 20, peak
+    if command == "list":
+        sizes = {row["location"]: row["size"] for row in json.loads(out)["entries"]}
+        assert sizes["blob.bin"] == len(blob)
+    else:
+        assert (dest / "blob.bin").read_bytes() == blob
 
 
 def test_pack_unpack_keeps_percent_and_space_names(tmp_path, capsys):
