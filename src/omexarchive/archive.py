@@ -272,7 +272,9 @@ def remove_entry(archive: Archive, location: str) -> Archive:
 def extract_all(archive: Archive, destination) -> list[Path]:
     """Write every container entry under `destination`, preserving paths.
 
-    Every target is checked before the first file is written.
+    Every target is checked, and a manifest or metadata file an edit
+    changed is serialized, before the first file is written. A long member
+    read is written as it inflates, 64 KiB at a time.
     """
     dest = Path(destination).resolve()
     clashes = archive.container.clashes()
@@ -285,11 +287,12 @@ def extract_all(archive: Archive, destination) -> list[Path]:
         # container invariants forbid traversal; keep a last-line check anyway
         if not target.resolve().is_relative_to(dest):
             raise UnsafePath(entry.path, "escapes the destination directory")
-        targets.append((target, entry.view))
+        targets.append((target, entry.steps()))
     dest.mkdir(parents=True, exist_ok=True)
-    for target, data in targets:
+    for target, steps in targets:
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
+        with open(target, "wb") as file:
+            file.writelines(steps)
     return sorted(target for target, _ in targets)
 
 

@@ -135,7 +135,7 @@ def cmd_list(args) -> int:
                 "location": entry.path,
                 "format": entry.format,
                 "formatClass": classify_format(entry.format).kind.value,
-                "size": None if member is None else len(member.view),
+                "size": None if member is None else member.size,
                 "master": bool(entry.master),
             }
         )

@@ -1,25 +1,27 @@
 """Byte-level ZIP container access with deterministic serialization.
 
-Entries are kept in memory. Reading parses the archive with `struct` and
-`zlib`, and takes and refuses what `zipfile` does: the end record, the
-zip64 records and prepended bytes are found as it finds them, names are
-taken as stored, and each member's local header must carry its signature
-and name. A member's declared range must end by the next local header or
-the central directory, so overlapping members, as in zip bombs, are
-refused. Stored, deflated, bzip2 and LZMA members are inflated to at most
+Reading parses the archive with `struct` and `zlib`, and takes and
+refuses what `zipfile` does: the end record, the zip64 records and
+prepended bytes are found as it finds them, names are taken as stored,
+and each member's local header must carry its signature and name. A
+member's declared range must end by the next local header or the central
+directory, so overlapping members, as in zip bombs, are refused. Stored,
+deflated, bzip2 and LZMA members are inflated in 64 KiB steps to at most
 one byte past their declared size, and must come out at exactly that size
 and pass their CRC-32: where `zipfile` let a damaged bzip2 or LZMA stream
 raise, or took a stream shorter or longer than declared, the member is
-refused. A stored or deflated member keeps its bytes as stored, a view of
-the input. Writing emits the ZIP itself with fixed timestamps and a fixed
-entry order: an entry that still holds the bytes it was read with is
-copied as stored, with its compression method; an entry longer than 64 KiB
-whose first 64 KiB deflate no smaller is stored; any other is deflated
-with the stream `zipfile` uses. The layout and the zip64 rules are those
-of `zipfile`: the bytes are those `zipfile.writestr` writes except for the
-members copied or stored, identical containers serialize to identical
-bytes, and a container read from an archive this module wrote serializes
-to that archive again.
+refused. A member of at most one step keeps the bytes that check
+inflated; a longer one keeps only its bytes as stored, a view of the
+input, and is inflated again, step by step, when it is read. Writing emits
+the ZIP itself with fixed timestamps and a fixed entry order: an entry
+that still holds the bytes it was read with is copied as stored, with its
+compression method; an entry longer than 64 KiB whose first 64 KiB
+deflate no smaller is stored; any other is deflated with the stream
+`zipfile` uses. The layout and the zip64 rules are those of `zipfile`:
+the bytes are those `zipfile.writestr` writes except for the members
+copied or stored, identical containers serialize to identical bytes, and
+a container read from an archive this module wrote serializes to that
+archive again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import struct
 import sys
 import zlib
 from collections import Counter
-from typing import Iterator
+from functools import partial
+from typing import Iterable, Iterator
 
 from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
 
@@ -38,7 +41,8 @@ _DOS_DATE, _DOS_TIME = (1 << 5) | 1, 0
 _DEFLATE_LEVEL = 6
 # A new member longer than this is stored when deflating its first this many
 # bytes does not shrink them, as already compressed data does not shrink; a
-# shorter one is always deflated, as zipfile.writestr deflates it.
+# shorter one is always deflated, as zipfile.writestr deflates it. Reading
+# inflates in steps of this many bytes, and keeps a member no longer.
 _PROBE = 1 << 16
 # The longest path segment in UTF-8 bytes: the name limit of ext4, APFS, NTFS.
 _SEGMENT_MAX = 255
@@ -121,32 +125,49 @@ def case_collision(paths, directories) -> str | None:
 
 class ContainerEntry:
     """A member at a checked path. `data` is its bytes, or a callable that
-    returns them, called once, when `data` is first read. `stored` is
-    (compression method, CRC-32, bytes as stored) of a member read, which
-    write_container copies as they stand. Entries compare, hash and print
-    by path and bytes alone."""
+    returns them or their pieces, called when `data` is first read, whose
+    bytes are kept from then on; `steps()` gives the pieces without keeping
+    them. `stored` is (compression method, CRC-32, bytes as stored) of a
+    member read, which write_container copies as they stand, and `size` its
+    length, as a read declared and checked it. Entries compare and print by path and bytes alone,
+    comparing sizes and CRC-32s first, and hash by path and size."""
 
-    def __init__(self, path: str, data, stored: tuple[int, int, memoryview] | None = None):
-        self.path, self._data, self.stored = check_path(path), data, stored
+    def __init__(self, path: str, data, stored: tuple[int, int, memoryview] | None = None,
+                 size: int | None = None):
+        self.path, self._data, self.stored, self._size = check_path(path), data, stored, size
 
     @property
     def data(self) -> bytes:
         if callable(self._data):
-            self._data = self._data()
+            self._data = b"".join(self.steps())
         return self._data
 
     @property
-    def view(self) -> bytes | memoryview:
-        """Its bytes without a copy: a stored member's as read, else `data`."""
-        return self.stored[2] if self.stored and self.stored[0] == _STORED else self.data
+    def size(self) -> int:
+        """Its length: as declared when read, which the read checked, or len(data)."""
+        return len(self.data) if self._size is None else self._size
+
+    def steps(self) -> Iterable[bytes | memoryview]:
+        """Its bytes in pieces: as inflated anew, 64 KiB at a time, for a
+        member read whose bytes were not kept or read, else `data` whole."""
+        if callable(self._data):
+            pieces = self._data()
+            if not isinstance(pieces, bytes):
+                return pieces
+            self._data = pieces
+        return [self._data]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
             return NotImplemented
-        return (self.path, self.data) == (other.path, other.data)
+        if (self.path, self.size) != (other.path, other.size):
+            return False
+        if self.stored and other.stored and self.stored[1] != other.stored[1]:
+            return False
+        return self.data == other.data
 
     def __hash__(self) -> int:
-        return hash((self.path, self.data))
+        return hash((self.path, self.size))
 
     def __repr__(self) -> str:
         return f"ContainerEntry(path={self.path!r}, data={self.data!r})"
@@ -218,9 +239,12 @@ class Container:
         return {e.path: e.data for e in self.entries}
 
     def __eq__(self, other) -> bool:
+        """Paths and sizes are compared before any entry."""
         if not isinstance(other, Container):
             return NotImplemented
-        return self.byte_map() == other.byte_map()
+        mine, theirs = self._entries, other._entries
+        return ({p: e.size for p, e in mine.items()} == {p: e.size for p, e in theirs.items()}
+                and mine == theirs)
 
 
 def _zip64_fields(extra: bytes, size: int, stored: int, offset: int) -> tuple[int, int, int]:
@@ -300,21 +324,24 @@ def _directory(data: bytes) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _inflate(method: int, stored: memoryview, size: int) -> bytes | memoryview:
-    """What a member inflates to, cut at one byte past its declared `size`, so
-    a stream that runs on costs that byte and no more. Damaged data raises
-    ValueError.
+def _steps(method: int, stored: memoryview, size: int) -> Iterator[bytes | memoryview]:
+    """What a member inflates to, in steps of at most 64 KiB, from its stored
+    bytes fed 64 KiB at a time and cut at one byte past its declared `size`,
+    so a stream that runs on costs that byte and no more. Damaged data
+    raises ValueError.
     """
+    limit = min(size + 1, sys.maxsize)
+    if method == _STORED:
+        for at in range(0, min(limit, len(stored)), _PROBE):
+            yield stored[at:min(at + _PROBE, limit)]
+        return
     # what the decompressors raise on damaged data; the except clause reads it
     # when one raises, so the LZMA branch can add its own
     damaged: tuple[type[Exception], ...] = (zlib.error, OSError)  # bz2 raises OSError
-    limit = min(size + 1, sys.maxsize)
     try:
-        if method == _STORED:
-            return stored[:limit]
         if method == _DEFLATED:
-            return zlib.decompressobj(-15).decompress(stored, limit)
-        if method == _BZIP2:
+            inflater = zlib.decompressobj(-15)
+        elif method == _BZIP2:
             import bz2
             inflater = bz2.BZ2Decompressor()
         else:  # LZMA: a version and the length of the LZMA1 properties that follow
@@ -322,18 +349,30 @@ def _inflate(method: int, stored: memoryview, size: int) -> bytes | memoryview:
             damaged += (lzma.LZMAError,)
             end = 4 + int.from_bytes(stored[2:4], "little")
             if len(stored) <= end:  # zipfile reads no bytes from such a member
-                return b""
+                return
             inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
                 lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(stored[4:end]))])
             stored = stored[end:]
-        return inflater.decompress(stored, limit)
+        done = at = 0
+        while done < limit and not inflater.eof:
+            # zlib hands back the input a full step left; bz2 and lzma keep it
+            source = inflater.unconsumed_tail if method == _DEFLATED else b""
+            if not source and (method == _DEFLATED or inflater.needs_input):
+                if at >= len(stored):
+                    break
+                source, at = stored[at:at + _PROBE], at + _PROBE
+            piece = inflater.decompress(source, min(_PROBE, limit - done))
+            done += len(piece)
+            yield piece
     except damaged as exc:
         raise ValueError(str(exc)) from exc
 
 
 def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerEntry:
     """The member a central record describes, whose bytes must end by `end`,
-    where the next member or the central directory starts."""
+    where the next member or the central directory starts. It keeps the
+    bytes its check inflated when they fit in one step, and otherwise
+    inflates them again when they are read."""
     name, flags, method, crc, stored_size, size, at = record
 
     def refuse(reason: str) -> CorruptEntry:
@@ -358,27 +397,37 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
         raise refuse(f"compression type {method}")
     stored = view[start:start + stored_size]
     try:
-        payload = _inflate(method, stored, size)
-    except ValueError as exc:
+        if size > _PROBE:
+            data, done, check = partial(_steps, method, stored, size), 0, 0
+            for piece in data():
+                done += len(piece)
+                check = zlib.crc32(piece, check)
+        else:  # at most one step and a byte: held whole, and kept
+            if method == _DEFLATED and len(stored) <= _PROBE:
+                # the one call _steps would make, without its generator's cost
+                data = zlib.decompressobj(-15).decompress(stored, size + 1)
+            else:
+                data = b"".join(_steps(method, stored, size))
+            done, check = len(data), zlib.crc32(data)
+    except (ValueError, zlib.error) as exc:
         raise refuse(str(exc)) from exc
-    if len(payload) != size:
-        raise refuse("its data ends before its declared size" if len(payload) < size
+    if done != size:
+        raise refuse("its data ends before its declared size" if done < size
                      else "its data runs past its declared size")
     if stored_size and not stored:  # an empty member whose bytes lie past the archive's end
         raise refuse("its data runs past the end of the archive")
-    if zlib.crc32(payload) != crc:
+    if check != crc:
         raise refuse(f"Bad CRC-32 for file {name!r}")
-    if method == _STORED:  # its payload is a view of the input, copied when first read
-        return ContainerEntry(name, payload.tobytes, (method, crc, payload))
-    return ContainerEntry(name, payload, (method, crc, stored) if method == _DEFLATED else None)
+    copied = (method, crc, stored) if method in (_STORED, _DEFLATED) else None
+    return ContainerEntry(name, data, copied, size)
 
 
 def open_container(data: bytes) -> Container:
     """Read a ZIP stream into a Container, rejecting unsafe entry names and
     members whose declared range reaches into the next one.
 
-    Each stored or deflated member keeps its bytes as stored, a view of
-    `data`, once they have been inflated and their CRC-32 checked.
+    Each member is inflated in 64 KiB steps to check its size and CRC-32;
+    a stored or deflated one keeps its bytes as stored, a view of `data`.
     """
     data = bytes(data)  # a no-op for bytes; copies a bytearray the caller may change
     view = memoryview(data)
@@ -435,7 +484,7 @@ def write_container(container: Container) -> bytes:
         entry = container._entries[path]
         method, crc, parts = _member(entry)
         stored_size = sum(map(len, parts))
-        size = stored_size if method == _STORED else len(entry.data)
+        size = entry.size
         try:
             name, flags = path.encode("ascii"), 0
         except UnicodeEncodeError:

@@ -161,6 +161,43 @@ def test_list_and_unpack_leave_a_member_read_stored_uncopied(tmp_path, capsys, c
         assert (dest / "blob.bin").read_bytes() == blob
 
 
+@pytest.mark.parametrize("command", ["list", "validate", "meta", "unpack"])
+def test_commands_inflate_a_long_deflated_member_a_step_at_a_time(tmp_path, capsys, command):
+    src = tmp_path / "src"
+    src.mkdir()
+    rows = (b"%d,%d,%d\n" % (i % 100, i % 100 * 2, i % 100 * 3) for i in range(600_000))
+    table = b"".join(rows)[:4 << 20]  # deflates to about 21 KB
+    (src / "table.csv").write_bytes(table)
+    archive = tmp_path / "a.omex"
+    assert main(["pack", str(src), str(archive), "--no-stamp", "--ext", "omex"]) == 0
+    with zipfile.ZipFile(archive) as zf:
+        assert zf.getinfo("table.csv").compress_type == zipfile.ZIP_DEFLATED
+    dest = tmp_path / "dest"
+    args = {"list": ["list", str(archive), "--json"],
+            "validate": ["validate", str(archive), "--json"],
+            "meta": ["meta", str(archive), "set", "--description", "a table"],
+            "unpack": ["unpack", str(archive), str(dest)]}[command]
+    size = archive.stat().st_size
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(args) in (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    # beyond the archive's own bytes, read from its file (meta set also holds
+    # the archive it writes, as small)
+    assert peak - size < 1 << 20, peak
+    if command == "list":
+        sizes = {row["location"]: row["size"] for row in json.loads(out)["entries"]}
+        assert sizes["table.csv"] == len(table)
+    elif command == "unpack":
+        assert (dest / "table.csv").read_bytes() == table
+    else:
+        assert open_archive(archive.read_bytes()).container.get("table.csv") == table
+
+
 def test_pack_unpack_keeps_percent_and_space_names(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()

@@ -1,6 +1,7 @@
 import io
 import random
 import struct
+import tracemalloc
 import zipfile
 import zlib
 
@@ -21,11 +22,13 @@ from omexarchive.errors import (
     CorruptEntry,
     NoSuchEntry,
     NotAZip,
+    OmexError,
     UnsafePath,
 )
 from omexarchive.manifest import MANIFEST_NS, OMEX_FORMAT_URI
 
 from conftest import raw_zip
+from test_acceptance import _criterion_9_inputs
 
 MINIMAL_MANIFEST = (f'<omexManifest xmlns="{MANIFEST_NS}">'
                     f'<content location="." format="{OMEX_FORMAT_URI}"/></omexManifest>').encode()
@@ -295,3 +298,71 @@ def test_overlapping_members_are_refused_on_every_interpreter():
     assert refusal.value.path == "a.txt"
     assert [(f.rule, f.location) for f in validate_archive(data, ValidationMode.LENIENT)] == [
         ("corrupt-entry", "a.txt")]
+
+
+def _peak(call) -> tuple[object, int]:
+    """What `call()` returns, and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _zipfile_deflated(name: str, size: int, chunk=bytes(1 << 16)):
+    """A zipfile archive holding a manifest and a deflated member of `size`
+    bytes, repeats of `chunk`, written without holding the member whole."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("manifest.xml", MINIMAL_MANIFEST)
+        with zf.open(name, "w") as member:
+            for at in range(0, size, len(chunk)):
+                member.write(chunk[:size - at])
+    return buf.getvalue()
+
+
+def test_a_64_mib_zero_bomb_validates_in_bounded_memory():
+    data = _zipfile_deflated("zeros.bin", 64 << 20)
+    assert len(data) < 100_000
+    report, peak = _peak(lambda: validate_archive(data, ValidationMode.LENIENT))
+    assert not report.errors
+    # each 64 KiB step is dropped once its CRC-32 is taken
+    assert peak < 1 << 20, peak
+
+
+def test_comparing_archives_that_differ_in_one_large_member_inflates_nothing():
+    line = b"a line of text that repeats\n" * 2340
+    first = open_container(_zipfile_deflated("big.txt", 16 << 20, line))
+    second = open_container(_zipfile_deflated("big.txt", 16 << 20, line.replace(b"a", b"b")))
+    assert first.entries[1].size == second.entries[1].size
+    equal, peak = _peak(lambda: first == second)
+    assert not equal
+    assert peak < 1 << 20, peak
+    assert open_container(write_container(first)) == first
+
+
+def test_a_member_read_is_as_long_as_declared(golden_archive_bytes):
+    inputs = [golden_archive_bytes, *_criterion_9_inputs(golden_archive_bytes)]
+    opened = 0
+    for data in inputs:
+        try:
+            container = open_container(data)
+        except OmexError:
+            continue
+        opened += 1
+        assert all(entry.size == len(entry.data) for entry in container.entries)
+    assert opened > 20
+
+
+def test_reading_a_long_member_twice_inflates_it_once(monkeypatch):
+    text = b"inflated when read\n" * 10_000
+    container = open_container(write_container(Container([ContainerEntry("a.txt", text)])))
+    [entry] = container.entries
+    inflaters = []
+    decompressobj = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda *a: inflaters.append(1) or decompressobj(*a))
+    assert entry.size == len(text)
+    assert inflaters == []
+    assert entry.data == text and entry.data is entry.data
+    assert inflaters == [1]
