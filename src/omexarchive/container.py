@@ -125,21 +125,29 @@ def case_collision(paths, directories) -> str | None:
 
 class ContainerEntry:
     """A member at a checked path. `data` is its bytes, or a callable that
-    returns them or their pieces, called when `data` is first read, whose
-    bytes are kept from then on; `steps()` gives the pieces without keeping
-    them. `stored` is (compression method, CRC-32, bytes as stored) of a
-    member read, which write_container copies as they stand, and `size` its
-    length, as a read declared and checked it. Entries compare and print by path and bytes alone,
-    comparing sizes and CRC-32s first, and hash by path and size."""
+    returns them, called once, when `data` is first read. `stored` is
+    (compression method, CRC-32, bytes as stored) of a member read, which
+    write_container copies as they stand, and `size` its length. A member
+    read that is longer than one step keeps only `stored`: its `data` is
+    inflated when first read and kept from then on, and `steps()` inflates
+    it anew, 64 KiB at a time, without keeping it. Entries compare and print
+    by path and bytes alone, comparing sizes and CRC-32s first, and hash by
+    path and size."""
 
-    def __init__(self, path: str, data, stored: tuple[int, int, memoryview] | None = None,
-                 size: int | None = None):
-        self.path, self._data, self.stored, self._size = check_path(path), data, stored, size
+    # set by open_container on a member it reads: the declared size it
+    # checked, and for a long member the steps that inflate it anew
+    _size: int | None = None
+    _steps = None
+
+    def __init__(self, path: str, data, stored: tuple[int, int, memoryview] | None = None):
+        self.path, self._data, self.stored = check_path(path), data, stored
 
     @property
     def data(self) -> bytes:
-        if callable(self._data):
-            self._data = b"".join(self.steps())
+        if self._steps is not None:
+            self._data, self._steps = b"".join(self._steps()), None
+        elif callable(self._data):
+            self._data = self._data()
         return self._data
 
     @property
@@ -148,14 +156,9 @@ class ContainerEntry:
         return len(self.data) if self._size is None else self._size
 
     def steps(self) -> Iterable[bytes | memoryview]:
-        """Its bytes in pieces: as inflated anew, 64 KiB at a time, for a
-        member read whose bytes were not kept or read, else `data` whole."""
-        if callable(self._data):
-            pieces = self._data()
-            if not isinstance(pieces, bytes):
-                return pieces
-            self._data = pieces
-        return [self._data]
+        """Its bytes in pieces: inflated anew, 64 KiB at a time, for a long
+        member read whose `data` was not read, else `data` whole."""
+        return [self.data] if self._steps is None else self._steps()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
@@ -357,11 +360,14 @@ def _steps(method: int, stored: memoryview, size: int) -> Iterator[bytes | memor
         while done < limit and not inflater.eof:
             # zlib hands back the input a full step left; bz2 and lzma keep it
             source = inflater.unconsumed_tail if method == _DEFLATED else b""
-            if not source and (method == _DEFLATED or inflater.needs_input):
-                if at >= len(stored):
-                    break
+            if (not source and at < len(stored)
+                    and (method == _DEFLATED or inflater.needs_input)):
                 source, at = stored[at:at + _PROBE], at + _PROBE
             piece = inflater.decompress(source, min(_PROBE, limit - done))
+            # zlib can hold output past a full step with all its input taken,
+            # so only a call that is given nothing and gives nothing ends it
+            if not (source or piece):
+                break
             done += len(piece)
             yield piece
     except damaged as exc:
@@ -396,19 +402,20 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
     if method not in (_STORED, _DEFLATED, _BZIP2, _LZMA):
         raise refuse(f"compression type {method}")
     stored = view[start:start + stored_size]
+    steps = kept = None
     try:
         if size > _PROBE:
-            data, done, check = partial(_steps, method, stored, size), 0, 0
-            for piece in data():
+            steps, done, check = partial(_steps, method, stored, size), 0, 0
+            for piece in steps():
                 done += len(piece)
                 check = zlib.crc32(piece, check)
         else:  # at most one step and a byte: held whole, and kept
             if method == _DEFLATED and len(stored) <= _PROBE:
                 # the one call _steps would make, without its generator's cost
-                data = zlib.decompressobj(-15).decompress(stored, size + 1)
+                kept = zlib.decompressobj(-15).decompress(stored, size + 1)
             else:
-                data = b"".join(_steps(method, stored, size))
-            done, check = len(data), zlib.crc32(data)
+                kept = b"".join(_steps(method, stored, size))
+            done, check = len(kept), zlib.crc32(kept)
     except (ValueError, zlib.error) as exc:
         raise refuse(str(exc)) from exc
     if done != size:
@@ -419,7 +426,9 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
     if check != crc:
         raise refuse(f"Bad CRC-32 for file {name!r}")
     copied = (method, crc, stored) if method in (_STORED, _DEFLATED) else None
-    return ContainerEntry(name, data, copied, size)
+    entry = ContainerEntry(name, kept, copied)
+    entry._size, entry._steps = size, steps
+    return entry
 
 
 def open_container(data: bytes) -> Container:

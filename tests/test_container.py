@@ -366,3 +366,28 @@ def test_reading_a_long_member_twice_inflates_it_once(monkeypatch):
     assert inflaters == []
     assert entry.data == text and entry.data is entry.data
     assert inflaters == [1]
+
+
+@pytest.mark.parametrize("chunk", [bytes(1), b"hello world repeated text "], ids=["zeros", "text"])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_a_deflated_member_just_past_a_step_opens_whole(steps, chunk):
+    # zlib may stop a capped call mid-match with all its input taken; the
+    # output still held must come out of a further call with no input
+    for extra in range(1, 1025):
+        payload = (chunk * ((steps << 16) // len(chunk) + 1024))[:(steps << 16) + extra]
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr("a.bin", payload)
+        for data in (buf.getvalue(), write_container(Container([ContainerEntry("a.bin", payload)]))):
+            [entry] = open_container(data).entries
+            assert (entry.size, b"".join(entry.steps())) == (len(payload), payload), extra
+            assert entry.data == payload, extra
+
+
+def test_a_data_callable_is_called_once_and_its_result_kept():
+    calls = []
+    entry = ContainerEntry("a.bin", lambda: calls.append(1) or bytearray(b"abc"))
+    assert entry.data == bytearray(b"abc") and entry.data is entry.data
+    assert (entry.size, list(entry.steps()), calls) == (3, [bytearray(b"abc")], [1])
+    with pytest.raises(TypeError):
+        ContainerEntry("a.bin", b"abc", size=5)
