@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import enum
+import errno
 import getpass
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path, PurePosixPath
+from operator import itemgetter
+from pathlib import Path
+from typing import Iterable
 
 from .container import _SHARED_PATH, Container, ContainerEntry, open_container, write_container
 from .errors import (
@@ -270,30 +274,96 @@ def remove_entry(archive: Archive, location: str) -> Archive:
 
 
 def extract_all(archive: Archive, destination) -> list[Path]:
-    """Write every container entry under `destination`, preserving paths.
+    """Write every container entry under `destination`, preserving paths,
+    and return the files written, sorted.
 
     Every target is checked, and a manifest or metadata file an edit
     changed is serialized, before the first file is written. A long member
-    read is written as it inflates, 64 KiB at a time.
+    read is written as it inflates, 64 KiB at a time. `destination` is
+    resolved, so links above it are followed; below it, each directory and
+    file is opened through its parent's descriptor without following a
+    link, and a link, or a non-directory where a directory goes, raises
+    UnsafePath naming the member. Members written before then stay; none
+    is written through a link. Where `os.open` or `os.mkdir` takes no
+    directory descriptor, each target is resolved before the first write
+    and refused if it lies outside `destination`, and is then opened by
+    path, which follows a link swapped in after that check.
     """
     dest = Path(destination).resolve()
     clashes = archive.container.clashes()
     if clashes:
         _, path, reason = clashes[0]
         raise UnsafePath(path, reason)
+    # segment order is sorted(Path) order, and brings each directory's members together
+    members = sorted(((entry.path.split("/"), entry.steps())
+                      for entry in archive.container.entries), key=itemgetter(0))
+    if {os.open, os.mkdir} <= os.supports_dir_fd:
+        dest.mkdir(parents=True, exist_ok=True)
+        _write_below(dest, members)
+        return [dest.joinpath(*parts) for parts, _ in members]
     targets = []
-    for entry in archive.container.entries:
-        target = dest.joinpath(*PurePosixPath(entry.path).parts)
+    for parts, steps in members:
+        target = dest.joinpath(*parts)
         # container invariants forbid traversal; keep a last-line check anyway
         if not target.resolve().is_relative_to(dest):
-            raise UnsafePath(entry.path, "escapes the destination directory")
-        targets.append((target, entry.steps()))
+            raise UnsafePath("/".join(parts), "escapes the destination directory")
+        targets.append((target, steps))
     dest.mkdir(parents=True, exist_ok=True)
     for target, steps in targets:
         target.parent.mkdir(parents=True, exist_ok=True)
         with open(target, "wb") as file:
             file.writelines(steps)
-    return sorted(target for target, _ in targets)
+    return [target for target, _ in targets]
+
+
+# what an open with O_NOFOLLOW and, for a directory, O_DIRECTORY raises at a
+# link or a non-directory: Linux gives ELOOP at a link and ENOTDIR at a
+# non-directory, BSD kernels may give ENOTDIR at a link opened as a
+# directory, and FreeBSD EMLINK at a link opened as a file
+_NOT_FOLLOWED = frozenset({errno.ELOOP, errno.ENOTDIR, errno.EMLINK})
+
+
+def _write_below(dest: Path, members: list[tuple[list[str], Iterable]]) -> None:
+    """Write `members`, (path segments, steps) in segment order, under the
+    directory `dest`, holding open only the descriptors of `dest` and of the
+    directories from it down to the one being written."""
+    chain = [os.open(dest, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)]
+    names: list[str] = []  # the directories chain holds below dest
+
+    def below(parts: list[str], name: str, flags: int) -> int:
+        try:
+            return os.open(name, flags | os.O_NOFOLLOW | os.O_CLOEXEC, 0o666, dir_fd=chain[-1])
+        except OSError as exc:
+            if exc.errno in _NOT_FOLLOWED:
+                raise UnsafePath("/".join(parts),
+                                 "a link or a non-directory lies in its way") from exc
+            raise
+
+    try:
+        for parts, steps in members:
+            *directories, name = parts
+            kept = len(os.path.commonprefix([names, directories]))  # leading segments shared
+            while len(chain) > kept + 1:
+                os.close(chain.pop())
+            del names[kept:]
+            for segment in directories[kept:]:
+                try:
+                    os.mkdir(segment, dir_fd=chain[-1])
+                except FileExistsError:
+                    pass
+                chain.append(below(parts, segment, os.O_RDONLY | os.O_DIRECTORY))
+                names.append(segment)
+            fd = below(parts, name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            try:
+                for step in steps:
+                    view = memoryview(step)
+                    while view:
+                        view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+    finally:
+        for fd in chain:
+            os.close(fd)
 
 
 def set_metadata(archive: Archive, metadata: MetadataSet) -> Archive:

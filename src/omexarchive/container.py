@@ -26,6 +26,7 @@ archive again.
 
 from __future__ import annotations
 
+import io
 import re
 import struct
 import sys
@@ -130,9 +131,9 @@ class ContainerEntry:
     write_container copies as they stand, and `size` its length. A member
     read that is longer than one step keeps only `stored`: its `data` is
     inflated when first read and kept from then on, and `steps()` inflates
-    it anew, 64 KiB at a time, without keeping it. Entries compare and print
-    by path and bytes alone, comparing sizes and CRC-32s first, and hash by
-    path and size."""
+    it anew, 64 KiB at a time, without keeping it. Entries compare by path
+    and bytes alone, comparing sizes and CRC-32s first, and hash and print
+    by path and size."""
 
     # set by open_container on a member it reads: the declared size it
     # checked, and for a long member the steps that inflate it anew
@@ -145,7 +146,10 @@ class ContainerEntry:
     @property
     def data(self) -> bytes:
         if self._steps is not None:
-            self._data, self._steps = b"".join(self._steps()), None
+            # one growing buffer: a join would hold every piece and the result
+            buffer = io.BytesIO()
+            buffer.writelines(self._steps())
+            self._data, self._steps = buffer.getvalue(), None
         elif callable(self._data):
             self._data = self._data()
         return self._data
@@ -173,7 +177,7 @@ class ContainerEntry:
         return hash((self.path, self.size))
 
     def __repr__(self) -> str:
-        return f"ContainerEntry(path={self.path!r}, data={self.data!r})"
+        return f"ContainerEntry(path={self.path!r}, size={self.size})"
 
 
 class Container:
@@ -237,9 +241,6 @@ class Container:
         found = (("shared-path", next((p for p in paths if directories[p]), None), _SHARED_PATH),
                  ("case-collision", case_collision(paths, directories), _CASE_COLLISION))
         return [clash for clash in found if clash[1] is not None]
-
-    def byte_map(self) -> dict[str, bytes]:
-        return {e.path: e.data for e in self.entries}
 
     def __eq__(self, other) -> bool:
         """Paths and sizes are compared before any entry."""

@@ -334,8 +334,8 @@ def test_add_then_remove_is_identity(golden_files):
 def test_add_changes_only_the_new_entry_and_manifest(golden_files):
     archive = create_archive(_golden_like_files(golden_files))
     grown = add_entry(archive, "models/m2.xml", SBML, b"<sbml/>")
-    before = archive.container.byte_map()
-    after = grown.container.byte_map()
+    before = {e.path: e.data for e in archive.container.entries}
+    after = {e.path: e.data for e in grown.container.entries}
     changed = {p for p in before if before[p] != after.get(p)}
     assert changed == {"manifest.xml"}
     assert set(after) - set(before) == {"models/m2.xml"}
@@ -434,9 +434,10 @@ def test_extract_then_repack_full_cycle(golden_files, tmp_path):
             "simulation.xml": SEDML,
         },
     )
-    assert repacked.container.byte_map()["models/model.xml"] == golden_files["models/model.xml"]
-    assert open_archive(repacked.to_bytes()).container.byte_map().keys() == \
-        open_archive(first).container.byte_map().keys()
+    repacked_bytes = {e.path: e.data for e in repacked.container.entries}
+    assert repacked_bytes["models/model.xml"] == golden_files["models/model.xml"]
+    assert {e.path: e.data for e in open_archive(repacked.to_bytes()).container.entries}.keys() == \
+        {e.path: e.data for e in open_archive(first).container.entries}.keys()
 
 
 def test_master_of(golden_files):
@@ -461,7 +462,8 @@ def test_pack_directory_existing_metadata_suppresses_stamp(
     (tmp_path / "model.sbml").write_bytes(b"<sbml/>")
     (tmp_path / "metadata.rdf").write_bytes(golden_metadata_xml)
     archive = pack_directory(tmp_path, stamp=True)
-    assert archive.container.byte_map()["metadata.rdf"] == golden_metadata_xml
+    read = {e.path: e.data for e in archive.container.entries}
+    assert read["metadata.rdf"] == golden_metadata_xml
 
 
 @pytest.mark.parametrize("rdf", ["notes.rdf", "sub/metadata.rdf"])
@@ -591,3 +593,121 @@ def test_paths_that_differ_in_more_than_case_do_not_collide(tmp_path):
     data = _listing_all([("A/x", b"1"), ("a/y", b"2"), ("b", b"3")])
     assert "case-collision" not in [f.rule for f in validate_archive(data)]
     assert len(extract_all(open_archive(data), tmp_path / "dest")) == 4
+
+
+def _descriptors() -> list[str] | None:
+    """The descriptors this process holds open, where /proc lists them."""
+    fds = Path("/proc/self/fd")
+    return sorted(os.listdir(fds)) if fds.is_dir() else None
+
+
+def _linked_archive():
+    return create_archive([("a.txt", TEXT, False, b"new"),
+                           ("models/model.xml", SBML, True, b"<sbml/>")])
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_extract_refuses_a_link_at_a_members_directory(inside, tmp_path, tmp_path_factory):
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    target = dest / "elsewhere" if inside else tmp_path_factory.mktemp("outside")
+    target.mkdir(exist_ok=True)
+    (dest / "models").symlink_to(target, target_is_directory=True)
+    before = _descriptors()
+    with pytest.raises(UnsafePath, match="a link or a non-directory") as refusal:
+        extract_all(_linked_archive(), dest)
+    assert refusal.value.path == "models/model.xml"
+    assert list(target.iterdir()) == []
+    assert _descriptors() == before
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_extract_refuses_a_link_at_a_members_file(inside, tmp_path, tmp_path_factory):
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    target = (dest / "elsewhere" if inside else tmp_path_factory.mktemp("outside")) / "a.txt"
+    target.parent.mkdir(exist_ok=True)
+    target.write_bytes(b"old")
+    dangling = target.with_name("missing.txt")
+    (dest / "a.txt").symlink_to(target)
+    before = _descriptors()
+    with pytest.raises(UnsafePath, match="a link or a non-directory") as refusal:
+        extract_all(_linked_archive(), dest)
+    assert refusal.value.path == "a.txt"
+    assert target.read_bytes() == b"old"
+    # nor is a file made through a link to nothing
+    (dest / "a.txt").unlink()
+    (dest / "a.txt").symlink_to(dangling)
+    with pytest.raises(UnsafePath, match="a link or a non-directory"):
+        extract_all(_linked_archive(), dest)
+    assert not dangling.exists()
+    assert _descriptors() == before
+
+
+def test_extract_refuses_a_file_where_a_members_directory_goes(tmp_path):
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    (dest / "models").write_bytes(b"a file")
+    with pytest.raises(UnsafePath, match="a link or a non-directory") as refusal:
+        extract_all(_linked_archive(), dest)
+    assert refusal.value.path == "models/model.xml"
+    assert (dest / "models").read_bytes() == b"a file"
+
+
+@pytest.mark.skipif(_descriptors() is None, reason="no /proc/self/fd to count descriptors")
+def test_a_member_deeper_than_the_descriptor_limit_fails_and_leaks_nothing(tmp_path):
+    # each directory on the way down holds a descriptor while its members are written
+    code = ("import errno, os, resource, sys\n"
+            "from omexarchive import create_archive, extract_all\n"
+            "archive = create_archive([('d/' * 300 + 'x.txt', sys.argv[2], False, b'x')])\n"
+            "before = sorted(os.listdir('/proc/self/fd'))\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+            "try:\n"
+            "    extract_all(archive, sys.argv[1])\n"
+            "except OSError as exc:\n"
+            "    print(errno.errorcode[exc.errno])\n"
+            "print(sorted(os.listdir('/proc/self/fd')) == before)\n")
+    src = Path(omexarchive.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "dest"), TEXT],
+                            capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == "EMFILE\nTrue\n"
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_returns_the_files_in_path_order(dir_fd, tmp_path, monkeypatch):
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    # "a-b" sorts before "a/" as a string and after "a" as a segment
+    paths = ["a/b.c/d", "a-b/c", "a.txt", "A/x", "manifest.xml"]
+    archive = create_archive([(p, TEXT, False, p.encode()) for p in paths[:-1]])
+    dest = tmp_path / "dest"
+    written = extract_all(archive, dest)
+    assert written == sorted(dest.joinpath(*p.split("/")) for p in paths)
+    assert [str(p) for p in written] != sorted(str(p) for p in written)
+    assert [p.read_bytes() for p in written if p.name != "manifest.xml"] == [
+        b"A/x", b"a/b.c/d", b"a-b/c", b"a.txt"]
+
+
+def test_extract_without_directory_descriptors_refuses_a_link_out(tmp_path, tmp_path_factory,
+                                                                  monkeypatch):
+    monkeypatch.setattr(os, "supports_dir_fd", set())
+    dest, outside = tmp_path / "dest", tmp_path_factory.mktemp("outside")
+    dest.mkdir()
+    (dest / "models").symlink_to(outside, target_is_directory=True)
+    with pytest.raises(UnsafePath, match="escapes the destination") as refusal:
+        extract_all(_linked_archive(), dest)
+    assert refusal.value.path == "models/model.xml"
+    assert list(outside.iterdir()) == [] and list(dest.iterdir()) == [dest / "models"]
+
+
+def test_extract_writes_every_byte_when_writes_come_up_short(tmp_path, monkeypatch):
+    long = bytes(range(256)) * 1024
+    archive = open_archive(create_archive([("long.bin", TEXT, False, long),
+                                           ("d/short.txt", TEXT, False, b"short")]).to_bytes())
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:4099])))
+    extract_all(archive, tmp_path)
+    assert (tmp_path / "long.bin").read_bytes() == long
+    assert (tmp_path / "d" / "short.txt").read_bytes() == b"short"
