@@ -7,10 +7,10 @@ import errno
 import getpass
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .container import _SHARED_PATH, Container, ContainerEntry, open_container, write_container
 from .errors import (
@@ -64,7 +64,8 @@ class Archive:
     `container` holds every member, manifest.xml and the metadata file
     included; an edit that changes the manifest or the metadata swaps in a
     member that writes it when its bytes are first read. `metadata` and
-    `metadata_error` are what the file at `metadata_path` says, read once.
+    `metadata_error` are what the file at `metadata_path` says, read on
+    first use, one parse shared along an edit chain that keeps that file.
     """
     container: Container
     manifest: Manifest
@@ -75,22 +76,28 @@ class Archive:
         fallback = METADATA_FILENAME if METADATA_FILENAME in self.container else None
         return self.manifest.metadata_path or fallback
 
-    @cached_property  # _build fills it with what it wrote or what its base read
-    def _metadata(self) -> tuple[MetadataSet | None, str | None]:
-        if self.metadata_path in self.container:
-            try:
-                return parse_metadata(self.container.get(self.metadata_path)), None
-            except OmexError as exc:
-                return None, str(exc)
-        return None, None
+    @cached_property  # _build hands it on, or sets what it wrote
+    def _metadata(self) -> Callable[[], tuple[MetadataSet | None, str | None]]:
+        """The one parse of the file at `metadata_path`, made at the first call."""
+        container, path = self.container, self.metadata_path
+
+        @cache
+        def parse():
+            if path in container:
+                try:
+                    return parse_metadata(container.get(path)), None
+                except OmexError as exc:
+                    return None, str(exc)
+            return None, None
+        return parse
 
     @property
     def metadata(self) -> MetadataSet | None:
-        return self._metadata[0]
+        return self._metadata()[0]
 
     @property
     def metadata_error(self) -> str | None:
-        return self._metadata[1]
+        return self._metadata()[1]
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -176,8 +183,8 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             raise InvalidLocation(path, _SHARED_PATH)
     archive = Archive(container, manifest)
     if metadata is not None:
-        vars(archive)["_metadata"] = metadata, None
-    elif "_metadata" in vars(base) and archive.metadata_path == rdf:  # the same file, read
+        vars(archive)["_metadata"] = lambda: (metadata, None)
+    elif archive.metadata_path == rdf:  # the same file: its one parse, made or not
         vars(archive)["_metadata"] = base._metadata
     return archive
 
@@ -193,12 +200,14 @@ def create_archive(files) -> Archive:
     return _build(Archive(Container(), Manifest(())), entries)
 
 
-def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
-    """Read and check an archive: the one pipeline behind open and validate.
+def _read(data: bytes) -> tuple[Archive, ValidationReport]:
+    """Read an archive and check its manifest against its members: the one
+    pipeline behind open and validate.
 
     Raises the first fatal OmexError (an unreadable container, a missing
-    manifest, a manifest that fails to parse); every other finding goes
-    into the report. `strict` makes the findings of STRICT_ERRORS errors.
+    manifest, a manifest that fails to parse). The report holds what
+    `validate_manifest_against` finds; its errors are the files the
+    manifest lists and the container lacks.
     """
     container = open_container(data)
     if MANIFEST_FILENAME not in container:
@@ -206,39 +215,20 @@ def _load(data: bytes, strict: bool) -> tuple[Archive, ValidationReport]:
             f"every archive must contain {MANIFEST_FILENAME} at its root"
         )
     manifest = parse_manifest(container.get(MANIFEST_FILENAME))
-
     report = validate_manifest_against(manifest, set(container.paths()))
-    if manifest.find(".") is None:
-        report.warning(
-            "no-archive-entry", ".",
-            "the manifest lacks the entry for the archive itself",
-        )
-
-    for entry in manifest.entries:
-        if classify_format(entry.format).kind is FormatKind.INVALID:
-            report.warning("invalid-format", entry.path,
-                           f"format URI is not recognized: {entry.format!r}")
-
-    archive = Archive(container, manifest)
-    if archive.metadata_error is not None:
-        report.warning("metadata-unreadable", archive.metadata_path, archive.metadata_error)
-    for rule, path, reason in container.clashes():
-        report.warning(rule, path, reason)
-    report.extend(check_minimum_information(archive.metadata or MetadataSet()))
-    if strict:
-        report.items = [replace(f, severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
-                        for f in report.items]
-    return archive, report.sorted()
+    return Archive(container, manifest), report
 
 
 def open_archive(data: bytes) -> Archive:
     """Read an archive; succeeds exactly when lenient validation finds no errors.
 
-    Unreadable metadata is a validation warning, so it leaves
-    `Archive.metadata` as None, and the reason in `metadata_error`,
-    instead of failing the open.
+    A listed file the container lacks is lenient validation's only error,
+    so the manifest check alone decides, and no other rule runs. The
+    metadata is parsed when first used; unreadable metadata leaves
+    `Archive.metadata` None, and the reason in `metadata_error`, instead
+    of failing the open.
     """
-    archive, report = _load(data, strict=False)
+    archive, report = _read(data)
     if report.errors:
         raise DanglingManifestEntry(report.errors[0].location)
     return archive
@@ -247,13 +237,34 @@ def open_archive(data: bytes) -> Archive:
 def validate_archive(
     data: bytes, mode: ValidationMode = ValidationMode.STRICT
 ) -> ValidationReport:
-    """Full validation; never raises — all findings are report items."""
+    """Full validation; never raises — all findings are report items.
+
+    STRICT makes the findings of STRICT_ERRORS errors.
+    """
     try:
-        return _load(data, mode is ValidationMode.STRICT)[1]
+        archive, report = _read(data)
     except OmexError as exc:
         report = ValidationReport()
         report.error(exc.rule, exc.location, str(exc))
         return report
+    if archive.manifest.find(".") is None:
+        report.warning(
+            "no-archive-entry", ".",
+            "the manifest lacks the entry for the archive itself",
+        )
+    for entry in archive.manifest.entries:
+        if classify_format(entry.format).kind is FormatKind.INVALID:
+            report.warning("invalid-format", entry.path,
+                           f"format URI is not recognized: {entry.format!r}")
+    if archive.metadata_error is not None:
+        report.warning("metadata-unreadable", archive.metadata_path, archive.metadata_error)
+    for rule, path, reason in archive.container.clashes():
+        report.warning(rule, path, reason)
+    report.extend(check_minimum_information(archive.metadata or MetadataSet()))
+    if mode is ValidationMode.STRICT:
+        report.items = [replace(f, severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
+                        for f in report.items]
+    return report.sorted()
 
 
 def add_entry(
@@ -282,12 +293,14 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     read is written as it inflates, 64 KiB at a time. `destination` is
     resolved, so links above it are followed; below it, each directory and
     file is opened through its parent's descriptor without following a
-    link, and a link, or a non-directory where a directory goes, raises
-    UnsafePath naming the member. Members written before then stay; none
-    is written through a link. Where `os.open` or `os.mkdir` takes no
-    directory descriptor, each target is resolved before the first write
-    and refused if it lies outside `destination`, and is then opened by
-    path, which follows a link swapped in after that check.
+    link, and a link, a non-directory where a directory goes, a directory
+    where a file goes, or a file that other hard links share raises
+    UnsafePath naming the member before any byte of that file changes.
+    Members written before then stay; none is written through a link.
+    Where `os.open` or `os.mkdir` takes no directory descriptor, each
+    target is resolved before the first write and refused if it lies
+    outside `destination`, and is then opened by path, which follows a
+    link swapped in after that check.
     """
     dest = Path(destination).resolve()
     clashes = archive.container.clashes()
@@ -302,18 +315,22 @@ def extract_all(archive: Archive, destination) -> list[Path]:
         _write_below(dest, members)
         return [dest.joinpath(*parts) for parts, _ in members]
     targets = []
-    for parts, steps in members:
+    for parts, _ in members:
         target = dest.joinpath(*parts)
         # container invariants forbid traversal; keep a last-line check anyway
         if not target.resolve().is_relative_to(dest):
             raise UnsafePath("/".join(parts), "escapes the destination directory")
-        targets.append((target, steps))
+        targets.append(target)
     dest.mkdir(parents=True, exist_ok=True)
-    for target, steps in targets:
+    for target, (parts, steps) in zip(targets, members):
         target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "wb") as file:
-            file.writelines(steps)
-    return [target for target, _ in targets]
+        try:
+            file = open(target, "ab")  # appends at 0 once _fill truncates it
+        except IsADirectoryError as exc:
+            raise UnsafePath("/".join(parts), _DIRECTORY_IN_WAY) from exc
+        with file:
+            _fill(parts, file.fileno(), steps)
+    return targets
 
 
 # what an open with O_NOFOLLOW and, for a directory, O_DIRECTORY raises at a
@@ -321,6 +338,20 @@ def extract_all(archive: Archive, destination) -> list[Path]:
 # non-directory, BSD kernels may give ENOTDIR at a link opened as a
 # directory, and FreeBSD EMLINK at a link opened as a file
 _NOT_FOLLOWED = frozenset({errno.ELOOP, errno.ENOTDIR, errno.EMLINK})
+_DIRECTORY_IN_WAY = "a directory lies where its file goes"
+
+
+def _fill(parts: list[str], fd: int, steps: Iterable) -> None:
+    """Write `steps` over the file open for writing at `fd`, unless another
+    hard link shares it: then raise UnsafePath naming the member at `parts`
+    before any byte of the file changes."""
+    if os.fstat(fd).st_nlink > 1:
+        raise UnsafePath("/".join(parts), "other hard links share its file")
+    os.ftruncate(fd, 0)
+    for step in steps:
+        view = memoryview(step)
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _write_below(dest: Path, members: list[tuple[list[str], Iterable]]) -> None:
@@ -337,6 +368,8 @@ def _write_below(dest: Path, members: list[tuple[list[str], Iterable]]) -> None:
             if exc.errno in _NOT_FOLLOWED:
                 raise UnsafePath("/".join(parts),
                                  "a link or a non-directory lies in its way") from exc
+            if exc.errno == errno.EISDIR:
+                raise UnsafePath("/".join(parts), _DIRECTORY_IN_WAY) from exc
             raise
 
     try:
@@ -353,12 +386,9 @@ def _write_below(dest: Path, members: list[tuple[list[str], Iterable]]) -> None:
                     pass
                 chain.append(below(parts, segment, os.O_RDONLY | os.O_DIRECTORY))
                 names.append(segment)
-            fd = below(parts, name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            fd = below(parts, name, os.O_WRONLY | os.O_CREAT)  # _fill truncates
             try:
-                for step in steps:
-                    view = memoryview(step)
-                    while view:
-                        view = view[os.write(fd, view):]
+                _fill(parts, fd, steps)
             finally:
                 os.close(fd)
     finally:

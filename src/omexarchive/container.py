@@ -50,6 +50,9 @@ _SEGMENT_MAX = 255
 
 # Looks like a URI scheme or a Windows drive letter at the start of a path.
 _SCHEME_OR_DRIVE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+# A path every rule of check_path accepts at a glance: ASCII segments of at
+# most 255 letters, digits, `_`, `-` and `.`, none starting with a `.`.
+_PLAIN_PATH = re.compile(r"(?:[\w-][\w.-]{0,254}/)*[\w-][\w.-]{0,254}", re.ASCII)
 
 # Records of PKWARE APPNOTE 4.3, packed as zipfile packs them.
 _LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
@@ -81,6 +84,8 @@ def check_path(path: str) -> str:
     relative, free of NUL and of `..`, empty and `.` segments, and no
     segment is longer than 255 UTF-8 bytes.
     """
+    if _PLAIN_PATH.fullmatch(path):
+        return path
     if not path:
         raise UnsafePath(path, "empty path")
     if "\\" in path:
@@ -184,11 +189,14 @@ class Container:
     """An ordered set of entries with unique paths, and how many of them
     each directory holds at any depth. Value semantics."""
 
-    def __init__(self, entries: list[ContainerEntry] | None = None):
+    def __init__(self, entries: Iterable[ContainerEntry] = ()):
+        """Hold `entries`, taken one at a time: a duplicate path is refused
+        before a later entry is drawn."""
         self._entries: dict[str, ContainerEntry] = {}
-        self._directories: Counter[str] = Counter()
-        for entry in entries or []:
-            self.add(entry)
+        for entry in entries:
+            self._hold(entry)
+        self._directories: Counter[str] = Counter(
+            directory for path in self._entries for directory in parents(path))
 
     @property
     def entries(self) -> list[ContainerEntry]:
@@ -203,10 +211,13 @@ class Container:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(self, entry: ContainerEntry) -> None:
+    def _hold(self, entry: ContainerEntry) -> None:
         if entry.path in self._entries:
             raise UnsafePath(entry.path, "duplicate entry")
         self._entries[entry.path] = entry
+
+    def add(self, entry: ContainerEntry) -> None:
+        self._hold(entry)
         self._directories.update(parents(entry.path))
 
     def remove(self, path: str) -> None:
@@ -445,15 +456,16 @@ def open_container(data: bytes) -> Container:
     # a member's bytes end where the next member or the central directory starts
     offsets = sorted({record[-1] for record in records})
     ends = dict(zip(offsets, offsets[1:] + [directory]))
-    container = Container()
-    for record in records:
-        name = record[0]
-        if name.endswith("/"):  # a directory entry; ContainerEntry checks the others
-            if name.rstrip("/"):
-                check_path(name.rstrip("/"))
-            continue
-        container.add(_entry(data, view, record, ends[record[-1]]))
-    return container
+
+    def members() -> Iterator[ContainerEntry]:
+        for record in records:
+            name = record[0]
+            if name.endswith("/"):  # a directory entry; ContainerEntry checks the others
+                if name.rstrip("/"):
+                    check_path(name.rstrip("/"))
+                continue
+            yield _entry(data, view, record, ends[record[-1]])
+    return Container(members())
 
 
 def _write_order(paths: list[str]) -> list[str]:

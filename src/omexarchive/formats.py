@@ -50,6 +50,7 @@ class FormatClass:
     key: str
 
 
+@functools.lru_cache(maxsize=256)  # an archive names few formats, each on many entries
 def classify_format(uri: str) -> FormatClass:
     """Classify any string into exactly one FormatClass; never raises.
 

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from urllib.parse import unquote
 
-from .container import check_path
+from .container import _PLAIN_PATH, check_path
 from .errors import (
     DuplicateLocation,
     InvalidLocation,
@@ -140,6 +140,8 @@ def check_location(location: str) -> str:
     made of XML characters and pass the container's `check_path`;
     anything else raises InvalidLocation.
     """
+    if _PLAIN_PATH.fullmatch(location):  # nothing to decode, strip or refuse
+        return location
     try:
         path = unquote(location, errors="strict")
     except UnicodeDecodeError as exc:

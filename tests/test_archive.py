@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omexarchive
+import omexarchive.archive
 from omexarchive import (
     Creator,
     MetadataSet,
@@ -278,6 +279,32 @@ def test_open_dangling_entry(golden_files):
     with pytest.raises(DanglingManifestEntry) as exc:
         open_archive(write_container(data))
     assert exc.value.location == "doc/article.pdf"
+
+
+def test_open_names_the_first_missing_file_as_lenient_validation_does():
+    manifest = (f'<omexManifest xmlns="{MANIFEST_NS}">'
+                f'<content location="." format="{OMEX_FORMAT_URI}"/>'
+                + "".join(f'<content location="{name}" format="{TEXT}"/>'
+                          for name in ("z.txt", "b/c.txt", "m.txt", "b.txt"))
+                + "</omexManifest>").encode()
+    data = raw_zip([("manifest.xml", manifest), ("m.txt", b"m")])
+    with pytest.raises(DanglingManifestEntry) as exc:
+        open_archive(data)
+    assert exc.value.location == "b.txt"
+    assert validate_archive(data, ValidationMode.LENIENT).errors[0].location == "b.txt"
+
+
+def test_open_parses_no_metadata_and_finds_no_clashes(golden_archive_bytes, monkeypatch):
+    calls = []
+    parse, clashes = omexarchive.archive.parse_metadata, omexarchive.Container.clashes
+    monkeypatch.setattr(omexarchive.archive, "parse_metadata",
+                        lambda data: calls.append("parse") or parse(data))
+    monkeypatch.setattr(omexarchive.Container, "clashes",
+                        lambda self: calls.append("clashes") or clashes(self))
+    archive = open_archive(golden_archive_bytes)
+    assert calls == []
+    assert archive.metadata.get(".").created is not None and archive.metadata_error is None
+    assert calls == ["parse"]
 
 
 def test_validate_golden_strict(golden_archive_bytes):
@@ -700,6 +727,42 @@ def test_extract_without_directory_descriptors_refuses_a_link_out(tmp_path, tmp_
         extract_all(_linked_archive(), dest)
     assert refusal.value.path == "models/model.xml"
     assert list(outside.iterdir()) == [] and list(dest.iterdir()) == [dest / "models"]
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_refuses_a_file_other_hard_links_share(dir_fd, tmp_path, tmp_path_factory,
+                                                       monkeypatch):
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    dest, outside = tmp_path / "dest", tmp_path_factory.mktemp("outside") / "outside.txt"
+    dest.mkdir()
+    outside.write_bytes(b"old")
+    os.link(outside, dest / "a.txt")
+    with pytest.raises(UnsafePath, match="other hard links") as refusal:
+        extract_all(_linked_archive(), dest)
+    assert refusal.value.path == "a.txt"
+    assert outside.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_refuses_a_directory_where_a_members_file_goes(dir_fd, tmp_path, monkeypatch):
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    dest = tmp_path / "dest"
+    (dest / "models" / "model.xml").mkdir(parents=True)
+    with pytest.raises(UnsafePath, match="a directory lies where its file goes") as refusal:
+        extract_all(_linked_archive(), dest)
+    assert refusal.value.path == "models/model.xml"
+    assert list((dest / "models" / "model.xml").iterdir()) == []
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_replaces_all_of_a_longer_existing_file(dir_fd, tmp_path, monkeypatch):
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    (tmp_path / "a.txt").write_bytes(b"a much longer old content")
+    extract_all(_linked_archive(), tmp_path)
+    assert (tmp_path / "a.txt").read_bytes() == b"new"
 
 
 def test_extract_writes_every_byte_when_writes_come_up_short(tmp_path, monkeypatch):

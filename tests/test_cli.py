@@ -217,6 +217,16 @@ def test_pack_unpack_keeps_percent_and_space_names(tmp_path, capsys):
     assert (dest / "a%41.txt").read_bytes() == b"percent"
 
 
+def test_unpack_finds_the_clashes_once(golden_archive_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    clashes = omexarchive.Container.clashes
+    monkeypatch.setattr(omexarchive.Container, "clashes",
+                        lambda self: calls.append(self) or clashes(self))
+    assert main(["unpack", str(golden_archive_file), str(tmp_path / "dest")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_unpack_bad_archive(tmp_path, capsys):
     bogus = tmp_path / "bogus.omex"
     bogus.write_text("not a zip")

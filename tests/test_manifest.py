@@ -1,9 +1,12 @@
+import re
 from xml.sax import saxutils
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import omexarchive.container
+import omexarchive.manifest
 from omexarchive import (
     ContentEntry,
     Manifest,
@@ -19,9 +22,11 @@ from omexarchive.errors import (
     InvalidManifest,
     MalformedXml,
     MissingAttribute,
+    UnsafePath,
     WrongNamespace,
     WrongRootElement,
 )
+from omexarchive.container import _PLAIN_PATH, check_path
 from omexarchive.manifest import (
     MANIFEST_NS,
     NON_XML_CHAR,
@@ -157,6 +162,48 @@ def test_check_location_maps_to_path(location, path):
     # stripping `./` is idempotent: a path without `%` maps to itself
     if "%" not in path:
         assert check_location(path) == path
+
+
+def _outcome(check, text: str):
+    """What `check` makes of `text`: what it returns, or its refusal and reason."""
+    try:
+        return check(text)
+    except (UnsafePath, InvalidLocation) as exc:
+        return type(exc), exc.reason
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.text(), st.text("aZ9_-./%:\\\x00é"),
+                 st.from_regex(_PLAIN_PATH, fullmatch=True)))
+@example("a" * 255)
+@example("a" * 256)
+@example("d/" + "é" * 64)
+def test_the_plain_path_shortcut_accepts_only_what_the_rules_accept(text):
+    shortcut = [_outcome(check_path, text), _outcome(check_location, text)]
+    with pytest.MonkeyPatch.context() as patch:
+        never = re.compile(r"(?!)")
+        patch.setattr(omexarchive.container, "_PLAIN_PATH", never)
+        patch.setattr(omexarchive.manifest, "_PLAIN_PATH", never)
+        assert [_outcome(check_path, text), _outcome(check_location, text)] == shortcut
+
+
+@pytest.mark.parametrize("prefix", ["", "models/"])
+def test_a_plain_segment_of_256_characters_is_refused_for_its_length(prefix):
+    assert check_location(prefix + "a" * 255) == check_path(prefix + "a" * 255)
+    with pytest.raises(UnsafePath, match="segment too long"):
+        check_path(prefix + "a" * 256)
+    with pytest.raises(InvalidLocation, match="segment too long"):
+        check_location(prefix + "a" * 256)
+
+
+def test_a_plain_location_is_not_decoded(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(omexarchive.manifest, "unquote", refuse)
+    assert check_location("models/model-1.xml") == "models/model-1.xml"
+    with pytest.raises(AssertionError, match="decoded"):
+        check_location("a%20b.xml")
 
 
 def test_unknown_attributes_and_children_ignored():
