@@ -6,6 +6,7 @@ import enum
 import errno
 import getpass
 import os
+import stat
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from operator import itemgetter
@@ -294,8 +295,9 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     resolved, so links above it are followed; below it, each directory and
     file is opened through its parent's descriptor without following a
     link, and a link, a non-directory where a directory goes, a directory
-    where a file goes, or a file that other hard links share raises
-    UnsafePath naming the member before any byte of that file changes.
+    where a file goes, a FIFO or other non-regular file where a file goes,
+    or a file that other hard links share raises UnsafePath naming the
+    member before any byte of that file changes.
     Members written before then stay; none is written through a link.
     Where `os.open` or `os.mkdir` takes no directory descriptor, each
     target is resolved before the first write and refused if it lies
@@ -324,10 +326,13 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     dest.mkdir(parents=True, exist_ok=True)
     for target, (parts, steps) in zip(targets, members):
         target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            file = open(target, "ab")  # appends at 0 once _fill truncates it
-        except IsADirectoryError as exc:
-            raise UnsafePath("/".join(parts), _DIRECTORY_IN_WAY) from exc
+        try:  # appends at 0 once _fill truncates it
+            file = open(target, "ab",
+                        opener=lambda path, flags: os.open(path, flags | _NONBLOCK))
+        except OSError as exc:
+            if exc.errno in _IN_THE_WAY:
+                raise UnsafePath("/".join(parts), _IN_THE_WAY[exc.errno]) from exc
+            raise
         with file:
             _fill(parts, file.fileno(), steps)
     return targets
@@ -338,14 +343,21 @@ def extract_all(archive: Archive, destination) -> list[Path]:
 # non-directory, BSD kernels may give ENOTDIR at a link opened as a
 # directory, and FreeBSD EMLINK at a link opened as a file
 _NOT_FOLLOWED = frozenset({errno.ELOOP, errno.ENOTDIR, errno.EMLINK})
-_DIRECTORY_IN_WAY = "a directory lies where its file goes"
+_NOT_REGULAR = "a FIFO or other non-regular file lies where its file goes"
+# what the open of a member's file raises where something else lies in its way;
+# with O_NONBLOCK a FIFO that no reader holds raises ENXIO instead of waiting
+_IN_THE_WAY = {errno.EISDIR: "a directory lies where its file goes", errno.ENXIO: _NOT_REGULAR}
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
 
 
 def _fill(parts: list[str], fd: int, steps: Iterable) -> None:
-    """Write `steps` over the file open for writing at `fd`, unless another
-    hard link shares it: then raise UnsafePath naming the member at `parts`
-    before any byte of the file changes."""
-    if os.fstat(fd).st_nlink > 1:
+    """Write `steps` over the file open for writing at `fd`, unless it is
+    not a regular file or another hard link shares it: then raise UnsafePath
+    naming the member at `parts` before any byte of the file changes."""
+    status = os.fstat(fd)
+    if not stat.S_ISREG(status.st_mode):
+        raise UnsafePath("/".join(parts), _NOT_REGULAR)
+    if status.st_nlink > 1:
         raise UnsafePath("/".join(parts), "other hard links share its file")
     os.ftruncate(fd, 0)
     for step in steps:
@@ -368,8 +380,8 @@ def _write_below(dest: Path, members: list[tuple[list[str], Iterable]]) -> None:
             if exc.errno in _NOT_FOLLOWED:
                 raise UnsafePath("/".join(parts),
                                  "a link or a non-directory lies in its way") from exc
-            if exc.errno == errno.EISDIR:
-                raise UnsafePath("/".join(parts), _DIRECTORY_IN_WAY) from exc
+            if exc.errno in _IN_THE_WAY:
+                raise UnsafePath("/".join(parts), _IN_THE_WAY[exc.errno]) from exc
             raise
 
     try:
@@ -386,7 +398,7 @@ def _write_below(dest: Path, members: list[tuple[list[str], Iterable]]) -> None:
                     pass
                 chain.append(below(parts, segment, os.O_RDONLY | os.O_DIRECTORY))
                 names.append(segment)
-            fd = below(parts, name, os.O_WRONLY | os.O_CREAT)  # _fill truncates
+            fd = below(parts, name, os.O_WRONLY | os.O_CREAT | _NONBLOCK)  # _fill truncates
             try:
                 _fill(parts, fd, steps)
             finally:

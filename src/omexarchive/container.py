@@ -11,17 +11,16 @@ one byte past their declared size, and must come out at exactly that size
 and pass their CRC-32: where `zipfile` let a damaged bzip2 or LZMA stream
 raise, or took a stream shorter or longer than declared, the member is
 refused. A member of at most one step keeps the bytes that check
-inflated; a longer one keeps only its bytes as stored, a view of the
+inflated; a longer one keeps only where its bytes as stored lie in the
 input, and is inflated again, step by step, when it is read. Writing emits
-the ZIP itself with fixed timestamps and a fixed entry order: an entry
-that still holds the bytes it was read with is copied as stored, with its
-compression method; an entry longer than 64 KiB whose first 64 KiB
-deflate no smaller is stored; any other is deflated with the stream
-`zipfile` uses. The layout and the zip64 rules are those of `zipfile`:
-the bytes are those `zipfile.writestr` writes except for the members
-copied or stored, identical containers serialize to identical bytes, and
-a container read from an archive this module wrote serializes to that
-archive again.
+the ZIP itself with fixed timestamps and a fixed entry order: a stored or
+deflated member read is copied as stored, with its compression method; an
+entry longer than 64 KiB whose first 64 KiB deflate no smaller is stored;
+any other is deflated with the stream `zipfile` uses. The layout and the
+zip64 rules are those of `zipfile`: the bytes are those `zipfile.writestr`
+writes except for the members copied or stored, identical containers
+serialize to identical bytes, and a container read from an archive this
+module wrote serializes to that archive again.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from __future__ import annotations
 import io
 import re
 import struct
-import sys
 import zlib
 from collections import Counter
-from functools import partial
 from typing import Iterable, Iterator
 
 from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
@@ -131,30 +128,26 @@ def case_collision(paths, directories) -> str | None:
 
 class ContainerEntry:
     """A member at a checked path. `data` is its bytes, or a callable that
-    returns them, called once, when `data` is first read. `stored` is
-    (compression method, CRC-32, bytes as stored) of a member read, which
-    write_container copies as they stand, and `size` its length. A member
-    read that is longer than one step keeps only `stored`: its `data` is
-    inflated when first read and kept from then on, and `steps()` inflates
-    it anew, 64 KiB at a time, without keeping it. Entries compare by path
-    and bytes alone, comparing sizes and CRC-32s first, and hash and print
-    by path and size."""
+    returns them, called once, when `data` is first read, and `size` its
+    length. A member read that is longer than one step keeps only where its
+    bytes lie in the archive: its `data` is inflated when first read and
+    kept from then on, and `steps()` inflates it anew, 64 KiB at a time,
+    without keeping it. Entries compare by path and bytes alone, comparing
+    sizes and CRC-32s first, and hash and print by path and size."""
 
-    # set by open_container on a member it reads: the declared size it
-    # checked, and for a long member the steps that inflate it anew
-    _size: int | None = None
-    _steps = None
+    __slots__ = ("path", "_data", "_read")
 
-    def __init__(self, path: str, data, stored: tuple[int, int, memoryview] | None = None):
-        self.path, self._data, self.stored = check_path(path), data, stored
+    def __init__(self, path: str, data, *, _read: tuple | None = None):
+        # _read, given by open_container alone, is the record _entry makes of a member
+        self.path, self._data, self._read = check_path(path), data, _read
 
     @property
     def data(self) -> bytes:
-        if self._steps is not None:
+        if self._data is None:
             # one growing buffer: a join would hold every piece and the result
             buffer = io.BytesIO()
-            buffer.writelines(self._steps())
-            self._data, self._steps = buffer.getvalue(), None
+            buffer.writelines(_steps(self._read))
+            self._data = buffer.getvalue()
         elif callable(self._data):
             self._data = self._data()
         return self._data
@@ -162,19 +155,28 @@ class ContainerEntry:
     @property
     def size(self) -> int:
         """Its length: as declared when read, which the read checked, or len(data)."""
-        return len(self.data) if self._size is None else self._size
+        return len(self.data) if self._read is None else self._read[5]
+
+    @property
+    def stored(self) -> tuple[int, int, memoryview] | None:
+        """(compression method, CRC-32, bytes as stored) that write_container
+        copies of a stored or deflated member read, or None; made when asked."""
+        if self._read is None or self._read[1] not in (_STORED, _DEFLATED):
+            return None
+        source, method, crc, start, stored_size, _ = self._read
+        return method, crc, memoryview(source)[start:start + stored_size]
 
     def steps(self) -> Iterable[bytes | memoryview]:
         """Its bytes in pieces: inflated anew, 64 KiB at a time, for a long
         member read whose `data` was not read, else `data` whole."""
-        return [self.data] if self._steps is None else self._steps()
+        return _steps(self._read) if self._data is None else [self.data]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
             return NotImplemented
         if (self.path, self.size) != (other.path, other.size):
             return False
-        if self.stored and other.stored and self.stored[1] != other.stored[1]:
+        if self._read and other._read and self._read[2] != other._read[2]:
             return False
         return self.data == other.data
 
@@ -339,13 +341,14 @@ def _directory(data: bytes) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _steps(method: int, stored: memoryview, size: int) -> Iterator[bytes | memoryview]:
-    """What a member inflates to, in steps of at most 64 KiB, from its stored
-    bytes fed 64 KiB at a time and cut at one byte past its declared `size`,
-    so a stream that runs on costs that byte and no more. Damaged data
-    raises ValueError.
+def _steps(read: tuple) -> Iterator[bytes | memoryview]:
+    """What the member `read` describes inflates to, in steps of at most
+    64 KiB, from its stored bytes fed 64 KiB at a time and cut at one byte
+    past its declared size, so a stream that runs on costs that byte and no
+    more. Damaged data raises ValueError.
     """
-    limit = min(size + 1, sys.maxsize)
+    source, method, _, start, stored_size, size = read
+    stored, limit = memoryview(source)[start:start + stored_size], size + 1
     if method == _STORED:
         for at in range(0, min(limit, len(stored)), _PROBE):
             yield stored[at:min(at + _PROBE, limit)]
@@ -386,7 +389,7 @@ def _steps(method: int, stored: memoryview, size: int) -> Iterator[bytes | memor
         raise ValueError(str(exc)) from exc
 
 
-def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerEntry:
+def _entry(data: bytes, record: tuple, end: int) -> ContainerEntry:
     """The member a central record describes, whose bytes must end by `end`,
     where the next member or the central directory starts. It keeps the
     bytes its check inflated when they fit in one step, and otherwise
@@ -413,45 +416,41 @@ def _entry(data: bytes, view: memoryview, record: tuple, end: int) -> ContainerE
         raise refuse("encrypted or patched data")
     if method not in (_STORED, _DEFLATED, _BZIP2, _LZMA):
         raise refuse(f"compression type {method}")
-    stored = view[start:start + stored_size]
-    steps = kept = None
+    read, kept = (data, method, crc, start, stored_size, size), None
     try:
         if size > _PROBE:
-            steps, done, check = partial(_steps, method, stored, size), 0, 0
-            for piece in steps():
+            done = check = 0
+            for piece in _steps(read):
                 done += len(piece)
                 check = zlib.crc32(piece, check)
         else:  # at most one step and a byte: held whole, and kept
-            if method == _DEFLATED and len(stored) <= _PROBE:
+            if method == _DEFLATED and stored_size <= _PROBE:
                 # the one call _steps would make, without its generator's cost
-                kept = zlib.decompressobj(-15).decompress(stored, size + 1)
+                kept = zlib.decompressobj(-15).decompress(data[start:start + stored_size],
+                                                          size + 1)
             else:
-                kept = b"".join(_steps(method, stored, size))
+                kept = b"".join(_steps(read))
             done, check = len(kept), zlib.crc32(kept)
     except (ValueError, zlib.error) as exc:
         raise refuse(str(exc)) from exc
     if done != size:
         raise refuse("its data ends before its declared size" if done < size
                      else "its data runs past its declared size")
-    if stored_size and not stored:  # an empty member whose bytes lie past the archive's end
+    if stored_size and start >= len(data):  # an empty member whose bytes lie past the end
         raise refuse("its data runs past the end of the archive")
     if check != crc:
         raise refuse(f"Bad CRC-32 for file {name!r}")
-    copied = (method, crc, stored) if method in (_STORED, _DEFLATED) else None
-    entry = ContainerEntry(name, kept, copied)
-    entry._size, entry._steps = size, steps
-    return entry
+    return ContainerEntry(name, kept, _read=read)
 
 
 def open_container(data: bytes) -> Container:
     """Read a ZIP stream into a Container, rejecting unsafe entry names and
     members whose declared range reaches into the next one.
 
-    Each member is inflated in 64 KiB steps to check its size and CRC-32;
-    a stored or deflated one keeps its bytes as stored, a view of `data`.
+    Each member is inflated in 64 KiB steps to check its size and CRC-32,
+    and keeps where its bytes as stored lie in `data`.
     """
     data = bytes(data)  # a no-op for bytes; copies a bytearray the caller may change
-    view = memoryview(data)
     directory, records = _directory(data)
     # a member's bytes end where the next member or the central directory starts
     offsets = sorted({record[-1] for record in records})
@@ -464,7 +463,7 @@ def open_container(data: bytes) -> Container:
                 if name.rstrip("/"):
                     check_path(name.rstrip("/"))
                 continue
-            yield _entry(data, view, record, ends[record[-1]])
+            yield _entry(data, record, ends[record[-1]])
     return Container(members())
 
 

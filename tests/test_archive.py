@@ -1,5 +1,7 @@
 import os
 import random
+import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -27,6 +29,7 @@ from omexarchive import (
     remove_entry,
     set_metadata,
     validate_archive,
+    write_container,
 )
 from omexarchive.archive import pack_directory, stamp_block
 from omexarchive.errors import (
@@ -226,6 +229,14 @@ def test_whatever_set_metadata_accepts_reads_back(description):
     assert "metadata-unreadable" not in rules
 
 
+def test_unreadable_metadata_is_a_validation_warning(golden_files):
+    data = write_container(build_container(dict(golden_files, **{"metadata.rdf": b"<x/>"})))
+    for mode in ValidationMode:
+        assert [(f.severity, f.location, f.message) for f in validate_archive(data, mode)
+                if f.rule == "metadata-unreadable"] == [
+            (Severity.WARNING, "metadata.rdf", "root element 'x', expected rdf:RDF")]
+
+
 def test_percent_encoded_location_matches_its_member():
     manifest = (
         f'<omexManifest xmlns="{MANIFEST_NS}">'
@@ -274,7 +285,6 @@ def test_open_dangling_entry(golden_files):
     files = dict(golden_files)
     del files["doc/article.pdf"]
     data = build_container(files)
-    from omexarchive import write_container
 
     with pytest.raises(DanglingManifestEntry) as exc:
         open_archive(write_container(data))
@@ -316,7 +326,6 @@ def test_validate_golden_strict(golden_archive_bytes):
 def test_validate_unlisted_file(golden_files):
     files = dict(golden_files)
     files["notes.txt"] = b"scratch"
-    from omexarchive import write_container
 
     data = write_container(build_container(files))
     strict = validate_archive(data, ValidationMode.STRICT)
@@ -340,7 +349,6 @@ def test_validate_is_deterministically_ordered(golden_files):
     files = dict(golden_files)
     files["notes.txt"] = b"scratch"
     files["also.txt"] = b"more"
-    from omexarchive import write_container
 
     data = write_container(build_container(files))
     first = validate_archive(data, ValidationMode.STRICT)
@@ -525,7 +533,6 @@ def test_set_metadata_creates_entry(golden_files):
 
 
 def _with_metadata(golden_files, document: bytes):
-    from omexarchive import write_container
 
     return write_container(build_container(dict(golden_files, **{"metadata.rdf": document})))
 
@@ -742,6 +749,34 @@ def test_extract_refuses_a_file_other_hard_links_share(dir_fd, tmp_path, tmp_pat
         extract_all(_linked_archive(), dest)
     assert refusal.value.path == "a.txt"
     assert outside.read_bytes() == b"old"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("reader", [False, True], ids=["no_reader", "reader"])
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_refuses_a_fifo_where_a_members_file_goes(dir_fd, reader, tmp_path, monkeypatch):
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    os.mkfifo(tmp_path / "a.txt")
+    opened = [os.open(tmp_path / "a.txt", os.O_RDONLY | os.O_NONBLOCK)] if reader else []
+
+    def hung(signum, frame):
+        raise TimeoutError("extract_all waited on the FIFO")
+
+    # an open that waits for a reader fails the test instead of hanging it
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(UnsafePath, match="FIFO or other non-regular file") as refusal:
+            extract_all(_linked_archive(), tmp_path)
+        assert refusal.value.path == "a.txt"
+        assert [os.read(fd, 16) for fd in opened] == [b""] * len(opened)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for fd in opened:
+            os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(tmp_path / "a.txt").st_mode)
 
 
 @pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])

@@ -83,6 +83,15 @@ def test_pack_missing_directory(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("item", ["models/model.xml", "models/model.xml="])
+def test_pack_refuses_a_format_that_is_not_location_equals_uri(item, fixture_dir, tmp_path,
+                                                               capsys):
+    out = tmp_path / "x.omex"
+    assert main(["pack", str(fixture_dir), str(out), "--format", item]) == 2
+    assert capsys.readouterr().err == f"error: --format expects LOCATION=URI, got {item!r}\n"
+    assert not out.exists()
+
+
 def test_pack_determinism(fixture_dir, tmp_path, capsys):
     a, b = tmp_path / "a.omex", tmp_path / "b.omex"
     for out in (a, b):
@@ -290,6 +299,14 @@ def test_info_golden(golden_archive_file, capsys):
     assert "lenov@babraham.ac.uk" in out
     assert "2014-06-26T10:29:00Z" in out
     assert "http://identifiers.org/arxiv/1311.5696" in out
+
+
+def test_info_says_when_an_archive_has_no_metadata(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "bare.omex"
+    assert main(["pack", str(fixture_dir), str(out), "--no-stamp"]) == 0
+    capsys.readouterr()
+    assert main(["info", str(out)]) == 0
+    assert capsys.readouterr().out == "no metadata\n"
 
 
 def test_meta_touch_appends(golden_archive_file, capsys):

@@ -394,11 +394,36 @@ def test_a_data_callable_is_called_once_and_its_result_kept():
         ContainerEntry("a.bin", b"abc", size=5)
 
 
+def test_an_entry_takes_no_stored_bytes_and_holds_no_dict():
+    # bytes as stored that did not match `data` wrote an archive that did not reopen
+    with pytest.raises(TypeError):
+        ContainerEntry("a.txt", b"hello", (0, 123, memoryview(b"xyz")))
+    fresh = ContainerEntry("a.txt", b"hello")
+    [read] = open_container(write_container(Container([fresh]))).entries
+    for entry in (read, fresh):
+        assert not hasattr(entry, "__dict__")
+        with pytest.raises(AttributeError):
+            entry.stored = (0, 123, memoryview(b"xyz"))
+
+
+def test_a_member_read_holds_under_350_bytes():
+    count = 50_000
+    data = write_container(Container([ContainerEntry(f"{i:05x}", b"") for i in range(count)]))
+    tracemalloc.start()
+    try:
+        container = open_container(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(container) == count
+    assert held / count < 350, held / count
+
+
 def test_the_repr_of_a_long_member_read_does_not_inflate_it():
     text = b"printed by path and size\n" * 10_000
     [entry] = open_container(write_container(Container([ContainerEntry("a.txt", text)]))).entries
     assert repr(entry) == f"ContainerEntry(path='a.txt', size={len(text)})"
-    assert entry._steps is not None
+    assert entry._data is None
     assert repr(ContainerEntry("a.txt", text)) == repr(entry)
 
 
@@ -407,7 +432,7 @@ def test_a_first_read_of_a_long_members_data_fills_one_buffer():
     csv = csv[:4 << 20]
     data = _zipfile_deflated("data.csv", len(csv), csv)
     [_, entry] = open_container(data).entries
-    assert entry._steps is not None and len(data) < len(csv) // 2
+    assert entry._data is None and len(data) < len(csv) // 2
     read, peak = _peak(lambda: entry.data)
     assert read == csv
     # joining the steps held them and the result at once, 2.0x the member

@@ -214,6 +214,13 @@ def test_serialize_refuses_text_outside_xml(block):
         serialize_metadata(meta)
 
 
+def test_serialize_refuses_an_empty_creator():
+    meta = MetadataSet()
+    meta.add(DescriptionBlock(about="a.xml", creators=[Creator(family_name="Doe"), Creator()]))
+    with pytest.raises(InvalidMetadata, match="empty creator in block about 'a.xml'"):
+        serialize_metadata(meta)
+
+
 def test_serialize_refuses_about_outside_xml():
     meta = MetadataSet()
     block = DescriptionBlock(about="a.xml")

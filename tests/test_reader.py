@@ -47,6 +47,17 @@ _ZIP_FAILURES = (zipfile.BadZipFile, zlib.error, EOFError,
                  NotImplementedError, RuntimeError, ValueError)
 
 
+class _Expected(ContainerEntry):
+    """A member as the oracle reads it: `stored` is the (method, CRC-32,
+    bytes as stored) it expects open_container to give it."""
+
+    __slots__ = ("stored",)
+
+    def __init__(self, path: str, data: bytes, stored):
+        super().__init__(path, data)
+        self.stored = stored
+
+
 def zipfile_open_container(data: bytes) -> Container:
     """The oracle: open_container as it read archives through zipfile."""
     data = bytes(data)
@@ -83,7 +94,7 @@ def zipfile_open_container(data: bytes) -> Container:
                 size = (len(payload) if info.compress_type == zipfile.ZIP_STORED
                         else info.compress_size)
                 stored = info.compress_type, info.CRC, view[start:start + size]
-            container.add(ContainerEntry(name, payload, stored))
+            container.add(_Expected(name, payload, stored))
     return container
 
 
@@ -355,3 +366,86 @@ def test_the_readers_differ_on_record_mutants_only_by_named_departures(golden_ar
 def test_open_container_makes_no_zipfile_call(monkeypatch, golden_archive_bytes):
     monkeypatch.delattr(zipfile, "ZipFile")
     assert open_container(golden_archive_bytes) == build_container(GOLDEN_FILES)
+
+
+def _local(name: bytes, method: int, crc: int, stored: int, size: int,
+           extra_length: int = 0, flags: int = 0) -> bytes:
+    """A local header for `name` as zipfile packs it, with the name."""
+    return struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, flags, method, 0, 0x21,
+                       crc, stored, size, len(name), extra_length) + name
+
+
+def _handmade(local: bytes, records: list[tuple]) -> bytes:
+    """The bytes `local`, then a central record for each (name, method,
+    CRC-32, stored size, size, extra field, local header offset) and the
+    end record."""
+    central = b"".join(
+        struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, 0, method, 0, 0x21, crc,
+                    stored, size, len(name), len(extra), 0, 0, 0, 0, offset) + name + extra
+        for name, method, crc, stored, size, extra, offset in records)
+    return local + central + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, len(records),
+                                         len(records), len(central), len(local), 0)
+
+
+def _past_the_end() -> bytes:
+    """148 bytes: stored member `a`, empty, whose 5 stored bytes start past
+    the archive's end, as its local header declares a 200-byte extra field
+    the archive lacks; directory `d/`'s header offset makes `a`'s range end
+    at 1,000,000."""
+    data = _handmade(_local(b"a", 0, 0, 5, 0, extra_length=200),
+                     [(b"a", 0, 0, 5, 0, b"", 0), (b"d/", 0, 0, 0, 0, b"", 1_000_000)])
+    assert len(data) == 148
+    return data
+
+
+def _local_name_not_utf8() -> bytes:
+    """Member `a.txt` whose local header flags its name UTF-8 and holds a
+    byte that is not."""
+    data = bytearray(raw_zip([("a.txt", b"abc")]))
+    assert data.startswith(b"PK\x03\x04") and data[30:35] == b"a.txt"
+    struct.pack_into("<H", data, 6, 0x800)
+    data[30] = 0xFF
+    return bytes(data)
+
+
+@pytest.mark.parametrize("data, refusal, match", [
+    (_past_the_end(), CorruptEntry, "runs past the end of the archive"),
+    (_handmade(_local(b"a.txt", 0, zlib.crc32(b"abc"), 3, 3) + b"abc",
+               [(b"a.txt", 0, zlib.crc32(b"abc"), 3, 0xFFFFFFFF,
+                 struct.pack("<HH4s", 1, 4, b"\0" * 4), 0)]),
+     NotAZip, "Corrupt zip64 extra field"),
+    (_local_name_not_utf8(), CorruptEntry, "local header does not match"),
+], ids=["past the end", "short zip64 field", "local name not UTF-8"])
+def test_a_malformed_record_is_refused_as_zipfile_refuses_it(data, refusal, match):
+    with pytest.raises(refusal, match=match):
+        open_container(data)
+    assert_agree([(match, data)])
+
+
+@pytest.mark.parametrize("disk, disks", [(1, 1), (0, 2)])
+def test_a_zip64_locator_of_more_than_one_disk_is_refused(monkeypatch, disk, disks):
+    monkeypatch.setattr("omexarchive.container._FILECOUNT_LIMIT", 0)  # a zip64 end record
+    data = bytearray(write_container(build_container({"a.txt": b"abc"})))
+    monkeypatch.undo()
+    locator = len(data) - 22 - 20
+    assert data[locator:locator + 4] == b"PK\x06\x07"
+    assert open_container(bytes(data)).get("a.txt") == b"abc"
+    struct.pack_into("<L", data, locator + 4, disk)
+    struct.pack_into("<L", data, locator + 16, disks)
+    with pytest.raises(NotAZip, match="span multiple disks"):
+        open_container(bytes(data))
+    assert_agree([("spanning", bytes(data))])
+
+
+@pytest.mark.parametrize("method", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED],
+                         ids=["stored", "deflated"])
+def test_a_member_declaring_2_to_the_64_minus_1_bytes_ends_short(method):
+    text = b"abc"
+    stored = text if method == zipfile.ZIP_STORED else zlib.compress(text)[2:-4]
+    crc, size = zlib.crc32(text), (1 << 64) - 1
+    data = _handmade(_local(b"a.txt", method, crc, len(stored), 0xFFFFFFFF) + stored,
+                     [(b"a.txt", method, crc, len(stored), 0xFFFFFFFF,
+                       struct.pack("<HHQ", 1, 8, size), 0)])
+    with pytest.raises(CorruptEntry, match="ends before its declared size") as refusal:
+        open_container(data)
+    assert refusal.value.path == "a.txt"
