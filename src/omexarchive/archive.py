@@ -201,9 +201,9 @@ def create_archive(files) -> Archive:
     return _build(Archive(Container(), Manifest(())), entries)
 
 
-def _read(data: bytes) -> tuple[Archive, ValidationReport]:
-    """Read an archive and check its manifest against its members: the one
-    pipeline behind open and validate.
+def _read(data) -> tuple[Archive, ValidationReport]:
+    """Read an archive, bytes or a binary file, and check its manifest
+    against its members: the one pipeline behind open and validate.
 
     Raises the first fatal OmexError (an unreadable container, a missing
     manifest, a manifest that fails to parse). The report holds what
@@ -220,8 +220,10 @@ def _read(data: bytes) -> tuple[Archive, ValidationReport]:
     return Archive(container, manifest), report
 
 
-def open_archive(data: bytes) -> Archive:
-    """Read an archive; succeeds exactly when lenient validation finds no errors.
+def open_archive(data) -> Archive:
+    """Read an archive, bytes or a binary file open for reading that can
+    seek, which the caller keeps open while it reads long members; succeeds
+    exactly when lenient validation finds no errors.
 
     A listed file the container lacks is lenient validation's only error,
     so the manifest check alone decides, and no other rule runs. The
@@ -236,9 +238,11 @@ def open_archive(data: bytes) -> Archive:
 
 
 def validate_archive(
-    data: bytes, mode: ValidationMode = ValidationMode.STRICT
+    data, mode: ValidationMode = ValidationMode.STRICT
 ) -> ValidationReport:
-    """Full validation; never raises — all findings are report items.
+    """Full validation of an archive, bytes or a binary file as
+    open_archive takes; never raises for a fault of the archive — all
+    findings are report items — but lets out what reading a file raises.
 
     STRICT makes the findings of STRICT_ERRORS errors.
     """

@@ -15,7 +15,9 @@ import os
 import re
 import stat
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .archive import (
     Archive,
@@ -66,8 +68,19 @@ def parse_creator(text: str) -> Creator:
     return creator
 
 
-def _open(path: str) -> Archive:
-    return open_archive(Path(path).read_bytes())
+@contextmanager
+def _archive_file(path: str):
+    """The archive file at `path`, open while the caller reads it; a pipe,
+    which cannot seek, is read whole."""
+    with open(path, "rb") as file:
+        yield file if file.seekable() else file.read()
+
+
+@contextmanager
+def _open(path: str) -> Iterator[Archive]:
+    """The archive at `path`, read from its file, which stays open until the block ends."""
+    with _archive_file(path) as source:
+        yield open_archive(source)
 
 
 def _replace(path, data: bytes) -> None:
@@ -98,7 +111,7 @@ def cmd_pack(args) -> int:
     overrides = {}
     for item in args.format or []:
         location, sep, uri = item.partition("=")
-        if not sep or not uri:
+        if not uri:  # also empty without "="
             return _fail(f"--format expects LOCATION=URI, got {item!r}")
         overrides[location] = uri
     creator = parse_creator(args.creator) if args.creator else None
@@ -119,14 +132,15 @@ def cmd_pack(args) -> int:
 
 
 def cmd_unpack(args) -> int:
-    for path in extract_all(_open(args.archive), args.destination):
-        print(path)
+    with _open(args.archive) as archive:
+        for path in extract_all(archive, args.destination):
+            print(path)
     return EXIT_OK
 
 
 def cmd_list(args) -> int:
-    archive = _open(args.archive)
-    members = {member.path: member for member in archive.container.entries}
+    with _open(args.archive) as archive:  # the manifest and each size are read at the open
+        members = {member.path: member for member in archive.container.entries}
     rows = []
     for entry in archive.manifest.entries:
         member = members.get(entry.path)
@@ -151,7 +165,8 @@ def cmd_list(args) -> int:
 
 def cmd_validate(args) -> int:
     mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
-    report = validate_archive(Path(args.archive).read_bytes(), mode)
+    with _archive_file(args.archive) as source:
+        report = validate_archive(source, mode)
     if args.json:
         payload = {"schemaVersion": SCHEMA_VERSION, "mode": mode.value}
         payload.update(report.to_json())
@@ -211,13 +226,19 @@ def _show(archive: Archive) -> int:
 
 
 def cmd_info(args) -> int:
-    return _show(_open(args.archive))
+    with _open(args.archive) as archive:
+        return _show(archive)
 
 
 def cmd_meta(args) -> int:
-    archive = _open(args.archive)
     if args.action == "show":
-        return _show(archive)
+        with _open(args.archive) as archive:
+            return _show(archive)
+    # set reads the archive whole: what it writes holds every member's bytes
+    # as stored anyway, and bytes, unlike a file, need no second check of each
+    # long member it copies. The input is closed before the rename, which
+    # Windows refuses over an open file.
+    archive = open_archive(Path(args.archive).read_bytes())
     if archive.metadata_error is not None:
         return _fail(f"{archive.metadata_path} is unreadable: {archive.metadata_error}")
     metadata = archive.metadata or MetadataSet()

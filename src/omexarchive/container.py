@@ -57,6 +57,12 @@ _CENTRAL_HEADER = struct.Struct("<4s4B4HL2L5H2L")
 _END_RECORD = struct.Struct("<4s4H2LH")
 _ZIP64_END_RECORD = struct.Struct("<4sQ2H2L4Q")
 _ZIP64_LOCATOR = struct.Struct("<4sLQL")
+# The end record, the comment of up to 64 KiB after it, and the zip64 end
+# record and locator before it: the tail of an archive that _directory reads.
+_TAIL = _END_RECORD.size + (1 << 16) + _ZIP64_END_RECORD.size + _ZIP64_LOCATOR.size
+# A local header with the longest name and extra field, and one step of bytes
+# as stored: the most that _entry reads of a member at once.
+_HEAD = _LOCAL_HEADER.size + 2 * 0xFFFF + _PROBE
 _VERSION, _ZIP64_VERSION = 20, 45
 _MAX_EXTRACT_VERSION = 63  # the newest ZIP version zipfile reads
 _STORED, _DEFLATED, _BZIP2, _LZMA = 0, 8, 12, 14
@@ -132,8 +138,10 @@ class ContainerEntry:
     length. A member read that is longer than one step keeps only where its
     bytes lie in the archive: its `data` is inflated when first read and
     kept from then on, and `steps()` inflates it anew, 64 KiB at a time,
-    without keeping it. Entries compare by path and bytes alone, comparing
-    sizes and CRC-32s first, and hash and print by path and size."""
+    without keeping it. From a file each such read checks the size and
+    CRC-32 again, as the file may have changed since the open. Entries
+    compare by path and bytes alone, comparing sizes and CRC-32s first, and
+    hash and print by path and size."""
 
     __slots__ = ("path", "_data", "_read")
 
@@ -146,7 +154,7 @@ class ContainerEntry:
         if self._data is None:
             # one growing buffer: a join would hold every piece and the result
             buffer = io.BytesIO()
-            buffer.writelines(_steps(self._read))
+            buffer.writelines(self._inflated())
             self._data = buffer.getvalue()
         elif callable(self._data):
             self._data = self._data()
@@ -158,18 +166,29 @@ class ContainerEntry:
         return len(self.data) if self._read is None else self._read[5]
 
     @property
-    def stored(self) -> tuple[int, int, memoryview] | None:
+    def stored(self) -> tuple[int, int, bytes | memoryview] | None:
         """(compression method, CRC-32, bytes as stored) that write_container
-        copies of a stored or deflated member read, or None; made when asked."""
+        copies of a stored or deflated member read, or None; made when asked,
+        and checked again when read from a file."""
         if self._read is None or self._read[1] not in (_STORED, _DEFLATED):
             return None
-        source, method, crc, start, stored_size, _ = self._read
-        return method, crc, memoryview(source)[start:start + stored_size]
+        source, method, crc, start, stored_size, size = self._read
+        stored = _at(source, start, stored_size)
+        if not isinstance(source, bytes):
+            for _ in _checked(self.path, (stored, method, crc, 0, stored_size, size)):
+                pass
+        return method, crc, stored
 
     def steps(self) -> Iterable[bytes | memoryview]:
         """Its bytes in pieces: inflated anew, 64 KiB at a time, for a long
         member read whose `data` was not read, else `data` whole."""
-        return _steps(self._read) if self._data is None else [self.data]
+        return self._inflated() if self._data is None else [self.data]
+
+    def _inflated(self) -> Iterator[bytes | memoryview]:
+        # bytes cannot change after the open; a file can
+        if isinstance(self._read[0], bytes):
+            return _steps(self.path, self._read)
+        return _checked(self.path, self._read)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
@@ -290,36 +309,49 @@ def _name(raw: bytes, flags: int) -> str:
     return raw.decode("utf-8" if flags & _UTF8_NAME or raw.isascii() else "cp437")
 
 
-def _directory(data: bytes) -> tuple[int, list[tuple]]:
+def _at(source, start: int, size: int) -> bytes | memoryview:
+    """The `size` bytes of `source` from offset `start`, or as many as it
+    holds: of bytes a view, of a binary file what a seek and a read give,
+    as FileIO, BufferedReader and BytesIO give them on every platform."""
+    if isinstance(source, bytes):
+        return memoryview(source)[start:start + size]
+    source.seek(start)
+    return source.read(size)
+
+
+def _directory(source, archive_size: int) -> tuple[int, list[tuple]]:
     """Where the central directory starts, and its records in central order:
     (name, flags, method, CRC-32, stored size, size, local header offset).
 
     The end record, its zip64 records and any bytes prepended to the
-    archive are found as zipfile finds them.
+    archive are found as zipfile finds them, in one read of the archive's
+    tail, and the central directory is read in one more.
     """
-    end = len(data) - _END_RECORD.size
-    if not (end >= 0 and data.startswith(b"PK\x05\x06", end) and data.endswith(b"\0\0")):
+    base = max(archive_size - _TAIL, 0)
+    tail = bytes(_at(source, base, _TAIL))
+    end = len(tail) - _END_RECORD.size
+    if not (end >= 0 and tail.startswith(b"PK\x05\x06", end) and tail.endswith(b"\0\0")):
         # a comment follows the end record: take the last signature within 64 KiB
-        end = data.rfind(b"PK\x05\x06", max(end - (1 << 16), 0))
-        if end < 0 or end + _END_RECORD.size > len(data):
+        end = tail.rfind(b"PK\x05\x06", max(end - (1 << 16), 0))
+        if end < 0 or end + _END_RECORD.size > len(tail):
             raise NotAZip("File is not a zip file")
-    *_, length, offset, _ = _END_RECORD.unpack_from(data, end)
-    start = end - length
+    *_, length, offset, _ = _END_RECORD.unpack_from(tail, end)
+    start = base + end - length
     # a zip64 end record and its locator lie right before the end record
     zip64_end = end - _ZIP64_LOCATOR.size
-    signature, disk, _, disks = _ZIP64_LOCATOR.unpack_from(data, max(zip64_end, 0))
+    signature, disk, _, disks = _ZIP64_LOCATOR.unpack_from(tail, max(zip64_end, 0))
     if signature == b"PK\x06\x07":
         if disk != 0 or disks > 1:
             raise NotAZip("zipfiles that span multiple disks are not supported")
         zip64_end -= _ZIP64_END_RECORD.size
-        record = data[max(zip64_end, 0):max(zip64_end, 0) + _ZIP64_END_RECORD.size]
+        record = tail[max(zip64_end, 0):max(zip64_end, 0) + _ZIP64_END_RECORD.size]
         if len(record) == _ZIP64_END_RECORD.size and record.startswith(b"PK\x06\x06"):
             *_, length, offset = _ZIP64_END_RECORD.unpack(record)
-            start = zip64_end - length
+            start = base + zip64_end - length
     if start < 0:
         raise NotAZip("Bad offset for central directory")
     prepended = start - offset
-    central, at, records = data[start:start + length], 0, []
+    central, at, records = bytes(_at(source, start, length)), 0, []
     while at < length:
         if at + _CENTRAL_HEADER.size > length:
             raise NotAZip("Truncated central directory")
@@ -341,117 +373,162 @@ def _directory(data: bytes) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _steps(read: tuple) -> Iterator[bytes | memoryview]:
-    """What the member `read` describes inflates to, in steps of at most
-    64 KiB, from its stored bytes fed 64 KiB at a time and cut at one byte
-    past its declared size, so a stream that runs on costs that byte and no
-    more. Damaged data raises ValueError.
+def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
+    """What the member `name` that `read` describes inflates to, in steps
+    of at most 64 KiB, from its stored bytes read and fed 64 KiB at a time
+    and cut at one byte past its declared size, so a stream that runs on
+    costs that byte and no more. Damaged data raises CorruptEntry; what
+    reading a file raises propagates.
     """
     source, method, _, start, stored_size, size = read
-    stored, limit = memoryview(source)[start:start + stored_size], size + 1
+    limit = size + 1
     if method == _STORED:
-        for at in range(0, min(limit, len(stored)), _PROBE):
-            yield stored[at:min(at + _PROBE, limit)]
-        return
-    # what the decompressors raise on damaged data; the except clause reads it
-    # when one raises, so the LZMA branch can add its own
-    damaged: tuple[type[Exception], ...] = (zlib.error, OSError)  # bz2 raises OSError
-    try:
-        if method == _DEFLATED:
-            inflater = zlib.decompressobj(-15)
-        elif method == _BZIP2:
-            import bz2
-            inflater = bz2.BZ2Decompressor()
-        else:  # LZMA: a version and the length of the LZMA1 properties that follow
-            import lzma
-            damaged += (lzma.LZMAError,)
-            end = 4 + int.from_bytes(stored[2:4], "little")
-            if len(stored) <= end:  # zipfile reads no bytes from such a member
+        for at in range(0, min(limit, stored_size), _PROBE):
+            wanted = min(_PROBE, limit - at, stored_size - at)
+            piece = _at(source, start + at, wanted)
+            if piece:
+                yield piece
+            if len(piece) < wanted:  # the archive ends here
                 return
+        return
+    # what the decompressors raise on damaged data; the LZMA branch adds its own
+    damaged: tuple[type[Exception], ...] = (zlib.error, OSError)  # bz2 raises OSError
+    if method == _DEFLATED:
+        inflater = zlib.decompressobj(-15)
+    elif method == _BZIP2:
+        import bz2
+        inflater = bz2.BZ2Decompressor()
+    else:  # LZMA: a version and the length of the LZMA1 properties that follow
+        import lzma
+        damaged += (lzma.LZMAError,)
+        end = 4 + int.from_bytes(_at(source, start, min(stored_size, 4))[2:4], "little")
+        header = _at(source, start, min(stored_size, end + 1))
+        if len(header) <= end:  # zipfile reads no bytes from such a member
+            return
+        try:
             inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
-                lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(stored[4:end]))])
-            stored = stored[end:]
-        done = at = 0
-        while done < limit and not inflater.eof:
-            # zlib hands back the input a full step left; bz2 and lzma keep it
-            source = inflater.unconsumed_tail if method == _DEFLATED else b""
-            if (not source and at < len(stored)
-                    and (method == _DEFLATED or inflater.needs_input)):
-                source, at = stored[at:at + _PROBE], at + _PROBE
-            piece = inflater.decompress(source, min(_PROBE, limit - done))
-            # zlib can hold output past a full step with all its input taken,
-            # so only a call that is given nothing and gives nothing ends it
-            if not (source or piece):
-                break
-            done += len(piece)
-            yield piece
-    except damaged as exc:
-        raise ValueError(str(exc)) from exc
+                lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(header[4:end]))])
+        except damaged as exc:
+            raise _corrupt(name, str(exc)) from exc
+        start, stored_size = start + end, stored_size - end
+    done = at = 0
+    while done < limit and not inflater.eof:
+        # zlib hands back the input a full step left; bz2 and lzma keep it
+        given = inflater.unconsumed_tail if method == _DEFLATED else b""
+        if not given and at < stored_size and (method == _DEFLATED or inflater.needs_input):
+            given, at = _at(source, start + at, min(_PROBE, stored_size - at)), at + _PROBE
+        try:
+            piece = inflater.decompress(given, min(_PROBE, limit - done))
+        except damaged as exc:
+            raise _corrupt(name, str(exc)) from exc
+        # zlib can hold output past a full step with all its input taken,
+        # so only a call that is given nothing and gives nothing ends it
+        if not (given or piece):
+            break
+        done += len(piece)
+        yield piece
 
 
-def _entry(data: bytes, record: tuple, end: int) -> ContainerEntry:
+def _corrupt(name: str, reason: str) -> CorruptEntry:
+    return CorruptEntry(name, f"corrupt entry {name!r}: {reason}")
+
+
+def _judge(name: str, read: tuple, done: int, check: int) -> None:
+    """Refuse the member `name` unless the `done` bytes of CRC-32 `check`
+    inflated from what `read` describes are exactly its declared size and
+    pass its CRC-32."""
+    size = read[5]
+    if done != size:
+        raise _corrupt(name, "its data ends before its declared size" if done < size
+                       else "its data runs past its declared size")
+    if check != read[2]:
+        raise _corrupt(name, f"Bad CRC-32 for file {name!r}")
+
+
+def _checked(name: str, read: tuple) -> Iterator[bytes | memoryview]:
+    """_steps(name, read), passed on as they come, and judged when they
+    end: a wrong size or CRC-32 raises CorruptEntry naming `name`."""
+    done = check = 0
+    for piece in _steps(name, read):
+        done += len(piece)
+        check = zlib.crc32(piece, check)
+        yield piece
+    _judge(name, read, done, check)
+
+
+def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry:
     """The member a central record describes, whose bytes must end by `end`,
     where the next member or the central directory starts. It keeps the
     bytes its check inflated when they fit in one step, and otherwise
-    inflates them again when they are read."""
+    inflates them again when they are read. Of a file it keeps the bytes as
+    stored when they fit in one step, and otherwise reads them again."""
     name, flags, method, crc, stored_size, size, at = record
-
-    def refuse(reason: str) -> CorruptEntry:
-        return CorruptEntry(name, f"corrupt entry {name!r}: {reason}")
-
-    if not 0 <= at <= len(data) - _LOCAL_HEADER.size:
-        raise refuse("its local header lies outside the archive")
+    if not 0 <= at <= archive_size - _LOCAL_HEADER.size:
+        raise _corrupt(name, "its local header lies outside the archive")
+    # one read of the local header, its name and extra field, and the bytes as
+    # stored where they fit in one step; where they do not, the header comes first
+    wanted = min(end - at, _HEAD) if stored_size <= _PROBE else _LOCAL_HEADER.size
+    head = _at(source, at, max(_LOCAL_HEADER.size, wanted))
     (signature, _, _, local_flags, *_, name_length,
-     extra_length) = _LOCAL_HEADER.unpack_from(data, at)
-    start = at + _LOCAL_HEADER.size + name_length + extra_length
+     extra_length) = _LOCAL_HEADER.unpack_from(head)
+    offset = _LOCAL_HEADER.size + name_length + extra_length
+    start = at + offset
     if start + stored_size > end:
-        raise refuse("its declared size reaches into the next member or the central directory")
+        raise _corrupt(name, "its declared size reaches into the next member or the "
+                             "central directory")
+    if len(head) < offset:
+        head = _at(source, at, offset)
     try:
-        local_name = _name(data[at + _LOCAL_HEADER.size:start - extra_length], local_flags)
+        local_name = _name(bytes(head[_LOCAL_HEADER.size:offset - extra_length]), local_flags)
     except UnicodeDecodeError:
         local_name = None
     if signature != b"PK\x03\x04" or local_name != name:
-        raise refuse("its local header does not match its central record")
+        raise _corrupt(name, "its local header does not match its central record")
     if flags & _UNREADABLE:
-        raise refuse("encrypted or patched data")
+        raise _corrupt(name, "encrypted or patched data")
     if method not in (_STORED, _DEFLATED, _BZIP2, _LZMA):
-        raise refuse(f"compression type {method}")
-    read, kept = (data, method, crc, start, stored_size, size), None
-    try:
-        if size > _PROBE:
-            done = check = 0
-            for piece in _steps(read):
-                done += len(piece)
-                check = zlib.crc32(piece, check)
-        else:  # at most one step and a byte: held whole, and kept
-            if method == _DEFLATED and stored_size <= _PROBE:
-                # the one call _steps would make, without its generator's cost
-                kept = zlib.decompressobj(-15).decompress(data[start:start + stored_size],
-                                                          size + 1)
-            else:
-                kept = b"".join(_steps(read))
-            done, check = len(kept), zlib.crc32(kept)
-    except (ValueError, zlib.error) as exc:
-        raise refuse(str(exc)) from exc
-    if done != size:
-        raise refuse("its data ends before its declared size" if done < size
-                     else "its data runs past its declared size")
-    if stored_size and start >= len(data):  # an empty member whose bytes lie past the end
-        raise refuse("its data runs past the end of the archive")
-    if check != crc:
-        raise refuse(f"Bad CRC-32 for file {name!r}")
+        raise _corrupt(name, f"compression type {method}")
+    if stored_size and not size and start >= archive_size:
+        raise _corrupt(name, "its data runs past the end of the archive")
+    read = (source, method, crc, start, stored_size, size)
+    if stored_size <= _PROBE:
+        stored = head[offset:offset + stored_size]
+        if not isinstance(source, bytes):  # read from a file: kept, not read again
+            read = (stored, method, crc, 0, stored_size, size)
+    if size > _PROBE:  # checked step by step, and not kept
+        for _ in _checked(name, read):
+            pass
+        return ContainerEntry(name, None, _read=read)
+    # at most one step and a byte: held whole, and kept
+    if method == _DEFLATED and stored_size <= _PROBE:
+        try:  # the one call _steps would make, without its generator's cost
+            kept = zlib.decompressobj(-15).decompress(stored, size + 1)
+        except zlib.error as exc:
+            raise _corrupt(name, str(exc)) from exc
+    else:
+        kept = b"".join(_steps(name, read))
+    _judge(name, read, len(kept), zlib.crc32(kept))
     return ContainerEntry(name, kept, _read=read)
 
 
-def open_container(data: bytes) -> Container:
-    """Read a ZIP stream into a Container, rejecting unsafe entry names and
+def open_container(source) -> Container:
+    """Read a ZIP archive into a Container, rejecting unsafe entry names and
     members whose declared range reaches into the next one.
 
-    Each member is inflated in 64 KiB steps to check its size and CRC-32,
-    and keeps where its bytes as stored lie in `data`.
+    `source` is the archive's bytes, or a binary file open for reading that
+    can seek, which the caller keeps open while long members are read and
+    closes. Each member is inflated in 64 KiB steps to check its size and
+    CRC-32, and keeps where its bytes as stored lie in `source`; a member
+    of a file keeps those bytes instead where they fit in one step.
     """
-    data = bytes(data)  # a no-op for bytes; copies a bytearray the caller may change
-    directory, records = _directory(data)
+    try:
+        buffer = memoryview(source)
+    except TypeError:  # no buffer: a binary file
+        archive_size = source.seek(0, io.SEEK_END)
+    else:  # bytes as they are; a copy of anything else, a bytearray the caller may change
+        source = source if isinstance(source, bytes) else buffer.tobytes()
+        archive_size = len(source)
+    directory, records = _directory(source, archive_size)
     # a member's bytes end where the next member or the central directory starts
     offsets = sorted({record[-1] for record in records})
     ends = dict(zip(offsets, offsets[1:] + [directory]))
@@ -463,7 +540,7 @@ def open_container(data: bytes) -> Container:
                 if name.rstrip("/"):
                     check_path(name.rstrip("/"))
                 continue
-            yield _entry(data, record, ends[record[-1]])
+            yield _entry(source, archive_size, record, ends[record[-1]])
     return Container(members())
 
 
@@ -474,9 +551,10 @@ def _write_order(paths: list[str]) -> list[str]:
 
 def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
     """An entry's compression method, CRC-32 and bytes as stored, in parts."""
-    if entry.stored is not None:
-        method, crc, stored = entry.stored
-        return method, crc, [stored]
+    stored = entry.stored  # read once: from a file, each read is a read and a check
+    if stored is not None:
+        method, crc, part = stored
+        return method, crc, [part]
     data = entry.data
     if len(data) > _PROBE:
         probe = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)

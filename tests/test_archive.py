@@ -809,3 +809,19 @@ def test_extract_writes_every_byte_when_writes_come_up_short(tmp_path, monkeypat
     extract_all(archive, tmp_path)
     assert (tmp_path / "long.bin").read_bytes() == long
     assert (tmp_path / "d" / "short.txt").read_bytes() == b"short"
+
+
+@pytest.mark.parametrize("damage", ["none", "no manifest", "not a zip", "truncated"])
+def test_open_and_validate_take_a_file_as_they_take_bytes(tmp_path, golden_archive_bytes,
+                                                          damage):
+    data = {"none": golden_archive_bytes,
+            "no manifest": write_container(omexarchive.Container(
+                [omexarchive.ContainerEntry("a.txt", b"a")])),
+            "not a zip": b"not a zip",
+            "truncated": golden_archive_bytes[:-30]}[damage]
+    path = tmp_path / "a.omex"
+    path.write_bytes(data)
+    with open(path, "rb") as file:
+        assert validate_archive(file).items == validate_archive(data).items
+        if damage == "none":
+            assert open_archive(file) == open_archive(data)

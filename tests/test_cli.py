@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import zipfile
 from pathlib import Path
@@ -576,3 +577,100 @@ def test_importing_the_cli_leaves_modules_unloaded(flags, modules):
     result = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                             text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.stdout.strip() == "[]"
+
+
+_FDS = Path("/proc/self/fd")
+needs_proc = pytest.mark.skipif(not _FDS.is_dir(), reason="no /proc/self/fd")
+
+
+def _open_files() -> dict[str, str]:
+    """What each descriptor of this process refers to."""
+    links = {}
+    for fd in os.listdir(_FDS):
+        try:
+            links[fd] = os.readlink(_FDS / fd)
+        except FileNotFoundError:  # the one listdir held
+            pass
+    return links
+
+
+@pytest.fixture
+def long_archive_file(tmp_path, golden_files):
+    """The golden archive and a 300 KB member stored, which a command reads
+    from the file again after the open."""
+    path = tmp_path / "long.omex"
+    blob = random.Random(29).randbytes(300_000)
+    path.write_bytes(write_container(build_container({**golden_files, "blob.bin": blob})))
+    return path
+
+
+@needs_proc
+@pytest.mark.parametrize("command", [["list", "--json"], ["info"], ["set", "--description", "d"],
+                                     ["validate", "--json"], ["unpack", "{dest}"]],
+                         ids=["list", "info", "meta set", "validate", "unpack"])
+def test_commands_leave_the_open_descriptors_as_they_found_them(command, long_archive_file,
+                                                                tmp_path, capsys):
+    name, *rest = command
+    args = ([name, str(long_archive_file)] if name != "set"
+            else ["meta", str(long_archive_file), name])
+    args += [a.format(dest=tmp_path / "dest") for a in rest]
+    before = _open_files()
+    assert main(args) in (0, 1)
+    assert _open_files() == before
+    if name == "unpack":
+        assert (tmp_path / "dest" / "blob.bin").stat().st_size == 300_000
+
+
+@needs_proc
+def test_meta_set_closes_the_archive_before_it_replaces_it(long_archive_file, monkeypatch):
+    replace, open_at_the_rename = os.replace, []
+
+    def checked_replace(source, target):
+        open_at_the_rename.append(str(Path(target).resolve()) in _open_files().values())
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", checked_replace)
+    assert main(["meta", str(long_archive_file), "set", "--description", "d"]) == 0
+    assert open_at_the_rename == [False]
+    assert open_archive(long_archive_file.read_bytes()).metadata.blocks["."].description == "d"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_commands_read_an_archive_from_a_pipe_whole(golden_archive_file, tmp_path, capsys):
+    assert main(["list", str(golden_archive_file), "--json"]) == 0
+    expected = capsys.readouterr().out
+    pipe = tmp_path / "archive.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(golden_archive_file.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    assert main(["list", str(pipe), "--json"]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out == expected
+
+
+_STATUS = Path("/proc/self/status")
+
+
+@pytest.mark.skipif(not _STATUS.is_file(), reason="no /proc/self/status")
+def test_validate_holds_little_more_than_the_interpreter(tmp_path, golden_files):
+    # the bound of the CI step on large-payload; the child's own high-water mark,
+    # as its ru_maxrss starts at this process's
+    path = tmp_path / "large.omex"
+    blob = random.Random(31).randbytes(16 << 20)
+    path.write_bytes(write_container(build_container({**golden_files, "blob.bin": blob})))
+    del blob
+    code = ("import sys, omexarchive.cli\n"
+            "if sys.argv[1:]: omexarchive.cli.main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1].split()\n"
+            "print(int(status[0]))")
+    src = Path(omexarchive.__file__).resolve().parents[1]
+
+    def peak_kib(*args) -> int:
+        result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                                text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        return int(result.stdout.split()[-1])
+
+    excess = peak_kib("validate", str(path)) - peak_kib()
+    assert excess < 8 << 10, f"{excess} KiB above the interpreter"

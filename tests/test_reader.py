@@ -13,6 +13,7 @@ declared bytes the oracle takes.
 
 import io
 import lzma
+import os
 import random
 import struct
 import subprocess
@@ -449,3 +450,154 @@ def test_a_member_declaring_2_to_the_64_minus_1_bytes_ends_short(method):
     with pytest.raises(CorruptEntry, match="ends before its declared size") as refusal:
         open_container(data)
     assert refusal.value.path == "a.txt"
+
+
+def _from_file(data: bytes) -> Container:
+    """open_container of `data` given as a binary file."""
+    return open_container(io.BytesIO(data))
+
+
+def test_a_file_reads_as_its_bytes_on_every_reader_input(golden_archive_bytes):
+    # the criterion-9 inputs, the bases of the record mutants and of the other
+    # methods, the malformed records above, and the 8,000 record mutants
+    bases = [golden_archive_bytes,
+             _zipfile_archive(zipfile.ZIP_BZIP2),
+             _zipfile_archive(zipfile.ZIP_LZMA),
+             b"#!/bin/sh\nexec unzip \"$0\"\n"
+             + _zipfile_archive(zipfile.ZIP_DEFLATED, force_zip64=True)]
+    inputs = [*_criterion_9_inputs(golden_archive_bytes), *bases,
+              _with_flag(_zipfile_archive(zipfile.ZIP_DEFLATED), b"a.txt", 0x1),
+              raw_zip([("manifest.xml", b"<m/>"), ("a.txt", b"stored")]),
+              _past_the_end(), _local_name_not_utf8()]
+    for base in bases:
+        inputs += _record_mutants(base, 2000, seed=19)
+    seen = Counter()
+    for i, data in enumerate(inputs):
+        from_bytes = outcome(open_container, data)
+        assert outcome(_from_file, data) == from_bytes, i
+        seen[isinstance(from_bytes, list)] += 1
+    assert seen[True] > 1000 and seen[False] > 1000, seen
+
+
+def _long_members() -> dict[str, bytes]:
+    """Members whose bytes as stored run past 64 KiB, so a file source reads
+    them again, and one whose bytes as stored fit in 64 KiB though it does not."""
+    rng = random.Random(23)
+    return {"manifest.xml": b"<omexManifest/>",
+            "blob.bin": rng.randbytes(300_000),
+            "text.txt": b"".join(b"line %d\n" % rng.randrange(10 ** 6) for _ in range(60_000)),
+            "zeros.bin": bytes(1 << 20)}
+
+
+@pytest.mark.parametrize("buffering", [0, -1], ids=["FileIO", "BufferedReader"])
+def test_an_open_file_reads_as_its_bytes(tmp_path, golden_archive_bytes, buffering):
+    long = write_container(build_container(_long_members()))
+    with zipfile.ZipFile(io.BytesIO(long)) as zf:
+        members = {info.filename: info for info in zf.infolist()}
+    assert members["text.txt"].compress_size > 1 << 16 > members["zeros.bin"].compress_size
+    path = tmp_path / "a.zip"
+    for i, data in enumerate([long, *_criterion_9_inputs(golden_archive_bytes)]):
+        path.write_bytes(data)
+        with open(path, "rb", buffering=buffering) as file:
+            assert outcome(lambda _: open_container(file), data) == outcome(open_container, data), i
+
+
+def _changed_after_the_open(path: Path, name: str, change: str) -> None:
+    """Change the file at `path` in place, as another process might: flip the
+    middle byte of member `name`'s bytes as stored, or cut the file there."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(name)
+    with open(path, "rb") as file:
+        file.seek(info.header_offset + 26)
+        start = info.header_offset + 30 + sum(struct.unpack("<HH", file.read(4)))
+        middle = start + info.compress_size // 2
+        file.seek(middle)
+        byte = file.read(1)[0]
+    if change == "truncated":
+        os.truncate(path, middle)
+        return
+    fd = os.open(path, os.O_WRONLY)
+    try:
+        assert os.pwrite(fd, bytes([byte ^ 0xFF]), middle) == 1
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("change", ["rewritten", "truncated"])
+@pytest.mark.parametrize("read", ["data", "steps", "write_container"])
+@pytest.mark.parametrize("name", ["blob.bin", "text.txt"], ids=["stored", "deflated"])
+def test_a_long_member_changed_after_the_open_is_refused_when_read(tmp_path, change, read, name):
+    path = tmp_path / "a.zip"
+    path.write_bytes(write_container(build_container(_long_members())))
+    with open(path, "rb") as file:
+        container = open_container(file)
+        [entry] = [e for e in container.entries if e.path == name]
+        _changed_after_the_open(path, name, change)
+        with pytest.raises(CorruptEntry) as refusal:
+            if read == "data":
+                entry.data
+            elif read == "steps":
+                for _ in entry.steps():
+                    pass
+            else:
+                write_container(container)
+    assert (refusal.value.rule, refusal.value.path) == ("corrupt-entry", name)
+
+
+def test_what_reading_a_file_raises_propagates(tmp_path):
+    path = tmp_path / "a.zip"
+    path.write_bytes(write_container(build_container(_long_members())))
+    with open(path, "rb") as file:
+        container = open_container(file)
+    # the members whose bytes as stored fit in a step are held; the others are read
+    assert container.get("zeros.bin") == bytes(1 << 20)
+    with pytest.raises(ValueError, match="closed file"):
+        container.get("blob.bin")
+
+
+def _with_comment(data: bytes, comment: bytes) -> bytes:
+    """`data`, whose end record ends it and has no comment, with `comment`."""
+    assert data[-2:] == b"\0\0"
+    return data[:-2] + struct.pack("<H", len(comment)) + comment
+
+
+def test_the_end_records_are_found_before_the_longest_comment(monkeypatch, golden_archive_bytes):
+    # the comment runs to 65,535 bytes, so the end record, and the zip64 records
+    # before it, lie at the far end of the tail the reader looks in
+    monkeypatch.setattr("omexarchive.container._FILECOUNT_LIMIT", 0)  # a zip64 end record
+    zip64 = write_container(build_container({"a.txt": b"abc"}))
+    monkeypatch.undo()
+    comment = bytes(range(256)).replace(b"PK", b"pk") * 255 + b"x" * 255
+    inputs = [(name, _with_comment(data, comment))
+              for name, data in [("golden", golden_archive_bytes), ("zip64", zip64)]]
+    assert len(comment) == 0xFFFF and b"PK\x06\x06" in inputs[1][1]
+    assert assert_agree(inputs) == 2
+    for name, data in inputs:
+        assert outcome(_from_file, data) == outcome(open_container, data), name
+
+
+class _CountedReads(io.BytesIO):
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_a_member_declaring_a_tebibyte_stops_reading_where_the_archive_ends():
+    text, size = b"abc", 1 << 40
+    crc = zlib.crc32(text)
+    data = _handmade(_local(b"a.txt", 0, crc, 0xFFFFFFFF, 0xFFFFFFFF) + text,
+                     [(b"a.txt", 0, crc, 0xFFFFFFFF, 0xFFFFFFFF,
+                       struct.pack("<HHQQ", 1, 16, size, size), 0),
+                      # a directory entry far past the end, where a's range ends
+                      (b"d/", 0, 0, 0, 0, struct.pack("<HHQ", 1, 8, 1 << 50), 0xFFFFFFFF)])
+    for source in (data, _CountedReads(data)):
+        with pytest.raises(CorruptEntry, match="ends before its declared size") as refusal:
+            open_container(source)
+        assert refusal.value.path == "a.txt"
+    # the tail, the central directory, the local header, its name and extra
+    # field, and the one short step
+    assert source.reads == 5
