@@ -316,17 +316,15 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     # segment order is sorted(Path) order, and brings each directory's members together
     members = sorted(((entry.path.split("/"), entry.steps())
                       for entry in archive.container.entries), key=itemgetter(0))
+    targets = [dest.joinpath(*parts) for parts, _ in members]
     if {os.open, os.mkdir} <= os.supports_dir_fd:
         dest.mkdir(parents=True, exist_ok=True)
         _write_below(dest, members)
-        return [dest.joinpath(*parts) for parts, _ in members]
-    targets = []
-    for parts, _ in members:
-        target = dest.joinpath(*parts)
+        return targets
+    for target, (parts, _) in zip(targets, members):
         # container invariants forbid traversal; keep a last-line check anyway
         if not target.resolve().is_relative_to(dest):
             raise UnsafePath("/".join(parts), "escapes the destination directory")
-        targets.append(target)
     dest.mkdir(parents=True, exist_ok=True)
     for target, (parts, steps) in zip(targets, members):
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -90,14 +90,15 @@ def _replace(path, data: bytes) -> None:
     target's mode; a new one gets the umask default."""
     target = Path(path).resolve()
     temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    out = open(temporary, "xb")  # binary, so no platform turns LF into CR LF
     try:
-        with open(fd, "wb") as out:
+        with out:
             if target.exists():
-                os.fchmod(fd, stat.S_IMODE(target.stat().st_mode))
+                os.chmod(out.fileno() if os.chmod in os.supports_fd else temporary,
+                         stat.S_IMODE(target.stat().st_mode))
             out.write(data)
             out.flush()
-            os.fsync(fd)
+            os.fsync(out.fileno())
         os.replace(temporary, target)
     except BaseException:
         temporary.unlink(missing_ok=True)

@@ -409,7 +409,7 @@ def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
             inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
                 lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(header[4:end]))])
         except damaged as exc:
-            raise _corrupt(name, str(exc)) from exc
+            raise CorruptEntry(name, str(exc)) from exc
         start, stored_size = start + end, stored_size - end
     done = at = 0
     while done < limit and not inflater.eof:
@@ -420,7 +420,7 @@ def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
         try:
             piece = inflater.decompress(given, min(_PROBE, limit - done))
         except damaged as exc:
-            raise _corrupt(name, str(exc)) from exc
+            raise CorruptEntry(name, str(exc)) from exc
         # zlib can hold output past a full step with all its input taken,
         # so only a call that is given nothing and gives nothing ends it
         if not (given or piece):
@@ -429,20 +429,16 @@ def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
         yield piece
 
 
-def _corrupt(name: str, reason: str) -> CorruptEntry:
-    return CorruptEntry(name, f"corrupt entry {name!r}: {reason}")
-
-
 def _judge(name: str, read: tuple, done: int, check: int) -> None:
     """Refuse the member `name` unless the `done` bytes of CRC-32 `check`
     inflated from what `read` describes are exactly its declared size and
     pass its CRC-32."""
     size = read[5]
     if done != size:
-        raise _corrupt(name, "its data ends before its declared size" if done < size
-                       else "its data runs past its declared size")
+        raise CorruptEntry(name, "its data ends before its declared size" if done < size
+                           else "its data runs past its declared size")
     if check != read[2]:
-        raise _corrupt(name, f"Bad CRC-32 for file {name!r}")
+        raise CorruptEntry(name, f"Bad CRC-32 for file {name!r}")
 
 
 def _checked(name: str, read: tuple) -> Iterator[bytes | memoryview]:
@@ -464,7 +460,7 @@ def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry
     stored when they fit in one step, and otherwise reads them again."""
     name, flags, method, crc, stored_size, size, at = record
     if not 0 <= at <= archive_size - _LOCAL_HEADER.size:
-        raise _corrupt(name, "its local header lies outside the archive")
+        raise CorruptEntry(name, "its local header lies outside the archive")
     # one read of the local header, its name and extra field, and the bytes as
     # stored where they fit in one step; where they do not, the header comes first
     wanted = min(end - at, _HEAD) if stored_size <= _PROBE else _LOCAL_HEADER.size
@@ -474,8 +470,8 @@ def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry
     offset = _LOCAL_HEADER.size + name_length + extra_length
     start = at + offset
     if start + stored_size > end:
-        raise _corrupt(name, "its declared size reaches into the next member or the "
-                             "central directory")
+        raise CorruptEntry(name, "its declared size reaches into the next member or the "
+                                 "central directory")
     if len(head) < offset:
         head = _at(source, at, offset)
     try:
@@ -483,13 +479,13 @@ def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry
     except UnicodeDecodeError:
         local_name = None
     if signature != b"PK\x03\x04" or local_name != name:
-        raise _corrupt(name, "its local header does not match its central record")
+        raise CorruptEntry(name, "its local header does not match its central record")
     if flags & _UNREADABLE:
-        raise _corrupt(name, "encrypted or patched data")
+        raise CorruptEntry(name, "encrypted or patched data")
     if method not in (_STORED, _DEFLATED, _BZIP2, _LZMA):
-        raise _corrupt(name, f"compression type {method}")
+        raise CorruptEntry(name, f"compression type {method}")
     if stored_size and not size and start >= archive_size:
-        raise _corrupt(name, "its data runs past the end of the archive")
+        raise CorruptEntry(name, "its data runs past the end of the archive")
     read = (source, method, crc, start, stored_size, size)
     if stored_size <= _PROBE:
         stored = head[offset:offset + stored_size]
@@ -504,7 +500,7 @@ def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry
         try:  # the one call _steps would make, without its generator's cost
             kept = zlib.decompressobj(-15).decompress(stored, size + 1)
         except zlib.error as exc:
-            raise _corrupt(name, str(exc)) from exc
+            raise CorruptEntry(name, str(exc)) from exc
     else:
         kept = b"".join(_steps(name, read))
     _judge(name, read, len(kept), zlib.crc32(kept))

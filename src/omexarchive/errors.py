@@ -11,6 +11,19 @@ class OmexError(Exception):
     location = ""
 
 
+class _Located(OmexError):
+    """An error naming one archive location, as `location` and its alias `path`,
+    for `reason`; its message is its class's `template` filled with both."""
+
+    def __init__(self, location, reason=None):
+        self.path = self.location = location
+        self.reason = reason
+        super().__init__(self.template.format(location=location, reason=reason))
+
+    def __reduce__(self):  # a copy or an unpickled error is built as this one was
+        return type(self), (self.location, self.reason)
+
+
 # -- container ---------------------------------------------------------------
 
 class NotAZip(OmexError):
@@ -18,31 +31,21 @@ class NotAZip(OmexError):
     rule = "not-a-zip"
 
 
-class CorruptEntry(OmexError):
+class CorruptEntry(_Located):
     """A ZIP entry failed its integrity check (CRC mismatch, truncation, overlap)."""
     rule = "corrupt-entry"
-
-    def __init__(self, path, message=None):
-        self.path = self.location = path
-        super().__init__(message or f"corrupt entry: {path!r}")
+    template = "corrupt entry {location!r}: {reason}"
 
 
-class UnsafePath(OmexError):
+class UnsafePath(_Located):
     """An entry path violates the container path-safety rules."""
     rule = "unsafe-path"
-
-    def __init__(self, path, reason):
-        self.path = self.location = path
-        self.reason = reason
-        super().__init__(f"unsafe path {path!r}: {reason}")
+    template = "unsafe path {location!r}: {reason}"
 
 
-class NoSuchEntry(OmexError):
+class NoSuchEntry(_Located):
     """No entry exists at the requested path."""
-
-    def __init__(self, path):
-        self.path = path
-        super().__init__(f"no entry at {path!r}")
+    template = "no entry at {location!r}"
 
 
 # -- manifest ----------------------------------------------------------------
@@ -78,23 +81,16 @@ class MissingAttribute(OmexError):
         )
 
 
-class InvalidLocation(OmexError):
+class InvalidLocation(_Located):
     """A location value violates the relative-URI safety rules."""
     rule = "invalid-location"
-
-    def __init__(self, location, reason):
-        self.location = location
-        self.reason = reason
-        super().__init__(f"invalid location {location!r}: {reason}")
+    template = "invalid location {location!r}: {reason}"
 
 
-class DuplicateLocation(OmexError):
+class DuplicateLocation(_Located):
     """Two entries, or two metadata blocks, name the same container path."""
     rule = "duplicate-location"
-
-    def __init__(self, location):
-        self.location = location
-        super().__init__(f"duplicate location {location!r}")
+    template = "duplicate location {location!r}"
 
 
 class InvalidManifest(OmexError):
@@ -143,18 +139,12 @@ class MissingManifest(OmexError):
     location = "manifest.xml"
 
 
-class DanglingManifestEntry(OmexError):
+class DanglingManifestEntry(_Located):
     """The manifest lists a file that is absent from the container."""
     rule = "missing-file"
-
-    def __init__(self, location):
-        self.location = location
-        super().__init__(f"manifest entry {location!r} has no file in the archive")
+    template = "manifest entry {location!r} has no file in the archive"
 
 
-class ReservedLocation(OmexError):
+class ReservedLocation(_Located):
     """The location is reserved and cannot be added or removed."""
-
-    def __init__(self, location):
-        self.location = location
-        super().__init__(f"location {location!r} is reserved")
+    template = "location {location!r} is reserved"

@@ -280,7 +280,7 @@ def validate_manifest_against(
                 "missing-file", entry.path,
                 "manifest lists a file that is absent from the archive",
             )
-    for path in sorted(paths):
+    for path in paths:
         if path != MANIFEST_FILENAME and manifest.find(path) is None:
             report.warning(
                 "unlisted-file", path,

@@ -408,6 +408,20 @@ def test_written_archives_keep_the_mode_of_the_file_they_replace(fixture_dir, tm
     assert len(open_archive(path.read_bytes()).metadata.get(".").modified) == 1
 
 
+def test_meta_set_keeps_the_mode_where_chmod_takes_no_descriptor(fixture_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+    # as on Windows: no os.fchmod before Python 3.13, and os.chmod takes a path only
+    monkeypatch.delattr(os, "fchmod", raising=False)
+    monkeypatch.setattr(os, "supports_fd", os.supports_fd - {os.chmod})
+    path = tmp_path / "a.omex"
+    assert main(["pack", str(fixture_dir), str(path), "--ext", "omex"]) == 0
+    path.chmod(0o640)
+    assert main(["meta", str(path), "set", "--touch", "--description", "new"]) == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert open_archive(path.read_bytes()).metadata.get(".").description == "new"
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
 def test_meta_set_refuses_text_outside_xml(golden_archive_file, capsys):
     before = golden_archive_file.read_bytes()
     assert main(["meta", str(golden_archive_file), "set",
