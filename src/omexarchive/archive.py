@@ -201,7 +201,7 @@ def create_archive(files) -> Archive:
     return _build(Archive(Container(), Manifest(())), entries)
 
 
-def _read(data) -> tuple[Archive, ValidationReport]:
+def _open(data) -> tuple[Archive, ValidationReport]:
     """Read an archive, bytes or a binary file, and check its manifest
     against its members: the one pipeline behind open and validate.
 
@@ -231,7 +231,7 @@ def open_archive(data) -> Archive:
     `Archive.metadata` None, and the reason in `metadata_error`, instead
     of failing the open.
     """
-    archive, report = _read(data)
+    archive, report = _open(data)
     if report.errors:
         raise DanglingManifestEntry(report.errors[0].location)
     return archive
@@ -247,7 +247,7 @@ def validate_archive(
     STRICT makes the findings of STRICT_ERRORS errors.
     """
     try:
-        archive, report = _read(data)
+        archive, report = _open(data)
     except OmexError as exc:
         report = ValidationReport()
         report.error(exc.rule, exc.location, str(exc))
@@ -428,16 +428,23 @@ def pack_directory(
     `format_overrides` are locations of files in the tree, or NoSuchEntry
     is raised. A file name's `%` is written to its location as `%25`, so
     the location names the file. A root manifest.xml is ignored (it is
-    regenerated). `stamp` adds a creation block when the packed tree
-    gives the archive no metadata file.
+    regenerated). A link, FIFO, socket or device below `directory` raises
+    UnsafePath naming its path in the tree, as extraction refuses a link.
+    `stamp` adds a creation block when the packed tree gives the archive
+    no metadata file.
     """
     root = Path(directory)
     masters = {check_location(m) for m in (masters or set())}
     overrides = {check_location(k): v for k, v in (format_overrides or {}).items()}
     files = []
     paths = set()
-    for file in sorted(p for p in root.rglob("*") if p.is_file()):
+    for file in sorted(root.rglob("*")):  # a link to a directory is listed, not entered
+        mode = file.lstat().st_mode
+        if stat.S_ISDIR(mode):
+            continue
         rel = file.relative_to(root).as_posix()
+        if not stat.S_ISREG(mode):
+            raise UnsafePath(rel, "a link, FIFO, socket or device is not packed")
         if rel == MANIFEST_FILENAME:
             continue
         fmt = overrides.get(rel, format_for_filename(rel))

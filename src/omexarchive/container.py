@@ -135,19 +135,19 @@ def case_collision(paths, directories) -> str | None:
 class ContainerEntry:
     """A member at a checked path. `data` is its bytes, or a callable that
     returns them, called once, when `data` is first read, and `size` its
-    length. A member read that is longer than one step keeps only where its
-    bytes lie in the archive: its `data` is inflated when first read and
-    kept from then on, and `steps()` inflates it anew, 64 KiB at a time,
-    without keeping it. From a file each such read checks the size and
-    CRC-32 again, as the file may have changed since the open. Entries
-    compare by path and bytes alone, comparing sizes and CRC-32s first, and
-    hash and print by path and size."""
+    length. A member read has a `_source`, which holds its bytes as stored,
+    and the other private slots, all set by `_entry` alone. One longer than
+    one step keeps only those: its `data` is inflated when first read and
+    kept, and `steps()` inflates it anew, 64 KiB at a time, without keeping
+    it; from a file each such read checks the size and CRC-32 again. Entries
+    compare by path and bytes, sizes and CRC-32s first, and hash and print
+    by path and size."""
 
-    __slots__ = ("path", "_data", "_read")
+    __slots__ = ("path", "_data", "_source", "_method", "_crc", "_start", "_stored_size",
+                 "_size")
 
-    def __init__(self, path: str, data, *, _read: tuple | None = None):
-        # _read, given by open_container alone, is the record _entry makes of a member
-        self.path, self._data, self._read = check_path(path), data, _read
+    def __init__(self, path: str, data):
+        self.path, self._data, self._source = check_path(path), data, None
 
     @property
     def data(self) -> bytes:
@@ -163,21 +163,20 @@ class ContainerEntry:
     @property
     def size(self) -> int:
         """Its length: as declared when read, which the read checked, or len(data)."""
-        return len(self.data) if self._read is None else self._read[5]
+        return len(self.data) if self._source is None else self._size
 
     @property
     def stored(self) -> tuple[int, int, bytes | memoryview] | None:
         """(compression method, CRC-32, bytes as stored) that write_container
         copies of a stored or deflated member read, or None; made when asked,
         and checked again when read from a file."""
-        if self._read is None or self._read[1] not in (_STORED, _DEFLATED):
+        if self._source is None or self._method not in (_STORED, _DEFLATED):
             return None
-        source, method, crc, start, stored_size, size = self._read
-        stored = _at(source, start, stored_size)
-        if not isinstance(source, bytes):
-            for _ in _checked(self.path, (stored, method, crc, 0, stored_size, size)):
+        stored = _at(self._source, self._start, self._stored_size)
+        if not isinstance(self._source, bytes):
+            for _ in _checked(self, stored):
                 pass
-        return method, crc, stored
+        return self._method, self._crc, stored
 
     def steps(self) -> Iterable[bytes | memoryview]:
         """Its bytes in pieces: inflated anew, 64 KiB at a time, for a long
@@ -186,16 +185,14 @@ class ContainerEntry:
 
     def _inflated(self) -> Iterator[bytes | memoryview]:
         # bytes cannot change after the open; a file can
-        if isinstance(self._read[0], bytes):
-            return _steps(self.path, self._read)
-        return _checked(self.path, self._read)
+        return _steps(self) if isinstance(self._source, bytes) else _checked(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
             return NotImplemented
         if (self.path, self.size) != (other.path, other.size):
             return False
-        if self._read and other._read and self._read[2] != other._read[2]:
+        if self._source is not None and other._source is not None and self._crc != other._crc:
             return False
         return self.data == other.data
 
@@ -373,15 +370,15 @@ def _directory(source, archive_size: int) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
-    """What the member `name` that `read` describes inflates to, in steps
-    of at most 64 KiB, from its stored bytes read and fed 64 KiB at a time
-    and cut at one byte past its declared size, so a stream that runs on
-    costs that byte and no more. Damaged data raises CorruptEntry; what
-    reading a file raises propagates.
+def _steps(entry: ContainerEntry, stored=None) -> Iterator[bytes | memoryview]:
+    """What the member read `entry` inflates to, in steps of at most 64 KiB,
+    from its bytes as stored, or `stored` if the caller has just read them,
+    read and fed 64 KiB at a time and cut at one byte past its declared
+    size, so a stream that runs on costs that byte and no more. Damaged
+    data raises CorruptEntry; what reading a file raises propagates.
     """
-    source, method, _, start, stored_size, size = read
-    limit = size + 1
+    method, stored_size, limit = entry._method, entry._stored_size, entry._size + 1
+    source, start = (entry._source, entry._start) if stored is None else (stored, 0)
     if method == _STORED:
         for at in range(0, min(limit, stored_size), _PROBE):
             wanted = min(_PROBE, limit - at, stored_size - at)
@@ -409,7 +406,7 @@ def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
             inflater = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[
                 lzma._decode_filter_properties(lzma.FILTER_LZMA1, bytes(header[4:end]))])
         except damaged as exc:
-            raise CorruptEntry(name, str(exc)) from exc
+            raise CorruptEntry(entry.path, str(exc)) from exc
         start, stored_size = start + end, stored_size - end
     done = at = 0
     while done < limit and not inflater.eof:
@@ -420,7 +417,7 @@ def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
         try:
             piece = inflater.decompress(given, min(_PROBE, limit - done))
         except damaged as exc:
-            raise CorruptEntry(name, str(exc)) from exc
+            raise CorruptEntry(entry.path, str(exc)) from exc
         # zlib can hold output past a full step with all its input taken,
         # so only a call that is given nothing and gives nothing ends it
         if not (given or piece):
@@ -429,27 +426,26 @@ def _steps(name: str, read: tuple) -> Iterator[bytes | memoryview]:
         yield piece
 
 
-def _judge(name: str, read: tuple, done: int, check: int) -> None:
-    """Refuse the member `name` unless the `done` bytes of CRC-32 `check`
-    inflated from what `read` describes are exactly its declared size and
-    pass its CRC-32."""
-    size = read[5]
-    if done != size:
-        raise CorruptEntry(name, "its data ends before its declared size" if done < size
-                           else "its data runs past its declared size")
-    if check != read[2]:
-        raise CorruptEntry(name, f"Bad CRC-32 for file {name!r}")
+def _judge(entry: ContainerEntry, done: int, check: int) -> None:
+    """Refuse the member read `entry` unless the `done` bytes of CRC-32
+    `check` inflated from it are exactly its declared size and pass its
+    CRC-32."""
+    if done != entry._size:
+        raise CorruptEntry(entry.path, "its data ends before its declared size"
+                           if done < entry._size else "its data runs past its declared size")
+    if check != entry._crc:
+        raise CorruptEntry(entry.path, f"Bad CRC-32 for file {entry.path!r}")
 
 
-def _checked(name: str, read: tuple) -> Iterator[bytes | memoryview]:
-    """_steps(name, read), passed on as they come, and judged when they
-    end: a wrong size or CRC-32 raises CorruptEntry naming `name`."""
+def _checked(entry: ContainerEntry, stored=None) -> Iterator[bytes | memoryview]:
+    """_steps(entry, stored), passed on as they come, and judged when they
+    end: a wrong size or CRC-32 raises CorruptEntry naming the member."""
     done = check = 0
-    for piece in _steps(name, read):
+    for piece in _steps(entry, stored):
         done += len(piece)
         check = zlib.crc32(piece, check)
         yield piece
-    _judge(name, read, done, check)
+    _judge(entry, done, check)
 
 
 def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry:
@@ -486,25 +482,27 @@ def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry
         raise CorruptEntry(name, f"compression type {method}")
     if stored_size and not size and start >= archive_size:
         raise CorruptEntry(name, "its data runs past the end of the archive")
-    read = (source, method, crc, start, stored_size, size)
+    entry = ContainerEntry(name, None)
+    entry._source, entry._method, entry._crc = source, method, crc
+    entry._start, entry._stored_size, entry._size = start, stored_size, size
     if stored_size <= _PROBE:
         stored = head[offset:offset + stored_size]
         if not isinstance(source, bytes):  # read from a file: kept, not read again
-            read = (stored, method, crc, 0, stored_size, size)
+            entry._source, entry._start = stored, 0
     if size > _PROBE:  # checked step by step, and not kept
-        for _ in _checked(name, read):
+        for _ in _checked(entry):
             pass
-        return ContainerEntry(name, None, _read=read)
+        return entry
     # at most one step and a byte: held whole, and kept
     if method == _DEFLATED and stored_size <= _PROBE:
         try:  # the one call _steps would make, without its generator's cost
-            kept = zlib.decompressobj(-15).decompress(stored, size + 1)
+            entry._data = zlib.decompressobj(-15).decompress(stored, size + 1)
         except zlib.error as exc:
             raise CorruptEntry(name, str(exc)) from exc
     else:
-        kept = b"".join(_steps(name, read))
-    _judge(name, read, len(kept), zlib.crc32(kept))
-    return ContainerEntry(name, kept, _read=read)
+        entry._data = b"".join(_steps(entry))
+    _judge(entry, len(entry._data), zlib.crc32(entry._data))
+    return entry
 
 
 def open_container(source) -> Container:

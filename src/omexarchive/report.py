@@ -21,7 +21,7 @@ class Finding:
 
 @dataclass
 class ValidationReport:
-    """An ordered list of findings, sorted by rule then location."""
+    """Findings in the order added; `sorted()` orders them by rule then location."""
 
     items: list[Finding] = field(default_factory=list)
 

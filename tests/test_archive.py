@@ -513,6 +513,31 @@ def test_pack_directory_stamps_no_metadata_file_beside_the_one_packed(tmp_path, 
     assert archive.metadata == parse_metadata(golden_metadata_xml)
 
 
+@pytest.mark.parametrize("make", [
+    lambda at: os.symlink("../../outside/secret.txt", at),
+    lambda at: os.symlink("../model.xml", at),
+    lambda at: os.symlink("../models", at, target_is_directory=True),
+    lambda at: os.mkfifo(at),
+], ids=["link_to_a_file_outside", "link_to_a_file_inside", "link_to_a_directory", "fifo"])
+def test_pack_directory_refuses_a_link_or_a_fifo_in_the_tree(make, tmp_path):
+    # a link to a file outside was packed with that file's bytes, a link to a
+    # directory dropped without a word
+    tree, outside = tmp_path / "tree", tmp_path / "outside"
+    (tree / "models").mkdir(parents=True)
+    (tree / "sub").mkdir()
+    outside.mkdir()
+    (outside / "secret.txt").write_bytes(b"secret")
+    (tree / "model.xml").write_bytes(b"<sbml/>")
+    (tree / "models" / "a.xml").write_bytes(b"<sbml/>")
+    try:
+        make(tree / "sub" / "special.txt")
+    except (AttributeError, NotImplementedError, OSError) as exc:
+        pytest.skip(f"this system cannot make it: {exc!r}")
+    with pytest.raises(UnsafePath, match="a link, FIFO, socket or device") as refusal:
+        pack_directory(tree, stamp=False)
+    assert refusal.value.path == "sub/special.txt"
+
+
 def test_pack_directory_unknown_master(tmp_path):
     (tmp_path / "a.xml").write_bytes(b"<a/>")
     # a --format override of a file the tree lacks is refused as a --master is

@@ -93,6 +93,19 @@ def test_pack_refuses_a_format_that_is_not_location_equals_uri(item, fixture_dir
     assert not out.exists()
 
 
+def test_pack_refuses_a_link_in_the_tree_before_writing(fixture_dir, tmp_path, capsys):
+    (tmp_path / "secret.txt").write_bytes(b"secret")
+    try:
+        os.symlink(tmp_path / "secret.txt", fixture_dir / "link.txt")
+    except (NotImplementedError, OSError) as exc:
+        pytest.skip(f"this system cannot make a link: {exc!r}")
+    out = tmp_path / "x.omex"
+    assert main(["pack", str(fixture_dir), str(out), "--no-stamp"]) == 2
+    assert capsys.readouterr().err == ("error: unsafe path 'link.txt': "
+                                       "a link, FIFO, socket or device is not packed\n")
+    assert not out.exists()
+
+
 def test_pack_determinism(fixture_dir, tmp_path, capsys):
     a, b = tmp_path / "a.omex", tmp_path / "b.omex"
     for out in (a, b):

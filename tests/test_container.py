@@ -406,7 +406,7 @@ def test_an_entry_takes_no_stored_bytes_and_holds_no_dict():
             entry.stored = (0, 123, memoryview(b"xyz"))
 
 
-def test_a_member_read_holds_under_350_bytes():
+def test_a_member_read_holds_under_250_bytes():
     count = 50_000
     data = write_container(Container([ContainerEntry(f"{i:05x}", b"") for i in range(count)]))
     tracemalloc.start()
@@ -416,7 +416,7 @@ def test_a_member_read_holds_under_350_bytes():
     finally:
         tracemalloc.stop()
     assert len(container) == count
-    assert held / count < 350, held / count
+    assert held / count < 250, held / count
 
 
 def test_the_repr_of_a_long_member_read_does_not_inflate_it():
