@@ -13,7 +13,14 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .container import _SHARED_PATH, Container, ContainerEntry, open_container, write_container
+from .container import (
+    _SHARED_PATH,
+    Container,
+    ContainerEntry,
+    _write,
+    open_container,
+    write_container,
+)
 from .errors import (
     DanglingManifestEntry,
     DuplicateLocation,
@@ -67,6 +74,8 @@ class Archive:
     member that writes it when its bytes are first read. `metadata` and
     `metadata_error` are what the file at `metadata_path` says, read on
     first use, one parse shared along an edit chain that keeps that file.
+    `to_bytes` returns the archive's bytes; `write` writes the same bytes
+    into a file, member by member.
     """
     container: Container
     manifest: Manifest
@@ -102,6 +111,13 @@ class Archive:
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
+
+    def write(self, file) -> None:
+        """Write the bytes `to_bytes` returns into the binary file `file`,
+        member by member, so they are never held whole. A member read from a
+        file is copied from it 64 KiB at a time and checked as it passes, so
+        that file must stay open until this returns."""
+        _write(self.container, file.write)
 
 
 def default_creator() -> Creator:

@@ -17,7 +17,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .archive import (
     Archive,
@@ -28,6 +28,7 @@ from .archive import (
     set_metadata,
     validate_archive,
 )
+from .errors import OmexError
 from .formats import EXTENSIONS, classify_format, infer_extension
 from .manifest import write_element
 from .metadata import (
@@ -83,20 +84,27 @@ def _open(path: str) -> Iterator[Archive]:
         yield open_archive(source)
 
 
-def _replace(path, data: bytes) -> None:
-    """Write `data` to the file at `path` in one step: it goes to a new file
-    beside the resolved target, flushed to disk and renamed over it, so a
-    write that fails leaves the target as it was. The file keeps the
-    target's mode; a new one gets the umask default."""
+@contextmanager
+def _replace(path) -> Iterator[BinaryIO]:
+    """A new file beside the resolved target `path`, open for writing in
+    binary, so no platform turns LF into CR LF, while the block runs. When
+    the block ends cleanly the file is flushed to disk and renamed over the
+    target; when it raises, the file is removed, so a write that fails
+    leaves the target as it was. The file keeps the target's mode; a new
+    one gets the umask default. A file that cannot be made there is
+    reported at `path`, not at its hidden name."""
     target = Path(path).resolve()
     temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
-    out = open(temporary, "xb")  # binary, so no platform turns LF into CR LF
+    try:
+        out = open(temporary, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with out:
             if target.exists():
                 os.chmod(out.fileno() if os.chmod in os.supports_fd else temporary,
                          stat.S_IMODE(target.stat().st_mode))
-            out.write(data)
+            yield out
             out.flush()
             os.fsync(out.fileno())
         os.replace(temporary, target)
@@ -127,7 +135,8 @@ def cmd_pack(args) -> int:
     if ext == "auto":
         ext = infer_extension(archive.manifest)
     out = Path(args.output).with_suffix("." + ext)
-    _replace(out, archive.to_bytes())
+    with _replace(out) as file:
+        archive.write(file)
     print(out)
     return EXIT_OK
 
@@ -235,24 +244,22 @@ def cmd_meta(args) -> int:
     if args.action == "show":
         with _open(args.archive) as archive:
             return _show(archive)
-    # set reads the archive whole: what it writes holds every member's bytes
-    # as stored anyway, and bytes, unlike a file, need no second check of each
-    # long member it copies. The input is closed before the rename, which
-    # Windows refuses over an open file.
-    archive = open_archive(Path(args.archive).read_bytes())
-    if archive.metadata_error is not None:
-        return _fail(f"{archive.metadata_path} is unreadable: {archive.metadata_error}")
-    metadata = archive.metadata or MetadataSet()
-    # a new block with new lists, so the opened archive's metadata is not changed
-    block = metadata.blocks.get(".") or DescriptionBlock(about=".")
-    block = dataclasses.replace(
-        block,
-        description=block.description if args.description is None else args.description,
-        creators=block.creators + [parse_creator(text) for text in args.creator or []],
-        modified=block.modified + ([Timestamp.now()] if args.touch else []),
-    )
-    metadata = dataclasses.replace(metadata, blocks={**metadata.blocks, ".": block})
-    _replace(args.archive, set_metadata(archive, metadata).to_bytes())
+    # the archive is read from its file while the new one is written, and
+    # closed before the rename, which Windows refuses over an open file
+    with _replace(args.archive) as out, _open(args.archive) as archive:
+        if archive.metadata_error is not None:
+            raise OmexError(f"{archive.metadata_path} is unreadable: {archive.metadata_error}")
+        metadata = archive.metadata or MetadataSet()
+        # a new block with new lists, so the opened archive's metadata is not changed
+        block = metadata.blocks.get(".") or DescriptionBlock(about=".")
+        block = dataclasses.replace(
+            block,
+            description=block.description if args.description is None else args.description,
+            creators=block.creators + [parse_creator(text) for text in args.creator or []],
+            modified=block.modified + ([Timestamp.now()] if args.touch else []),
+        )
+        metadata = dataclasses.replace(metadata, blocks={**metadata.blocks, ".": block})
+        set_metadata(archive, metadata).write(out)
     return EXIT_OK
 
 

@@ -16,11 +16,18 @@ input, and is inflated again, step by step, when it is read. Writing emits
 the ZIP itself with fixed timestamps and a fixed entry order: a stored or
 deflated member read is copied as stored, with its compression method; an
 entry longer than 64 KiB whose first 64 KiB deflate no smaller is stored;
-any other is deflated with the stream `zipfile` uses. The layout and the
-zip64 rules are those of `zipfile`: the bytes are those `zipfile.writestr`
-writes except for the members copied or stored, identical containers
-serialize to identical bytes, and a container read from an archive this
-module wrote serializes to that archive again.
+any other is deflated with the stream `zipfile` uses. One writer emits the
+archive piece by piece, member by member, into a write function:
+`write_container` joins the pieces once, `Archive.write` hands them to a
+file. A member read from bytes is copied as one view; a long one read from
+a file is copied 64 KiB at a time, each piece read once, written once and
+fed to the member's check of its size and CRC-32, so a file changed since
+the open raises CorruptEntry; a new entry is stored or deflated in memory
+before its header is written. The layout and the zip64 rules are those
+of `zipfile`: the bytes are those `zipfile.writestr` writes except for the
+members copied or stored, identical containers serialize to identical
+bytes, and a container read from an archive this module wrote serializes
+to that archive again.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import re
 import struct
 import zlib
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
 
@@ -164,19 +171,6 @@ class ContainerEntry:
     def size(self) -> int:
         """Its length: as declared when read, which the read checked, or len(data)."""
         return len(self.data) if self._source is None else self._size
-
-    @property
-    def stored(self) -> tuple[int, int, bytes | memoryview] | None:
-        """(compression method, CRC-32, bytes as stored) that write_container
-        copies of a stored or deflated member read, or None; made when asked,
-        and checked again when read from a file."""
-        if self._source is None or self._method not in (_STORED, _DEFLATED):
-            return None
-        stored = _at(self._source, self._start, self._stored_size)
-        if not isinstance(self._source, bytes):
-            for _ in _checked(self, stored):
-                pass
-        return self._method, self._crc, stored
 
     def steps(self) -> Iterable[bytes | memoryview]:
         """Its bytes in pieces: inflated anew, 64 KiB at a time, for a long
@@ -370,19 +364,20 @@ def _directory(source, archive_size: int) -> tuple[int, list[tuple]]:
     return start, records
 
 
-def _steps(entry: ContainerEntry, stored=None) -> Iterator[bytes | memoryview]:
+def _steps(entry: ContainerEntry, read=_at) -> Iterator[bytes | memoryview]:
     """What the member read `entry` inflates to, in steps of at most 64 KiB,
-    from its bytes as stored, or `stored` if the caller has just read them,
-    read and fed 64 KiB at a time and cut at one byte past its declared
-    size, so a stream that runs on costs that byte and no more. Damaged
-    data raises CorruptEntry; what reading a file raises propagates.
+    from its bytes as stored, taken by `read` (as `_at` takes them) 64 KiB
+    at a time, those of a stored or deflated member in order and each once,
+    and cut at one byte past its declared size, so a stream that runs on
+    costs that byte and no more. Damaged data raises CorruptEntry; what
+    reading a file raises propagates.
     """
     method, stored_size, limit = entry._method, entry._stored_size, entry._size + 1
-    source, start = (entry._source, entry._start) if stored is None else (stored, 0)
+    source, start = entry._source, entry._start
     if method == _STORED:
         for at in range(0, min(limit, stored_size), _PROBE):
             wanted = min(_PROBE, limit - at, stored_size - at)
-            piece = _at(source, start + at, wanted)
+            piece = read(source, start + at, wanted)
             if piece:
                 yield piece
             if len(piece) < wanted:  # the archive ends here
@@ -398,8 +393,8 @@ def _steps(entry: ContainerEntry, stored=None) -> Iterator[bytes | memoryview]:
     else:  # LZMA: a version and the length of the LZMA1 properties that follow
         import lzma
         damaged += (lzma.LZMAError,)
-        end = 4 + int.from_bytes(_at(source, start, min(stored_size, 4))[2:4], "little")
-        header = _at(source, start, min(stored_size, end + 1))
+        end = 4 + int.from_bytes(read(source, start, min(stored_size, 4))[2:4], "little")
+        header = read(source, start, min(stored_size, end + 1))
         if len(header) <= end:  # zipfile reads no bytes from such a member
             return
         try:
@@ -413,7 +408,7 @@ def _steps(entry: ContainerEntry, stored=None) -> Iterator[bytes | memoryview]:
         # zlib hands back the input a full step left; bz2 and lzma keep it
         given = inflater.unconsumed_tail if method == _DEFLATED else b""
         if not given and at < stored_size and (method == _DEFLATED or inflater.needs_input):
-            given, at = _at(source, start + at, min(_PROBE, stored_size - at)), at + _PROBE
+            given, at = read(source, start + at, min(_PROBE, stored_size - at)), at + _PROBE
         try:
             piece = inflater.decompress(given, min(_PROBE, limit - done))
         except damaged as exc:
@@ -437,11 +432,11 @@ def _judge(entry: ContainerEntry, done: int, check: int) -> None:
         raise CorruptEntry(entry.path, f"Bad CRC-32 for file {entry.path!r}")
 
 
-def _checked(entry: ContainerEntry, stored=None) -> Iterator[bytes | memoryview]:
-    """_steps(entry, stored), passed on as they come, and judged when they
+def _checked(entry: ContainerEntry, read=_at) -> Iterator[bytes | memoryview]:
+    """_steps(entry, read), passed on as they come, and judged when they
     end: a wrong size or CRC-32 raises CorruptEntry naming the member."""
     done = check = 0
-    for piece in _steps(entry, stored):
+    for piece in _steps(entry, read):
         done += len(piece)
         check = zlib.crc32(piece, check)
         yield piece
@@ -544,11 +539,7 @@ def _write_order(paths: list[str]) -> list[str]:
 
 
 def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
-    """An entry's compression method, CRC-32 and bytes as stored, in parts."""
-    stored = entry.stored  # read once: from a file, each read is a read and a check
-    if stored is not None:
-        method, crc, part = stored
-        return method, crc, [part]
+    """A new entry's compression method, CRC-32 and bytes as stored, in parts."""
     data = entry.data
     if len(data) > _PROBE:
         probe = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
@@ -559,24 +550,47 @@ def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
     return _DEFLATED, zlib.crc32(data), [deflater.compress(data), deflater.flush()]
 
 
-def write_container(container: Container) -> bytes:
-    """Serialize deterministically: fixed timestamps, fixed entry order.
+def _copy(entry: ContainerEntry, write: Callable[[bytes | memoryview], object]) -> None:
+    """Pass the bytes as stored of the stored or deflated member read `entry`
+    to `write`: of bytes, which cannot change after the open, one view; of a
+    file, exactly its stored size, read 64 KiB at a time, each piece written
+    once and fed to the member's check as it passes. The check is judged at
+    the member's end, so a file changed since the open raises CorruptEntry."""
+    source, start, stored_size = entry._source, entry._start, entry._stored_size
+    if isinstance(source, bytes):
+        write(_at(source, start, stored_size))
+        return
+    copied = 0
 
-    The bytes are those zipfile.ZipFile.writestr writes for the same
-    entries, zip64 records included, except that a member that still
-    holds its bytes as stored is copied instead of deflated again, and a
-    member longer than 64 KiB whose first 64 KiB deflate no smaller is
-    written ZIP_STORED, as writestr would write it stored.
-    """
-    # Parts are joined once at the end: growing one buffer instead raised
-    # the peak RSS of `omex meta set` on a 20 MiB archive by 11 MiB.
-    local: list[bytes | memoryview] = []
+    def read(source, at: int, size: int) -> bytes | memoryview:
+        nonlocal copied
+        piece = _at(source, at, size)
+        write(piece)
+        copied += len(piece)
+        return piece
+    for _ in _checked(entry, read):
+        pass
+    while copied < stored_size:  # a deflate stream may end before its bytes as stored
+        if not read(source, start + copied, min(_PROBE, stored_size - copied)):
+            raise CorruptEntry(entry.path, "its data ends before its declared size")
+
+
+def _write(container: Container, write: Callable[[bytes | memoryview], object]) -> None:
+    """Emit the archive write_container returns through `write`, in order:
+    each member's local header and bytes as stored, then the central
+    directory and the end records. A stored or deflated member read is
+    copied by _copy; any other entry is stored or deflated anew, in memory,
+    before its header is written."""
     central: list[bytes] = []
     offset = 0
     for path in _write_order(container.paths()):
         entry = container._entries[path]
-        method, crc, parts = _member(entry)
-        stored_size = sum(map(len, parts))
+        parts = None
+        if entry._source is not None and entry._method in (_STORED, _DEFLATED):
+            method, crc, stored_size = entry._method, entry._crc, entry._stored_size
+        else:
+            method, crc, parts = _member(entry)
+            stored_size = sum(map(len, parts))
         size = entry.size
         try:
             name, flags = path.encode("ascii"), 0
@@ -591,7 +605,12 @@ def write_container(container: Container) -> bytes:
         header = _LOCAL_HEADER.pack(b"PK\x03\x04", version, 0, flags, method,
                                     _DOS_TIME, _DOS_DATE, crc, *sizes,
                                     len(name), len(extra))
-        local += (header, name, extra, *parts)
+        write(header + name + extra)
+        if parts is None:
+            _copy(entry, write)
+        else:
+            for part in parts:
+                write(part)
 
         # and the central zip64 extra from the values over the limit
         over = [size, stored_size] if max(size, stored_size) > _ZIP64_LIMIT else []
@@ -613,17 +632,34 @@ def write_container(container: Container) -> bytes:
 
     count, directory_offset = len(container), offset
     directory_size = sum(map(len, central))
-    end: list[bytes] = []
     if (count > _FILECOUNT_LIMIT or directory_offset > _ZIP64_LIMIT
             or directory_size > _ZIP64_LIMIT):
-        end += (_ZIP64_END_RECORD.pack(b"PK\x06\x06", 44, _ZIP64_VERSION,
-                                       _ZIP64_VERSION, 0, 0, count, count,
-                                       directory_size, directory_offset),
-                _ZIP64_LOCATOR.pack(b"PK\x06\x07", 0,
-                                    directory_offset + directory_size, 1))
+        central += (_ZIP64_END_RECORD.pack(b"PK\x06\x06", 44, _ZIP64_VERSION,
+                                           _ZIP64_VERSION, 0, 0, count, count,
+                                           directory_size, directory_offset),
+                    _ZIP64_LOCATOR.pack(b"PK\x06\x07", 0,
+                                        directory_offset + directory_size, 1))
         count = min(count, 0xFFFF)
         directory_size = min(directory_size, 0xFFFFFFFF)
         directory_offset = min(directory_offset, 0xFFFFFFFF)
-    end.append(_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count,
-                                directory_size, directory_offset, 0))
-    return b"".join(local + central + end)
+    central.append(_END_RECORD.pack(b"PK\x05\x06", 0, 0, count, count,
+                                    directory_size, directory_offset, 0))
+    for part in central:
+        write(part)
+
+
+def write_container(container: Container) -> bytes:
+    """Serialize deterministically: fixed timestamps, fixed entry order.
+
+    The bytes are those zipfile.ZipFile.writestr writes for the same
+    entries, zip64 records included, except that a stored or deflated
+    member read is copied as stored instead of deflated again, and a
+    member longer than 64 KiB whose first 64 KiB deflate no smaller is
+    written ZIP_STORED, as writestr would write it stored. A member read
+    from a file is read again and checked, as `data` is.
+    """
+    # Parts are joined once at the end: growing one buffer instead raised
+    # the peak RSS of writing a 20 MiB archive by 11 MiB.
+    parts: list[bytes | memoryview] = []
+    _write(container, parts.append)
+    return b"".join(parts)

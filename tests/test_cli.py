@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -406,6 +407,18 @@ def test_a_write_that_fails_midway_leaves_the_archive_as_it_was(command, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.omex", "src"]
 
 
+@pytest.mark.parametrize("command", ["pack", "meta"])
+def test_a_write_into_a_missing_directory_names_the_output(command, fixture_dir, tmp_path,
+                                                           capsys):
+    out = tmp_path / "no" / "such" / "out.omex"
+    args = (["meta", str(out), "set", "--touch"] if command == "meta"
+            else ["pack", str(fixture_dir), str(out.with_suffix("")), "--ext", "omex"])
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(out)!r}\n")
+    assert not (tmp_path / "no").exists()
+
+
 def test_written_archives_keep_the_mode_of_the_file_they_replace(fixture_dir, tmp_path,
                                                                  capsys):
     path = tmp_path / "a.omex"
@@ -662,6 +675,19 @@ def test_meta_set_closes_the_archive_before_it_replaces_it(long_archive_file, mo
     assert open_archive(long_archive_file.read_bytes()).metadata.blocks["."].description == "d"
 
 
+def test_meta_set_writes_the_bytes_of_set_metadata(long_archive_file):
+    # the long member is copied from the archive's file, the others from what they keep
+    opened = open_archive(long_archive_file.read_bytes())
+    block = opened.metadata.blocks["."]
+    block = dataclasses.replace(block, description="d",
+                                creators=block.creators + [parse_creator("Jane Doe")])
+    expected = set_metadata(opened, dataclasses.replace(
+        opened.metadata, blocks={**opened.metadata.blocks, ".": block})).to_bytes()
+    assert main(["meta", str(long_archive_file), "set", "--description", "d",
+                 "--creator", "Jane Doe"]) == 0
+    assert long_archive_file.read_bytes() == expected
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_commands_read_an_archive_from_a_pipe_whole(golden_archive_file, tmp_path, capsys):
     assert main(["list", str(golden_archive_file), "--json"]) == 0
@@ -681,9 +707,12 @@ _STATUS = Path("/proc/self/status")
 
 
 @pytest.mark.skipif(not _STATUS.is_file(), reason="no /proc/self/status")
-def test_validate_holds_little_more_than_the_interpreter(tmp_path, golden_files):
+@pytest.mark.parametrize("command", [["validate"], ["meta", "set", "--description", "d"]],
+                         ids=["validate", "meta set"])
+def test_validate_holds_little_more_than_the_interpreter(tmp_path, golden_files, command):
     # the bound of the CI step on large-payload; the child's own high-water mark,
-    # as its ru_maxrss starts at this process's
+    # as its ru_maxrss starts at this process's; meta set reads the archive from
+    # its file and writes the new one member by member
     path = tmp_path / "large.omex"
     blob = random.Random(31).randbytes(16 << 20)
     path.write_bytes(write_container(build_container({**golden_files, "blob.bin": blob})))
@@ -699,5 +728,5 @@ def test_validate_holds_little_more_than_the_interpreter(tmp_path, golden_files)
                                 text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
         return int(result.stdout.split()[-1])
 
-    excess = peak_kib("validate", str(path)) - peak_kib()
+    excess = peak_kib(command[0], str(path), *command[1:]) - peak_kib()
     assert excess < 8 << 10, f"{excess} KiB above the interpreter"

@@ -1,6 +1,7 @@
 """write_container against zipfile: byte parity and the raw-copy path."""
 
 import io
+import os
 import random
 import struct
 import tracemalloc
@@ -17,6 +18,7 @@ from omexarchive import (
     Timestamp,
     ValidationMode,
     add_entry,
+    create_archive,
     open_archive,
     open_container,
     remove_entry,
@@ -185,7 +187,7 @@ def test_bzip2_member_is_deflated_again(compression):
         zf.writestr("manifest.xml", b"<omexManifest/>")
         zf.writestr("a.txt", b"bzip2 " * 100)
     container = open_container(buf.getvalue())
-    assert all(e.stored is None for e in container.entries)
+    assert {e._method for e in container.entries} == {compression}  # not copied
     written = write_container(container)
     assert written == zipfile_write(container)
     with zipfile.ZipFile(io.BytesIO(written)) as zf:
@@ -224,7 +226,7 @@ def test_raw_bytes_take_no_part_in_equality_or_repr():
     data, payload = _level9_archive()
     read = [e for e in open_container(data).entries if e.path == "model.xml"][0]
     fresh = ContainerEntry("model.xml", payload)
-    assert read.stored is not None and fresh.stored is None
+    assert read._source is not None and fresh._source is None
     assert read == fresh and hash(read) == hash(fresh)
     assert repr(read) == repr(fresh)
 
@@ -232,7 +234,7 @@ def test_raw_bytes_take_no_part_in_equality_or_repr():
 def test_replaced_data_is_written_not_the_bytes_read():
     read = open_container(write_container(Container([ContainerEntry("a.txt", b"old contents")])))
     entry = ContainerEntry(read.entries[0].path, b"new contents")
-    assert entry.stored is None
+    assert entry._source is None
     written = write_container(Container([entry]))
     assert open_container(written).get("a.txt") == b"new contents"
 
@@ -308,7 +310,7 @@ def test_an_edit_copies_a_member_written_stored():
     packed = open_archive(_zipfile_archive(b"<sbml/>", zipfile.ZIP_DEFLATED))
     archive = open_archive(add_entry(packed, "blob.bin", TEXT, data).to_bytes())
     read = [e for e in archive.container.entries if e.path == "blob.bin"][0]
-    assert read.stored is not None and read.stored[0] == zipfile.ZIP_STORED
+    assert read._method == zipfile.ZIP_STORED
     edited = add_entry(archive, "b.txt", TEXT, b"b").to_bytes()
     assert _methods(edited)["blob.bin"] == zipfile.ZIP_STORED
     assert stored_bytes(edited, "blob.bin") == stored_bytes(archive.to_bytes(), "blob.bin") == data
@@ -328,3 +330,58 @@ def test_a_member_read_stored_is_held_once_and_copied_as_read():
     assert peak < 1 << 20
     assert write_container(container) == written
     assert container.get("blob.bin") == data
+
+
+@pytest.mark.parametrize("limit", [None, 70_000], ids=["zip64 limit", "lowered zip64 limit"])
+@pytest.mark.parametrize("source", ["bytes", "FileIO", "BufferedReader"])
+def test_writing_into_a_file_gives_the_bytes_of_to_bytes(tmp_path, monkeypatch, source, limit):
+    # members read long and stored, long and deflated, long but stored in one
+    # step, short, and one added after the open; under the lowered limit the
+    # long ones take zip64 extras and the later headers lie past it
+    if limit is not None:
+        monkeypatch.setattr("omexarchive.container._ZIP64_LIMIT", limit)
+    rng = random.Random(12)
+    text = b"".join(b"line %d\n" % rng.randrange(10 ** 6) for _ in range(60_000))
+    data = create_archive([("blob.bin", TEXT, False, rng.randbytes(300_000)),
+                           ("text.txt", TEXT, False, text),
+                           ("zeros.bin", TEXT, False, bytes(1 << 20)),
+                           ("small.txt", TEXT, False, b"small")]).to_bytes()
+    assert (b"PK\x06\x06" in data) == (limit is not None)  # a zip64 end record
+    path, out = tmp_path / "a.omex", tmp_path / "out.omex"
+    path.write_bytes(data)
+    with open(path, "rb", buffering=0 if source == "FileIO" else -1) as file:
+        opened = open_archive(data if source == "bytes" else file)
+        for archive, expected in [(opened, data),
+                                  (add_entry(opened, "new.txt", TEXT, b"new"), None)]:
+            with open(out, "wb") as written:
+                archive.write(written)
+            assert out.read_bytes() == (expected or archive.to_bytes())
+
+
+def test_bytes_as_stored_past_the_end_of_a_deflate_stream_are_copied(tmp_path):
+    # the reader stops inflating at the end of the stream, as zipfile does,
+    # yet a member read from a file is copied to the end of its bytes as stored
+    payload = b"<species id='s1'/>\n" * 5_000
+    deflater = zlib.compressobj(6, zlib.DEFLATED, -15)
+    stored = deflater.compress(payload) + deflater.flush() + random.Random(13).randbytes(100_000)
+    crc, name = zlib.crc32(payload), b"a.txt"
+    local = struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 20, 0, 0, 8, 0, 33, crc, len(stored),
+                        len(payload), len(name), 0) + name
+    central = struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 20, 3, 20, 0, 0, 8, 0, 33, crc,
+                          len(stored), len(payload), len(name), 0, 0, 0, 0, 0o644 << 16,
+                          0) + name
+    data = local + stored + central + struct.pack(
+        "<4s4H2LH", b"PK\x05\x06", 0, 0, 1, 1, len(central), len(local) + len(stored), 0)
+    path = tmp_path / "a.zip"
+    path.write_bytes(data)
+    with open(path, "rb") as file:
+        from_file = write_container(open_container(file))
+    assert from_file == write_container(open_container(data))
+    assert stored_bytes(from_file, "a.txt") == stored
+    with zipfile.ZipFile(io.BytesIO(from_file)) as zf:
+        assert zf.read("a.txt") == payload
+    with open(path, "rb") as file:  # cut within those bytes after the open
+        container = open_container(file)
+        os.truncate(path, len(local) + len(stored) - 50_000)
+        with pytest.raises(CorruptEntry, match="ends before its declared size"):
+            write_container(container)
