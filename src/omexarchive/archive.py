@@ -8,12 +8,13 @@ import getpass
 import os
 import stat
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .container import (
+    _PROBE,
     _SHARED_PATH,
     Container,
     ContainerEntry,
@@ -116,8 +117,14 @@ class Archive:
         """Write the bytes `to_bytes` returns into the binary file `file`,
         member by member, so they are never held whole. A member read from a
         file is copied from it 64 KiB at a time and checked as it passes, so
-        that file must stay open until this returns."""
-        _write(self.container, file.write)
+        that file must stay open until this returns. A new member longer
+        than 64 KiB is written as it is read and deflated, 64 KiB at a time,
+        and a seek back then patches its local header, so `file` must be
+        seekable; one opened for appending, where every write lands at the
+        end, raises ValueError before any byte is written."""
+        if "a" in getattr(file, "mode", ""):
+            raise ValueError("an archive cannot be written into a file opened for appending")
+        _write(self.container, file.write, file.seek)
 
 
 def default_creator() -> Creator:
@@ -144,7 +151,8 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
 
     Drops the entry `base` lists at path `remove` and its file (the
     metadata goes with its file), then adds `files`, pairs of a
-    ContentEntry and its bytes, or writes `metadata`, never both: the
+    ContentEntry and its bytes or a function that makes its member from
+    the entry's path, or writes `metadata`, never both: the
     metadata file replaces its member or is added, and is listed when the
     manifest does not list it. A manifest or metadata file the call
     changes is written when the archive's bytes are needed. Only what the
@@ -176,7 +184,8 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             raise DuplicateLocation(entry.path)
         if classify_format(entry.format).kind is FormatKind.INVALID:
             raise InvalidFormatUri(entry.format)
-        container.add(ContainerEntry(entry.path, bytes(data)))
+        container.add(data(entry.path) if callable(data)
+                      else ContainerEntry(entry.path, bytes(data)))
         added.append(entry)
     new = [entry.path for entry in added]
     if metadata is not None:
@@ -366,6 +375,7 @@ _NOT_REGULAR = "a FIFO or other non-regular file lies where its file goes"
 # with O_NONBLOCK a FIFO that no reader holds raises ENXIO instead of waiting
 _IN_THE_WAY = {errno.EISDIR: "a directory lies where its file goes", errno.ENXIO: _NOT_REGULAR}
 _NONBLOCK = getattr(os, "O_NONBLOCK", 0)
+_NOFOLLOW = getattr(os, "O_NOFOLLOW", 0)
 
 
 def _fill(parts: list[str], fd: int, steps: Iterable) -> None:
@@ -446,8 +456,10 @@ def pack_directory(
     the location names the file. A root manifest.xml is ignored (it is
     regenerated). A link, FIFO, socket or device below `directory` raises
     UnsafePath naming its path in the tree, as extraction refuses a link.
-    `stamp` adds a creation block when the packed tree gives the archive
-    no metadata file.
+    A file of at most 64 KiB is read during the walk; a longer one is read
+    when the archive is written, and must then still be the file the walk
+    saw, at the size it saw (see _TreeFile). `stamp` adds a creation block
+    when the packed tree gives the archive no metadata file.
     """
     root = Path(directory)
     masters = {check_location(m) for m in (masters or set())}
@@ -455,16 +467,18 @@ def pack_directory(
     files = []
     paths = set()
     for file in sorted(root.rglob("*")):  # a link to a directory is listed, not entered
-        mode = file.lstat().st_mode
-        if stat.S_ISDIR(mode):
+        status = file.lstat()
+        if stat.S_ISDIR(status.st_mode):
             continue
         rel = file.relative_to(root).as_posix()
-        if not stat.S_ISREG(mode):
+        if not stat.S_ISREG(status.st_mode):
             raise UnsafePath(rel, "a link, FIFO, socket or device is not packed")
         if rel == MANIFEST_FILENAME:
             continue
         fmt = overrides.get(rel, format_for_filename(rel))
-        files.append((rel.replace("%", "%25"), fmt, rel in masters, file.read_bytes()))
+        data = (partial(_TreeFile, file=file, status=status) if status.st_size > _PROBE
+                else file.read_bytes())
+        files.append((rel.replace("%", "%25"), fmt, rel in masters, data))
         paths.add(rel)
     unknown = (masters | overrides.keys()) - paths
     if unknown:
@@ -475,3 +489,48 @@ def pack_directory(
         metadata.add(stamp_block(creator))
         archive = set_metadata(archive, metadata)
     return archive
+
+
+# why a long file of the tree is refused when it is written
+_CHANGED = "the file changed after the tree was walked"
+
+
+class _TreeFile(ContainerEntry):
+    """A file of the tree pack_directory walks, longer than 64 KiB. It keeps
+    only where it lies and the walk's lstat identity: device, inode and
+    size, which is its `size`. It is read 64 KiB at a time when it is
+    written, or whole when its `data` is read, reopened without following a
+    link. A file that is no longer the one the walk saw, or that gives more
+    or fewer bytes than its size, raises UnsafePath naming its path in the
+    tree."""
+
+    __slots__ = ("_file", "_identity")
+
+    def __init__(self, path: str, file: Path, status: os.stat_result):
+        super().__init__(path, None)
+        self._file, self._identity = file, (status.st_dev, status.st_ino, status.st_size)
+
+    @property
+    def size(self) -> int:
+        return self._identity[2]
+
+    def _pieces(self) -> Iterator[bytes]:
+        try:
+            file = open(self._file, "rb", buffering=0,
+                        opener=lambda path, flags: os.open(path, flags | _NOFOLLOW | _NONBLOCK))
+        except OSError as exc:
+            if exc.errno in _NOT_FOLLOWED or exc.errno in (errno.ENOENT, errno.EISDIR):
+                raise UnsafePath(self.path, _CHANGED) from exc
+            raise
+        with file:
+            status = os.fstat(file.fileno())
+            if (status.st_dev, status.st_ino, status.st_size) != self._identity:
+                raise UnsafePath(self.path, _CHANGED)
+            done = 0
+            while piece := file.read(_PROBE):
+                done += len(piece)
+                if done > self.size:
+                    raise UnsafePath(self.path, _CHANGED)
+                yield piece
+        if done < self.size:
+            raise UnsafePath(self.path, _CHANGED)

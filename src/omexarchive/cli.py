@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -90,24 +91,31 @@ def _replace(path) -> Iterator[BinaryIO]:
     binary, so no platform turns LF into CR LF, while the block runs. When
     the block ends cleanly the file is flushed to disk and renamed over the
     target; when it raises, the file is removed, so a write that fails
-    leaves the target as it was. The file keeps the target's mode; a new
-    one gets the umask default. A file that cannot be made there is
-    reported at `path`, not at its hidden name."""
+    leaves the target as it was. The file keeps the mode of the regular
+    file it replaces; a new one gets the umask default. A directory at the
+    target is refused before any byte is written. That refusal, a file
+    that cannot be made there and a rename that fails are reported at
+    `path`, not at the file's hidden name."""
     target = Path(path).resolve()
     temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         out = open(temporary, "xb")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with out:
-            if target.exists():
+            if target.is_file():
                 os.chmod(out.fileno() if os.chmod in os.supports_fd else temporary,
                          stat.S_IMODE(target.stat().st_mode))
             yield out
             out.flush()
             os.fsync(out.fileno())
-        os.replace(temporary, target)
+        try:
+            os.replace(temporary, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise

@@ -22,12 +22,14 @@ archive piece by piece, member by member, into a write function:
 file. A member read from bytes is copied as one view; a long one read from
 a file is copied 64 KiB at a time, each piece read once, written once and
 fed to the member's check of its size and CRC-32, so a file changed since
-the open raises CorruptEntry; a new entry is stored or deflated in memory
-before its header is written. The layout and the zip64 rules are those
-of `zipfile`: the bytes are those `zipfile.writestr` writes except for the
-members copied or stored, identical containers serialize to identical
-bytes, and a container read from an archive this module wrote serializes
-to that archive again.
+the open raises CorruptEntry. A new entry of at most 64 KiB is deflated in
+memory before its header is written; a longer one streams through one
+CRC-32 and one deflater, its pieces written as they come, and its local
+header is patched with its CRC-32 and sizes once they are known. The
+layout and the zip64 rules are those of `zipfile`: the bytes are those
+`zipfile.writestr` writes except for the members copied or stored,
+identical containers serialize to identical bytes, and a container read
+from an archive this module wrote serializes to that archive again.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import re
 import struct
 import zlib
 from collections import Counter
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
@@ -146,9 +149,11 @@ class ContainerEntry:
     and the other private slots, all set by `_entry` alone. One longer than
     one step keeps only those: its `data` is inflated when first read and
     kept, and `steps()` inflates it anew, 64 KiB at a time, without keeping
-    it; from a file each such read checks the size and CRC-32 again. Entries
-    compare by path and bytes, sizes and CRC-32s first, and hash and print
-    by path and size."""
+    it; from a file each such read checks the size and CRC-32 again. A
+    subclass may leave `_data` None and give its pieces by `_pieces` and its
+    length by `size`, as the long files `pack_directory` reads only when
+    they are written do. Entries compare by path and bytes, sizes and
+    CRC-32s first, and hash and print by path and size."""
 
     __slots__ = ("path", "_data", "_source", "_method", "_crc", "_start", "_stored_size",
                  "_size")
@@ -161,7 +166,7 @@ class ContainerEntry:
         if self._data is None:
             # one growing buffer: a join would hold every piece and the result
             buffer = io.BytesIO()
-            buffer.writelines(self._inflated())
+            buffer.writelines(self._pieces())
             self._data = buffer.getvalue()
         elif callable(self._data):
             self._data = self._data()
@@ -173,11 +178,11 @@ class ContainerEntry:
         return len(self.data) if self._source is None else self._size
 
     def steps(self) -> Iterable[bytes | memoryview]:
-        """Its bytes in pieces: inflated anew, 64 KiB at a time, for a long
-        member read whose `data` was not read, else `data` whole."""
-        return self._inflated() if self._data is None else [self.data]
+        """Its bytes in pieces: from `_pieces`, 64 KiB at a time, while
+        `data` was not read, as for a long member read, else `data` whole."""
+        return self._pieces() if self._data is None else [self.data]
 
-    def _inflated(self) -> Iterator[bytes | memoryview]:
+    def _pieces(self) -> Iterator[bytes | memoryview]:
         # bytes cannot change after the open; a file can
         return _steps(self) if isinstance(self._source, bytes) else _checked(self)
 
@@ -538,18 +543,6 @@ def _write_order(paths: list[str]) -> list[str]:
     return sorted(paths, key=lambda p: (p != "manifest.xml", p))
 
 
-def _member(entry: ContainerEntry) -> tuple[int, int, list[bytes | memoryview]]:
-    """A new entry's compression method, CRC-32 and bytes as stored, in parts."""
-    data = entry.data
-    if len(data) > _PROBE:
-        probe = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
-        if len(probe.compress(memoryview(data)[:_PROBE])) + len(probe.flush()) >= _PROBE:
-            return _STORED, zlib.crc32(data), [data]
-    # the stream zipfile.writestr produces at this level
-    deflater = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
-    return _DEFLATED, zlib.crc32(data), [deflater.compress(data), deflater.flush()]
-
-
 def _copy(entry: ContainerEntry, write: Callable[[bytes | memoryview], object]) -> None:
     """Pass the bytes as stored of the stored or deflated member read `entry`
     to `write`: of bytes, which cannot change after the open, one view; of a
@@ -575,42 +568,100 @@ def _copy(entry: ContainerEntry, write: Callable[[bytes | memoryview], object]) 
             raise CorruptEntry(entry.path, "its data ends before its declared size")
 
 
-def _write(container: Container, write: Callable[[bytes | memoryview], object]) -> None:
+def _local_header(name: bytes, flags: int, method: int, crc: int, size: int,
+                  stored_size: int) -> bytes:
+    """A member's local header, name and extra field, as zipfile writes them."""
+    # zipfile picks the local zip64 extra from the size alone, before compressing
+    zip64 = size * 1.05 > _ZIP64_LIMIT
+    extra = struct.pack("<HHQQ", 1, 16, size, stored_size) if zip64 else b""
+    sizes = (0xFFFFFFFF, 0xFFFFFFFF) if zip64 else (stored_size, size)
+    return _LOCAL_HEADER.pack(b"PK\x03\x04", _ZIP64_VERSION if zip64 else _VERSION, 0, flags,
+                              method, _DOS_TIME, _DOS_DATE, crc, *sizes, len(name),
+                              len(extra)) + name + extra
+
+
+def _probed(entry: ContainerEntry) -> tuple[int, Iterator[bytes | memoryview]]:
+    """How the new entry `entry`, longer than 64 KiB, is written: stored
+    when its first 64 KiB deflate no smaller, else deflated; and all its
+    pieces, those drawn from `steps()` for that probe included."""
+    pieces, head, held = iter(entry.steps()), [], 0
+    for piece in pieces:  # one piece holds the 64 KiB unless steps are shorter
+        head.append(piece)
+        held += len(piece)
+        if held >= _PROBE:
+            break
+    probe = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15)
+    first = memoryview(head[0] if len(head) == 1 else b"".join(head))[:_PROBE]
+    stored = len(probe.compress(first)) + len(probe.flush()) >= _PROBE
+    return _STORED if stored else _DEFLATED, chain(head, pieces)
+
+
+def _stream(pieces: Iterable[bytes | memoryview], method: int,
+            write: Callable[[bytes | memoryview], object]) -> tuple[int, int]:
+    """Write `pieces` through `write` as a member stored or deflated, by
+    `method`, each as it comes: all feed one CRC-32 and, when deflated, one
+    deflater. Returns their CRC-32 and the member's stored size."""
+    # the stream zipfile.writestr produces at this level
+    deflater = (zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -15) if method == _DEFLATED
+                else None)
+    crc = stored_size = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+        if deflater is not None:
+            piece = deflater.compress(piece)
+        write(piece)
+        stored_size += len(piece)
+    if deflater is not None:
+        piece = deflater.flush()
+        write(piece)
+        stored_size += len(piece)
+    return crc, stored_size
+
+
+def _write(container: Container, write: Callable[[bytes | memoryview], object],
+           seek: Callable[..., int] | None = None) -> None:
     """Emit the archive write_container returns through `write`, in order:
     each member's local header and bytes as stored, then the central
     directory and the end records. A stored or deflated member read is
-    copied by _copy; any other entry is stored or deflated anew, in memory,
-    before its header is written."""
+    copied by _copy, and a new entry of at most 64 KiB deflated in memory.
+    A longer one is probed by _probed and streamed by _stream. Its local
+    header goes first, as a bytearray with a CRC-32 and stored size of 0,
+    and is filled in once they are known: in place, which a `write` that
+    keeps what it is given holds, as write_container's list does, and,
+    when `seek` (that of the file `write` writes into) is given, in the
+    file through a seek back."""
     central: list[bytes] = []
     offset = 0
+    start = 0 if seek is None else seek(0, io.SEEK_CUR)  # where the archive starts
     for path in _write_order(container.paths()):
         entry = container._entries[path]
-        parts = None
-        if entry._source is not None and entry._method in (_STORED, _DEFLATED):
-            method, crc, stored_size = entry._method, entry._crc, entry._stored_size
-        else:
-            method, crc, parts = _member(entry)
-            stored_size = sum(map(len, parts))
         size = entry.size
         try:
             name, flags = path.encode("ascii"), 0
         except UnicodeEncodeError:
             name, flags = path.encode("utf-8"), _UTF8_NAME
-
-        # zipfile picks the local zip64 extra from the size alone, before compressing
-        zip64 = size * 1.05 > _ZIP64_LIMIT
-        version = _ZIP64_VERSION if zip64 else _VERSION
-        extra = struct.pack("<HHQQ", 1, 16, size, stored_size) if zip64 else b""
-        sizes = (0xFFFFFFFF, 0xFFFFFFFF) if zip64 else (stored_size, size)
-        header = _LOCAL_HEADER.pack(b"PK\x03\x04", version, 0, flags, method,
-                                    _DOS_TIME, _DOS_DATE, crc, *sizes,
-                                    len(name), len(extra))
-        write(header + name + extra)
-        if parts is None:
+        if entry._source is not None and entry._method in (_STORED, _DEFLATED):
+            method, crc, stored_size = entry._method, entry._crc, entry._stored_size
+            header = _local_header(name, flags, method, crc, size, stored_size)
+            write(header)
             _copy(entry, write)
-        else:
+        elif size <= _PROBE:  # deflated before its header is written
+            parts = []
+            method, (crc, stored_size) = _DEFLATED, _stream([entry.data], _DEFLATED, parts.append)
+            header = _local_header(name, flags, method, crc, size, stored_size)
+            write(header)
             for part in parts:
                 write(part)
+        else:  # its header is filled in once its bytes are written
+            method, pieces = _probed(entry)
+            header = bytearray(_local_header(name, flags, method, 0, size, 0))
+            write(header)
+            crc, stored_size = _stream(pieces, method, write)
+            header[:] = _local_header(name, flags, method, crc, size, stored_size)
+            if seek is not None:
+                seek(start + offset)
+                write(header)
+                seek(start + offset + len(header) + stored_size)
 
         # and the central zip64 extra from the values over the limit
         over = [size, stored_size] if max(size, stored_size) > _ZIP64_LIMIT else []
@@ -619,8 +670,7 @@ def _write(container: Container, write: Callable[[bytes | memoryview], object]) 
         if offset > _ZIP64_LIMIT:
             over.append(offset)
             header_offset = 0xFFFFFFFF
-        if over:
-            version = _ZIP64_VERSION
+        version = _ZIP64_VERSION if over or size * 1.05 > _ZIP64_LIMIT else _VERSION
         central_extra = (struct.pack(f"<HH{len(over)}Q", 1, 8 * len(over), *over)
                          if over else b"")
         central += (_CENTRAL_HEADER.pack(b"PK\x01\x02", version, _UNIX, version, 0,
@@ -628,7 +678,7 @@ def _write(container: Container, write: Callable[[bytes | memoryview], object]) 
                                          *sizes, len(name), len(central_extra), 0, 0,
                                          0, _EXTERNAL_ATTR, header_offset),
                     name, central_extra)
-        offset += len(header) + len(name) + len(extra) + stored_size
+        offset += len(header) + stored_size
 
     count, directory_offset = len(container), offset
     directory_size = sum(map(len, central))
@@ -656,7 +706,10 @@ def write_container(container: Container) -> bytes:
     member read is copied as stored instead of deflated again, and a
     member longer than 64 KiB whose first 64 KiB deflate no smaller is
     written ZIP_STORED, as writestr would write it stored. A member read
-    from a file is read again and checked, as `data` is.
+    from a file is read again and checked, as `data` is. A new member
+    longer than 64 KiB is deflated in steps, as it is written into a file,
+    and its local header, appended before its bytes, is filled in after
+    them.
     """
     # Parts are joined once at the end: growing one buffer instead raised
     # the peak RSS of writing a 20 MiB archive by 11 MiB.

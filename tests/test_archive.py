@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import omexarchive
 import omexarchive.archive
+import omexarchive.cli
 from omexarchive import (
     Creator,
     MetadataSet,
@@ -32,6 +33,7 @@ from omexarchive import (
     write_container,
 )
 from omexarchive.archive import pack_directory, stamp_block
+from omexarchive.container import _write
 from omexarchive.errors import (
     DanglingManifestEntry,
     DuplicateLocation,
@@ -536,6 +538,105 @@ def test_pack_directory_refuses_a_link_or_a_fifo_in_the_tree(make, tmp_path):
     with pytest.raises(UnsafePath, match="a link, FIFO, socket or device") as refusal:
         pack_directory(tree, stamp=False)
     assert refusal.value.path == "sub/special.txt"
+
+
+def _grow(path: Path) -> None:
+    with open(path, "ab") as file:
+        file.write(b"more")
+
+
+def _truncate(path: Path) -> None:
+    os.truncate(path, 100_000)
+
+
+def _replace_by_a_file(path: Path) -> None:
+    # another file of the same size, renamed over it
+    other = path.with_name("other")
+    other.write_bytes(path.read_bytes())
+    os.replace(other, path)
+
+
+def _replace_by_a_link(path: Path) -> None:
+    # a link to a file of the same bytes outside the tree
+    outside = path.parents[2] / "outside.bin"
+    outside.write_bytes(path.read_bytes())
+    path.unlink()
+    os.symlink(outside, path)
+
+
+# a file of the tree changed between pack_directory's walk and the write
+TREE_CHANGES = pytest.mark.parametrize("change", [_grow, _truncate, _replace_by_a_file,
+                                                  _replace_by_a_link, Path.unlink],
+                                       ids=["grown", "truncated", "replaced", "linked",
+                                            "removed"])
+
+
+def _long_file_tree(root: Path) -> Path:
+    (root / "tree" / "data").mkdir(parents=True)
+    (root / "tree" / "model.xml").write_bytes(b"<sbml/>")
+    long_file = root / "tree" / "data" / "blob.bin"
+    long_file.write_bytes(random.Random(16).randbytes(200_000))
+    return long_file
+
+
+@TREE_CHANGES
+def test_a_long_file_changed_after_the_walk_is_refused(change, tmp_path):
+    long_file = _long_file_tree(tmp_path)
+    archive = pack_directory(tmp_path / "tree", stamp=False)
+    change(long_file)
+    with pytest.raises(UnsafePath, match="changed after the tree was walked") as refusal:
+        archive.to_bytes()
+    assert refusal.value.path == "data/blob.bin"
+    with pytest.raises(UnsafePath) as refusal:  # data reads it through the same check
+        archive.container.get("data/blob.bin")
+    assert refusal.value.path == "data/blob.bin"
+
+
+@TREE_CHANGES
+def test_pack_leaves_no_output_when_a_long_file_changed_after_the_walk(change, tmp_path,
+                                                                       monkeypatch, capsys):
+    long_file = _long_file_tree(tmp_path)
+    walk = omexarchive.cli.pack_directory
+
+    def walk_then_change(*args, **kwargs):
+        archive = walk(*args, **kwargs)
+        change(long_file)
+        return archive
+    monkeypatch.setattr(omexarchive.cli, "pack_directory", walk_then_change)
+    out = tmp_path / "out"
+    assert omexarchive.cli.main(["pack", str(tmp_path / "tree"), str(out), "--ext", "omex"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unsafe path 'data/blob.bin': the file changed after the tree was walked\n")
+    assert not list(tmp_path.glob("*.omex")) and not list(tmp_path.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("change", [_grow, _truncate], ids=["grown", "truncated"])
+def test_a_long_file_changed_while_it_is_written_is_refused(change, tmp_path):
+    long_file = _long_file_tree(tmp_path)
+    archive = pack_directory(tmp_path / "tree", stamp=False)
+
+    def write(piece):
+        if isinstance(piece, bytearray):  # the header of the member streamed: its file is open
+            change(long_file)
+    with pytest.raises(UnsafePath, match="changed after the tree was walked") as refusal:
+        _write(archive.container, write)
+    assert refusal.value.path == "data/blob.bin"
+
+
+def test_a_long_file_is_read_when_written_not_in_the_walk(tmp_path, monkeypatch):
+    long_file = _long_file_tree(tmp_path)
+    read = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path) or read_bytes(path))
+    archive = pack_directory(tmp_path / "tree", stamp=False)
+    assert read == [tmp_path / "tree" / "model.xml"]
+    member = archive.container._entries["data/blob.bin"]
+    assert member.size == 200_000 and member._data is None  # the size the walk saw
+    # bytes changed in place, the file and its size kept, are the bytes written
+    new = random.Random(17).randbytes(200_000)
+    with open(long_file, "r+b") as file:
+        file.write(new)
+    assert open_archive(archive.to_bytes()).container.get("data/blob.bin") == new
 
 
 def test_pack_directory_unknown_master(tmp_path):

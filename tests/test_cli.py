@@ -419,6 +419,34 @@ def test_a_write_into_a_missing_directory_names_the_output(command, fixture_dir,
     assert not (tmp_path / "no").exists()
 
 
+def test_a_directory_at_the_output_is_refused_before_a_byte_is_written(fixture_dir, tmp_path,
+                                                                      capsys):
+    # its mode was copied onto the new file, and the rename's error named that file
+    out = tmp_path / "out.omex"
+    out.mkdir(mode=0o700)
+    assert main(["pack", str(fixture_dir), str(tmp_path / "out"), "--ext", "omex"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n")
+    assert out.is_dir() and not list(out.iterdir())
+    assert stat.S_IMODE(out.stat().st_mode) == 0o700
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.omex", "src"]
+
+
+def test_a_rename_that_fails_names_the_output(fixture_dir, tmp_path, monkeypatch, capsys):
+    # a directory made at the output while the archive is written
+    out = tmp_path / "out.omex"
+    write = omexarchive.archive.Archive.write
+
+    def write_then_make_a_directory(archive, file):
+        write(archive, file)
+        out.mkdir()
+    monkeypatch.setattr(omexarchive.archive.Archive, "write", write_then_make_a_directory)
+    assert main(["pack", str(fixture_dir), str(tmp_path / "out"), "--ext", "omex"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.omex", "src"]
+
+
 def test_written_archives_keep_the_mode_of_the_file_they_replace(fixture_dir, tmp_path,
                                                                  capsys):
     path = tmp_path / "a.omex"
@@ -707,15 +735,22 @@ _STATUS = Path("/proc/self/status")
 
 
 @pytest.mark.skipif(not _STATUS.is_file(), reason="no /proc/self/status")
-@pytest.mark.parametrize("command", [["validate"], ["meta", "set", "--description", "d"]],
-                         ids=["validate", "meta set"])
+@pytest.mark.parametrize("command", [["validate", "{archive}"],
+                                     ["meta", "{archive}", "set", "--description", "d"],
+                                     ["pack", "{tree}", "{out}", "--ext", "omex"]],
+                         ids=["validate", "meta set", "pack"])
 def test_validate_holds_little_more_than_the_interpreter(tmp_path, golden_files, command):
     # the bound of the CI step on large-payload; the child's own high-water mark,
     # as its ru_maxrss starts at this process's; meta set reads the archive from
-    # its file and writes the new one member by member
-    path = tmp_path / "large.omex"
+    # its file and writes the new one member by member, and pack reads the
+    # tree's long file as it writes it
+    path, tree = tmp_path / "large.omex", tmp_path / "tree"
     blob = random.Random(31).randbytes(16 << 20)
-    path.write_bytes(write_container(build_container({**golden_files, "blob.bin": blob})))
+    if command[0] == "pack":
+        tree.mkdir()
+        (tree / "blob.bin").write_bytes(blob)
+    else:
+        path.write_bytes(write_container(build_container({**golden_files, "blob.bin": blob})))
     del blob
     code = ("import sys, omexarchive.cli\n"
             "if sys.argv[1:]: omexarchive.cli.main(sys.argv[1:])\n"
@@ -728,5 +763,6 @@ def test_validate_holds_little_more_than_the_interpreter(tmp_path, golden_files,
                                 text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
         return int(result.stdout.split()[-1])
 
-    excess = peak_kib(command[0], str(path), *command[1:]) - peak_kib()
+    args = [a.format(archive=path, tree=tree, out=tmp_path / "out") for a in command]
+    excess = peak_kib(*args) - peak_kib()
     assert excess < 8 << 10, f"{excess} KiB above the interpreter"

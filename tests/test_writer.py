@@ -26,8 +26,9 @@ from omexarchive import (
     validate_archive,
     write_container,
 )
-from omexarchive.archive import stamp_block
-from omexarchive.container import _FILECOUNT_LIMIT, _ZIP64_LIMIT, _write_order
+from omexarchive.archive import pack_directory, stamp_block
+from omexarchive.container import _FILECOUNT_LIMIT, _ZIP64_LIMIT, _stream, _write_order
+from omexarchive.formats import format_for_filename
 from omexarchive.errors import CorruptEntry
 
 TEXT = "http://purl.org/NET/mediatypes/text/plain"
@@ -385,3 +386,77 @@ def test_bytes_as_stored_past_the_end_of_a_deflate_stream_are_copied(tmp_path):
         os.truncate(path, len(local) + len(stored) - 50_000)
         with pytest.raises(CorruptEntry, match="ends before its declared size"):
             write_container(container)
+
+
+def _long_files() -> dict[str, bytes]:
+    """A file deflate cannot shrink and one it can, both longer than 64 KiB."""
+    rng = random.Random(14)
+    text = b"".join(b"%d,%d,%.6f\n" % (i, rng.randrange(1000), rng.random())
+                    for i in range(30_000))
+    return {"data/blob.bin": rng.randbytes(300_000), "data/table.csv": text}
+
+
+@pytest.mark.parametrize("limit", [None, 70_000], ids=["zip64 limit", "lowered zip64 limit"])
+def test_a_packed_long_file_streams_to_the_bytes_of_create_archive(tmp_path, monkeypatch,
+                                                                   limit):
+    # under the lowered limit the local headers take zip64 extras from the
+    # size alone, and the header patched after the stream keeps their length
+    if limit is not None:
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", limit)
+        monkeypatch.setattr("omexarchive.container._ZIP64_LIMIT", limit)
+    files = {**_long_files(), "small.txt": b"small"}
+    tree = tmp_path / "tree"
+    for path, data in files.items():
+        (tree / path).parent.mkdir(parents=True, exist_ok=True)
+        (tree / path).write_bytes(data)
+    created = create_archive([(path, format_for_filename(path), False, data)
+                              for path, data in files.items()])
+    expected = zipfile_write(created.container, stored=frozenset({"data/blob.bin"}))
+    assert created.to_bytes() == expected
+    assert pack_directory(tree, stamp=False).to_bytes() == expected
+    out = tmp_path / "out.omex"
+    for archive in (pack_directory(tree, stamp=False), created):
+        with open(out, "wb") as file:
+            archive.write(file)
+        assert out.read_bytes() == expected
+    assert _methods(expected) == {"manifest.xml": zipfile.ZIP_DEFLATED,
+                                  "data/blob.bin": zipfile.ZIP_STORED,
+                                  "data/table.csv": zipfile.ZIP_DEFLATED,
+                                  "small.txt": zipfile.ZIP_DEFLATED}
+
+
+def test_an_archive_written_after_other_bytes_patches_its_own_headers(tmp_path):
+    # the seek back is taken from where the archive starts in the file
+    archive = create_archive([(path, TEXT, False, data) for path, data in _long_files().items()])
+    out = tmp_path / "out.bin"
+    with open(out, "wb") as file:
+        file.write(b"prefix")
+        archive.write(file)
+    assert out.read_bytes() == b"prefix" + archive.to_bytes()
+
+
+@pytest.mark.parametrize("mode", ["ab", "a+b"])
+def test_a_file_opened_for_appending_is_refused_before_a_byte_is_written(tmp_path, mode):
+    # the header patched through a seek would land at the end of the file
+    archive = create_archive([(path, TEXT, False, data) for path, data in _long_files().items()])
+    out = tmp_path / "out.omex"
+    with open(out, mode) as file:
+        with pytest.raises(ValueError, match="opened for appending"):
+            archive.write(file)
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("step", [1 << 16, 12_345])
+def test_deflating_in_steps_gives_the_bytes_of_one_deflate(step):
+    rng = random.Random(15)
+    words = [bytes(rng.choices(b"abcdefghij ,;", k=rng.randrange(2, 12))) for _ in range(2_000)]
+    payload = b" ".join(rng.choice(words) for _ in range(600_000))
+    assert len(payload) > 3 << 20
+    whole = zlib.compressobj(6, zlib.DEFLATED, -15)
+    deflated = whole.compress(payload) + whole.flush()
+    pieces = []
+    view = memoryview(payload)
+    crc, stored_size = _stream((view[at:at + step] for at in range(0, len(payload), step)),
+                               zipfile.ZIP_DEFLATED, pieces.append)
+    assert b"".join(pieces) == deflated
+    assert (crc, stored_size) == (zlib.crc32(payload), len(deflated))
