@@ -121,8 +121,14 @@ class Archive:
         than 64 KiB is written as it is read and deflated, 64 KiB at a time,
         and a seek back then patches its local header, so `file` must be
         seekable; one opened for appending, where every write lands at the
-        end, raises ValueError before any byte is written."""
-        if "a" in getattr(file, "mode", ""):
+        end, raises ValueError before any byte is written, as does one whose
+        descriptor was opened with O_APPEND where `fcntl` can tell."""
+        try:  # a descriptor opened with O_APPEND may be wrapped in any mode
+            import fcntl
+            flags = fcntl.fcntl(file.fileno(), fcntl.F_GETFL)
+        except (ImportError, AttributeError, OSError):  # Windows; no descriptor, as of BytesIO
+            flags = 0
+        if "a" in getattr(file, "mode", "") or flags & os.O_APPEND:
             raise ValueError("an archive cannot be written into a file opened for appending")
         _write(self.container, file.write, file.seek)
 
@@ -456,10 +462,10 @@ def pack_directory(
     the location names the file. A root manifest.xml is ignored (it is
     regenerated). A link, FIFO, socket or device below `directory` raises
     UnsafePath naming its path in the tree, as extraction refuses a link.
-    A file of at most 64 KiB is read during the walk; a longer one is read
-    when the archive is written, and must then still be the file the walk
-    saw, at the size it saw (see _TreeFile). `stamp` adds a creation block
-    when the packed tree gives the archive no metadata file.
+    The walk reads no file: each is read when the archive is written, and
+    must then still be the file the walk saw, at the size it saw (see
+    _TreeFile). `stamp` adds a creation block when the packed tree gives
+    the archive no metadata file.
     """
     root = Path(directory)
     masters = {check_location(m) for m in (masters or set())}
@@ -476,9 +482,8 @@ def pack_directory(
         if rel == MANIFEST_FILENAME:
             continue
         fmt = overrides.get(rel, format_for_filename(rel))
-        data = (partial(_TreeFile, file=file, status=status) if status.st_size > _PROBE
-                else file.read_bytes())
-        files.append((rel.replace("%", "%25"), fmt, rel in masters, data))
+        files.append((rel.replace("%", "%25"), fmt, rel in masters,
+                      partial(_TreeFile, file=file, status=status)))
         paths.add(rel)
     unknown = (masters | overrides.keys()) - paths
     if unknown:
@@ -491,18 +496,17 @@ def pack_directory(
     return archive
 
 
-# why a long file of the tree is refused when it is written
+# why a file of the tree is refused when it is written
 _CHANGED = "the file changed after the tree was walked"
 
 
 class _TreeFile(ContainerEntry):
-    """A file of the tree pack_directory walks, longer than 64 KiB. It keeps
-    only where it lies and the walk's lstat identity: device, inode and
-    size, which is its `size`. It is read 64 KiB at a time when it is
-    written, or whole when its `data` is read, reopened without following a
-    link. A file that is no longer the one the walk saw, or that gives more
-    or fewer bytes than its size, raises UnsafePath naming its path in the
-    tree."""
+    """A file of the tree pack_directory walks. It keeps only where it lies
+    and the walk's lstat identity: device, inode and size, which is its
+    `size`. It is read 64 KiB at a time when it is written, or whole when
+    its `data` is read, reopened without following a link. A file that is
+    no longer the one the walk saw, or that gives more or fewer bytes than
+    its size, raises UnsafePath naming its path in the tree."""
 
     __slots__ = ("_file", "_identity")
 

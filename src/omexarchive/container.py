@@ -151,8 +151,8 @@ class ContainerEntry:
     kept, and `steps()` inflates it anew, 64 KiB at a time, without keeping
     it; from a file each such read checks the size and CRC-32 again. A
     subclass may leave `_data` None and give its pieces by `_pieces` and its
-    length by `size`, as the long files `pack_directory` reads only when
-    they are written do. Entries compare by path and bytes, sizes and
+    length by `size`, as the files `pack_directory` reads only when they
+    are written do. Entries compare by path and bytes, sizes and
     CRC-32s first, and hash and print by path and size."""
 
     __slots__ = ("path", "_data", "_source", "_method", "_crc", "_start", "_stored_size",
@@ -647,7 +647,7 @@ def _write(container: Container, write: Callable[[bytes | memoryview], object],
             _copy(entry, write)
         elif size <= _PROBE:  # deflated before its header is written
             parts = []
-            method, (crc, stored_size) = _DEFLATED, _stream([entry.data], _DEFLATED, parts.append)
+            method, (crc, stored_size) = _DEFLATED, _stream(entry.steps(), _DEFLATED, parts.append)
             header = _local_header(name, flags, method, crc, size, stored_size)
             write(header)
             for part in parts:

@@ -63,15 +63,13 @@ def classify_format(uri: str) -> FormatClass:
         key = uri[len(COMBINE_PREFIX):]
         if key and "/" not in key:
             return FormatClass(FormatKind.COMBINE_REGISTERED, key)
-        return FormatClass(FormatKind.INVALID, uri)
-    if uri.startswith(MEDIATYPE_PREFIX):
+    elif uri.startswith(MEDIATYPE_PREFIX):
         key = uri[len(MEDIATYPE_PREFIX):]
         if _MEDIA_TYPE.match(key):
             subtype = key.split("/", 1)[1]
             if subtype.startswith("x."):
                 return FormatClass(FormatKind.UNREGISTERED_MEDIA_TYPE, key)
             return FormatClass(FormatKind.REGISTERED_MEDIA_TYPE, key)
-        return FormatClass(FormatKind.INVALID, uri)
     return FormatClass(FormatKind.INVALID, uri)
 
 

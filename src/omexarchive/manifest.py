@@ -55,8 +55,7 @@ _TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#
 _ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES, **str.maketrans({"\n": "&#10;", "\t": "&#9;"})}
 _SPECIAL = re.compile('[&<>\n\r\t"]')
 
-_TRUE_VALUES = {"true", "1"}
-_FALSE_VALUES = {"false", "0"}
+_MASTER_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
 
 def non_xml_char(text: str) -> str | None:
@@ -234,13 +233,8 @@ def parse_manifest(xml: bytes) -> Manifest:
         if fmt is None:
             raise MissingAttribute(index, "format")
         master_raw = elem.get("master")
-        if master_raw is None:
-            master = None
-        elif master_raw in _TRUE_VALUES:
-            master = True
-        elif master_raw in _FALSE_VALUES:
-            master = False
-        else:
+        master = _MASTER_VALUES.get(master_raw)
+        if master is None and master_raw is not None:
             raise MalformedXml(f"master attribute is not a boolean: {master_raw!r}")
         entries.append(ContentEntry(location, fmt, master))
     return Manifest(entries)

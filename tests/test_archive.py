@@ -546,7 +546,7 @@ def _grow(path: Path) -> None:
 
 
 def _truncate(path: Path) -> None:
-    os.truncate(path, 100_000)
+    os.truncate(path, path.stat().st_size // 2)
 
 
 def _replace_by_a_file(path: Path) -> None:
@@ -571,43 +571,74 @@ TREE_CHANGES = pytest.mark.parametrize("change", [_grow, _truncate, _replace_by_
                                             "removed"])
 
 
-def _long_file_tree(root: Path) -> Path:
-    (root / "tree" / "data").mkdir(parents=True)
+def _tree_with(root: Path, location: str, data: bytes) -> Path:
+    """`root/tree`, holding model.xml and `data` at `location`; the file of the latter."""
+    file = root / "tree" / location
+    file.parent.mkdir(parents=True)
     (root / "tree" / "model.xml").write_bytes(b"<sbml/>")
-    long_file = root / "tree" / "data" / "blob.bin"
-    long_file.write_bytes(random.Random(16).randbytes(200_000))
-    return long_file
+    file.write_bytes(data)
+    return file
+
+
+def _long_file_tree(root: Path) -> Path:
+    return _tree_with(root, "data/blob.bin", random.Random(16).randbytes(200_000))
+
+
+def _short_file_tree(root: Path) -> Path:
+    return _tree_with(root, "d/m.xml", b"<sbml>" + b"<model/>" * 250 + b"</sbml>")
+
+
+def _refused_when_written(change, root: Path, location: str) -> None:
+    archive = pack_directory(root / "tree", stamp=False)
+    change(root / "tree" / location)
+    with pytest.raises(UnsafePath, match="changed after the tree was walked") as refusal:
+        archive.to_bytes()
+    assert refusal.value.path == location
+    with pytest.raises(UnsafePath) as refusal:  # data reads it through the same check
+        archive.container.get(location)
+    assert refusal.value.path == location
 
 
 @TREE_CHANGES
 def test_a_long_file_changed_after_the_walk_is_refused(change, tmp_path):
-    long_file = _long_file_tree(tmp_path)
-    archive = pack_directory(tmp_path / "tree", stamp=False)
-    change(long_file)
-    with pytest.raises(UnsafePath, match="changed after the tree was walked") as refusal:
-        archive.to_bytes()
-    assert refusal.value.path == "data/blob.bin"
-    with pytest.raises(UnsafePath) as refusal:  # data reads it through the same check
-        archive.container.get("data/blob.bin")
-    assert refusal.value.path == "data/blob.bin"
+    _long_file_tree(tmp_path)
+    _refused_when_written(change, tmp_path, "data/blob.bin")
+
+
+@TREE_CHANGES
+def test_a_short_file_changed_after_the_walk_is_refused(change, tmp_path):
+    # a file of at most 64 KiB is read when written too, through the same check
+    _short_file_tree(tmp_path)
+    _refused_when_written(change, tmp_path, "d/m.xml")
+
+
+def _pack_leaves_no_output(change, root: Path, location: str, monkeypatch, capsys) -> None:
+    walk = omexarchive.cli.pack_directory
+
+    def walk_then_change(*args, **kwargs):
+        archive = walk(*args, **kwargs)
+        change(root / "tree" / location)
+        return archive
+    monkeypatch.setattr(omexarchive.cli, "pack_directory", walk_then_change)
+    out = root / "out"
+    assert omexarchive.cli.main(["pack", str(root / "tree"), str(out), "--ext", "omex"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unsafe path '{location}': the file changed after the tree was walked\n")
+    assert not list(root.glob("*.omex")) and not list(root.glob(".*.tmp"))
 
 
 @TREE_CHANGES
 def test_pack_leaves_no_output_when_a_long_file_changed_after_the_walk(change, tmp_path,
                                                                        monkeypatch, capsys):
-    long_file = _long_file_tree(tmp_path)
-    walk = omexarchive.cli.pack_directory
+    _long_file_tree(tmp_path)
+    _pack_leaves_no_output(change, tmp_path, "data/blob.bin", monkeypatch, capsys)
 
-    def walk_then_change(*args, **kwargs):
-        archive = walk(*args, **kwargs)
-        change(long_file)
-        return archive
-    monkeypatch.setattr(omexarchive.cli, "pack_directory", walk_then_change)
-    out = tmp_path / "out"
-    assert omexarchive.cli.main(["pack", str(tmp_path / "tree"), str(out), "--ext", "omex"]) == 2
-    assert capsys.readouterr().err == (
-        "error: unsafe path 'data/blob.bin': the file changed after the tree was walked\n")
-    assert not list(tmp_path.glob("*.omex")) and not list(tmp_path.glob(".*.tmp"))
+
+@TREE_CHANGES
+def test_pack_leaves_no_output_when_a_short_file_changed_after_the_walk(change, tmp_path,
+                                                                        monkeypatch, capsys):
+    _short_file_tree(tmp_path)
+    _pack_leaves_no_output(change, tmp_path, "d/m.xml", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("change", [_grow, _truncate], ids=["grown", "truncated"])
@@ -623,20 +654,28 @@ def test_a_long_file_changed_while_it_is_written_is_refused(change, tmp_path):
     assert refusal.value.path == "data/blob.bin"
 
 
-def test_a_long_file_is_read_when_written_not_in_the_walk(tmp_path, monkeypatch):
+def test_the_walk_reads_no_file(tmp_path, monkeypatch):
     long_file = _long_file_tree(tmp_path)
     read = []
     read_bytes = Path.read_bytes
     monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path) or read_bytes(path))
     archive = pack_directory(tmp_path / "tree", stamp=False)
-    assert read == [tmp_path / "tree" / "model.xml"]
-    member = archive.container._entries["data/blob.bin"]
-    assert member.size == 200_000 and member._data is None  # the size the walk saw
-    # bytes changed in place, the file and its size kept, are the bytes written
+    assert read == []
+    members = [archive.container._entries[path] for path in ("data/blob.bin", "model.xml")]
+    assert [member.size for member in members] == [200_000, 7]  # the sizes the walk saw
+    assert all(member._data is None for member in members)
+    # bytes changed in place, each file and its size kept, are the bytes written
     new = random.Random(17).randbytes(200_000)
     with open(long_file, "r+b") as file:
         file.write(new)
-    assert open_archive(archive.to_bytes()).container.get("data/blob.bin") == new
+    (tmp_path / "tree" / "model.xml").write_bytes(b"<cellml")
+    with open(tmp_path / "out.omex", "wb") as file:
+        archive.write(file)
+    assert all(member._data is None for member in members)  # written, not kept
+    assert read == []
+    with open(tmp_path / "out.omex", "rb") as file:
+        written = open_archive(file).container
+        assert written.get("data/blob.bin") == new and written.get("model.xml") == b"<cellml"
 
 
 def test_pack_directory_unknown_master(tmp_path):

@@ -446,6 +446,18 @@ def test_a_file_opened_for_appending_is_refused_before_a_byte_is_written(tmp_pat
     assert out.read_bytes() == b""
 
 
+def test_a_descriptor_opened_for_appending_is_refused_whatever_its_mode(tmp_path):
+    # wrapped by open(fd, "wb") it reports mode "wb"; its flags still hold O_APPEND
+    pytest.importorskip("fcntl")
+    archive = create_archive([(path, TEXT, False, data) for path, data in _long_files().items()])
+    out = tmp_path / "out.omex"
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_APPEND), "wb") as file:
+        assert file.mode == "wb"
+        with pytest.raises(ValueError, match="opened for appending"):
+            archive.write(file)
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("step", [1 << 16, 12_345])
 def test_deflating_in_steps_gives_the_bytes_of_one_deflate(step):
     rng = random.Random(15)
