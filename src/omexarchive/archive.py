@@ -18,6 +18,7 @@ from .container import (
     _SHARED_PATH,
     Container,
     ContainerEntry,
+    _open_container,
     _write,
     open_container,
     write_container,
@@ -117,7 +118,8 @@ class Archive:
         """Write the bytes `to_bytes` returns into the binary file `file`,
         member by member, so they are never held whole. A member read from a
         file is copied from it 64 KiB at a time and checked as it passes, so
-        that file must stay open until this returns. A new member longer
+        that file must stay open until this returns; in `meta set` this is the
+        only check of one longer than 64 KiB as stored. A new member longer
         than 64 KiB is written as it is read and deflated, 64 KiB at a time,
         and a seek back then patches its local header, so `file` must be
         seekable; one opened for appending, where every write lands at the
@@ -232,7 +234,7 @@ def create_archive(files) -> Archive:
     return _build(Archive(Container(), Manifest(())), entries)
 
 
-def _open(data) -> tuple[Archive, ValidationReport]:
+def _open(data, copied: bool = False) -> tuple[Archive, ValidationReport]:
     """Read an archive, bytes or a binary file, and check its manifest
     against its members: the one pipeline behind open and validate.
 
@@ -241,7 +243,8 @@ def _open(data) -> tuple[Archive, ValidationReport]:
     `validate_manifest_against` finds; its errors are the files the
     manifest lists and the container lacks.
     """
-    container = open_container(data)
+    # open_container by name, which perfbench/traced.py wraps
+    container = _open_container(data, copied) if copied else open_container(data)
     if MANIFEST_FILENAME not in container:
         raise MissingManifest(
             f"every archive must contain {MANIFEST_FILENAME} at its root"
@@ -262,7 +265,12 @@ def open_archive(data) -> Archive:
     `Archive.metadata` None, and the reason in `metadata_error`, instead
     of failing the open.
     """
-    archive, report = _open(data)
+    return _open_archive(data, copied=False)
+
+
+def _open_archive(data, copied: bool) -> Archive:
+    """open_archive, or where `copied` `meta set`'s open (see _open_container)."""
+    archive, report = _open(data, copied)
     if report.errors:
         raise DanglingManifestEntry(report.errors[0].location)
     return archive

@@ -23,6 +23,7 @@ from typing import BinaryIO, Iterator
 from .archive import (
     Archive,
     ValidationMode,
+    _open_archive,
     extract_all,
     open_archive,
     pack_directory,
@@ -253,8 +254,10 @@ def cmd_meta(args) -> int:
         with _open(args.archive) as archive:
             return _show(archive)
     # the archive is read from its file while the new one is written, and
-    # closed before the rename, which Windows refuses over an open file
-    with _replace(args.archive) as out, _open(args.archive) as archive:
+    # closed before the rename, which Windows refuses over an open file; one
+    # longer than 64 KiB as stored is checked by its copy or read alone
+    with _replace(args.archive) as out, _archive_file(args.archive) as source:
+        archive = _open_archive(source, copied=True)
         if archive.metadata_error is not None:
             raise OmexError(f"{archive.metadata_path} is unreadable: {archive.metadata_error}")
         metadata = archive.metadata or MetadataSet()

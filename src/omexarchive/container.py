@@ -10,9 +10,10 @@ deflated, bzip2 and LZMA members are inflated in 64 KiB steps to at most
 one byte past their declared size, and must come out at exactly that size
 and pass their CRC-32: where `zipfile` let a damaged bzip2 or LZMA stream
 raise, or took a stream shorter or longer than declared, the member is
-refused. A member of at most one step keeps the bytes that check
-inflated; a longer one keeps only where its bytes as stored lie in the
-input, and is inflated again, step by step, when it is read. Writing emits
+refused. A member of at most one step, and manifest.xml, keep the bytes
+that check inflated; a longer one keeps only where its bytes as stored lie
+in the input, and is inflated again, step by step, when it is read: in
+`meta set`, its only check where it is read from a file. Writing emits
 the ZIP itself with fixed timestamps and a fixed entry order: a stored or
 deflated member read is copied as stored, with its compression method; an
 entry longer than 64 KiB whose first 64 KiB deflate no smaller is stored;
@@ -448,12 +449,13 @@ def _checked(entry: ContainerEntry, read=_at) -> Iterator[bytes | memoryview]:
     _judge(entry, done, check)
 
 
-def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry:
+def _entry(source, archive_size: int, record: tuple, end: int, copied: bool) -> ContainerEntry:
     """The member a central record describes, whose bytes must end by `end`,
     where the next member or the central directory starts. It keeps the
-    bytes its check inflated when they fit in one step, and otherwise
-    inflates them again when they are read. Of a file it keeps the bytes as
-    stored when they fit in one step, and otherwise reads them again."""
+    bytes its check inflated when they fit in one step or it is manifest.xml,
+    and otherwise inflates them again when read. Of a file it keeps the bytes
+    as stored when they fit in one step, else reads them again, which where
+    `copied` is their only check."""
     name, flags, method, crc, stored_size, size, at = record
     if not 0 <= at <= archive_size - _LOCAL_HEADER.size:
         raise CorruptEntry(name, "its local header lies outside the archive")
@@ -490,8 +492,13 @@ def _entry(source, archive_size: int, record: tuple, end: int) -> ContainerEntry
         if not isinstance(source, bytes):  # read from a file: kept, not read again
             entry._source, entry._start = stored, 0
     if size > _PROBE:  # checked step by step, and not kept
-        for _ in _checked(entry):
-            pass
+        if name == "manifest.xml":  # but parsed at once: the bytes checked are kept
+            buffer = io.BytesIO()  # as `data` gathers them
+            buffer.writelines(_checked(entry))
+            entry._data = buffer.getvalue()
+        elif not copied or isinstance(entry._source, bytes):
+            for _ in _checked(entry):
+                pass
         return entry
     # at most one step and a byte: held whole, and kept
     if method == _DEFLATED and stored_size <= _PROBE:
@@ -511,10 +518,16 @@ def open_container(source) -> Container:
 
     `source` is the archive's bytes, or a binary file open for reading that
     can seek, which the caller keeps open while long members are read and
-    closes. Each member is inflated in 64 KiB steps to check its size and
-    CRC-32, and keeps where its bytes as stored lie in `source`; a member
+    closes. Every member's size and CRC-32 are checked here, in 64 KiB
+    steps, and it keeps where its bytes as stored lie in `source`; a member
     of a file keeps those bytes instead where they fit in one step.
     """
+    return _open_container(source, copied=False)
+
+
+def _open_container(source, copied: bool) -> Container:
+    """open_container; where `copied`, a member of a file longer than 64 KiB
+    as stored is checked only when the caller copies or reads it."""
     try:
         buffer = memoryview(source)
     except TypeError:  # no buffer: a binary file
@@ -534,7 +547,7 @@ def open_container(source) -> Container:
                 if name.rstrip("/"):
                     check_path(name.rstrip("/"))
                 continue
-            yield _entry(source, archive_size, record, ends[record[-1]])
+            yield _entry(source, archive_size, record, ends[record[-1]], copied)
     return Container(members())
 
 

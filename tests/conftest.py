@@ -1,6 +1,7 @@
 """Shared fixtures: the golden manifest/metadata documents and archive."""
 
 import io
+import struct
 import zipfile
 
 import pytest
@@ -119,6 +120,17 @@ GOLDEN_FILES = {
 
 def build_container(files: dict) -> Container:
     return Container([ContainerEntry(path, data) for path, data in files.items()])
+
+
+def declaring(data: bytes, name: bytes, size: int, crc: int) -> bytes:
+    """`data` with member `name`'s declared size and CRC-32 set to these, in
+    its local header and its central record."""
+    data = bytearray(data)
+    local, central = data.find(name) - 30, data.find(name, data.find(b"PK\x01\x02")) - 46
+    for at in (local + 14, central + 16):  # where each record keeps its CRC-32
+        struct.pack_into("<L", data, at, crc)
+        struct.pack_into("<L", data, at + 8, size)  # after the stored size
+    return bytes(data)
 
 
 def raw_zip(names_and_data, allow_unsafe=True) -> bytes:

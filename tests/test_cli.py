@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 import zipfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,16 @@ import omexarchive
 import omexarchive.cli
 from omexarchive import open_archive, set_metadata, write_container
 from omexarchive.cli import main, parse_creator
+from omexarchive.errors import CorruptEntry
 from omexarchive.metadata import Creator, DescriptionBlock
 
-from conftest import FOREIGN_MANIFESTS, UNMODELLED_METADATA, build_container
+from conftest import (
+    FOREIGN_MANIFESTS,
+    GOLDEN_FILES,
+    UNMODELLED_METADATA,
+    build_container,
+    declaring,
+)
 
 
 @pytest.fixture
@@ -714,6 +723,115 @@ def test_meta_set_writes_the_bytes_of_set_metadata(long_archive_file):
     assert main(["meta", str(long_archive_file), "set", "--description", "d",
                  "--creator", "Jane Doe"]) == 0
     assert long_archive_file.read_bytes() == expected
+
+
+def _long_members() -> dict[str, bytes]:
+    """The golden files and three members over 64 KiB: one stored and one
+    deflated whose bytes as stored run past 64 KiB, so meta set copies them
+    from the file, and one deflated whose bytes as stored fit in 64 KiB."""
+    rng = random.Random(30)
+    return {**GOLDEN_FILES,
+            "blob.bin": rng.randbytes(300_000),
+            "text.txt": b"".join(b"line %d\n" % rng.randrange(10 ** 6) for _ in range(60_000)),
+            "zeros.bin": bytes(1 << 20)}
+
+
+def _corrupt(tmp_path, name: str, fault: str, files=None) -> Path:
+    """An archive file of `files`, or of _long_members, whose member `name`
+    declares a wrong CRC-32 or a size one byte past or short of its data."""
+    data = write_container(build_container(files or _long_members()))
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        info = zf.getinfo(name)
+    size, crc = {"crc": (info.file_size, info.CRC ^ 1), "short": (info.file_size + 1, info.CRC),
+                 "long": (info.file_size - 1, info.CRC)}[fault]
+    path = tmp_path / "corrupt.omex"
+    path.write_bytes(declaring(data, name.encode(), size, crc))
+    return path
+
+
+@pytest.mark.parametrize("name,fault", [
+    *[(name, fault) for name in ("blob.bin", "text.txt") for fault in ("crc", "short", "long")],
+    # its bytes as stored are held from the open on, and not read again: the
+    # open's check is its only one
+    ("zeros.bin", "crc"),
+])
+def test_meta_set_refuses_a_corrupt_long_member_and_leaves_the_archive(tmp_path, capsys,
+                                                                        name, fault):
+    path = _corrupt(tmp_path, name, fault)
+    before = path.read_bytes()
+    assert main(["meta", str(path), "set", "--touch", "--description", "d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corrupt entry {name!r}: ") and err.count("\n") == 1
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corrupt.omex"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_meta_set_checks_each_member_of_a_pipe_at_the_open(tmp_path, capsys, monkeypatch):
+    # read whole, its long members are copied as views, which no check sees
+    data = _corrupt(tmp_path, "blob.bin", "crc").read_bytes()
+    pipe = tmp_path / "archive.pipe"
+    os.mkfifo(pipe)
+    writes = []
+    monkeypatch.setattr(omexarchive.archive.Archive, "write", lambda self, file: writes.append(1))
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert main(["meta", str(pipe), "set", "--touch"]) == 2
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err.startswith("error: corrupt entry 'blob.bin': ")
+    assert writes == []
+
+
+def test_meta_set_refuses_unreadable_metadata_beside_a_corrupt_long_member(tmp_path, capsys):
+    path = _corrupt(tmp_path, "blob.bin", "crc", {**_long_members(), "metadata.rdf": b"<x/>"})
+    before = path.read_bytes()
+    assert main(["meta", str(path), "set", "--touch"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corrupt.omex"]
+
+
+def test_meta_set_inflates_each_deflated_member_once(tmp_path, monkeypatch):
+    # each member is checked at least once, so as many inflates as deflated
+    # members means one each: text.txt's in its copy, the others' at the open
+    path = tmp_path / "long.omex"
+    path.write_bytes(write_container(build_container(_long_members())))
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: info for info in zf.infolist()}
+    deflated = [name for name, info in members.items()
+                if info.compress_type == zipfile.ZIP_DEFLATED]
+    assert members["blob.bin"].compress_type == zipfile.ZIP_STORED
+    assert members["blob.bin"].compress_size > 1 << 16
+    assert "text.txt" in deflated and members["text.txt"].compress_size > 1 << 16
+    assert members["zeros.bin"].file_size > 1 << 16 > members["zeros.bin"].compress_size
+    inflaters = []
+    decompressobj = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda *a: inflaters.append(1) or decompressobj(*a))
+    assert main(["meta", str(path), "set", "--description", "d"]) == 0
+    assert len(inflaters) == len(deflated)
+    monkeypatch.undo()
+    assert open_archive(path.read_bytes()).metadata.blocks["."].description == "d"
+
+
+@pytest.mark.parametrize("name", ["blob.bin", "text.txt"], ids=["stored", "deflated"])
+def test_the_other_commands_refuse_a_corrupt_long_member_at_the_open(tmp_path, capsys, name):
+    path = _corrupt(tmp_path, name, "crc")
+    for command in (["list"], ["list", "--json"], ["info"], ["meta", "show"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: corrupt entry {name!r}: ")
+    assert main(["unpack", str(path), str(tmp_path / "dest")]) == 2
+    assert not (tmp_path / "dest").exists() or not any((tmp_path / "dest").iterdir())
+    assert capsys.readouterr().err.startswith(f"error: corrupt entry {name!r}: ")
+    assert main(["validate", str(path), "--json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["items"]
+    assert [(f["rule"], f["location"]) for f in findings] == [("corrupt-entry", name)]
+    with open(path, "rb") as file:
+        for source in (path.read_bytes(), file):
+            with pytest.raises(CorruptEntry) as refusal:
+                open_archive(source)
+            assert refusal.value.path == name
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")

@@ -13,6 +13,7 @@ from omexarchive import (
     Container,
     ContainerEntry,
     ValidationMode,
+    create_archive,
     open_archive,
     open_container,
     validate_archive,
@@ -367,6 +368,26 @@ def test_reading_a_long_member_twice_inflates_it_once(monkeypatch):
     assert inflaters == []
     assert entry.data == text and entry.data is entry.data
     assert inflaters == [1]
+
+
+@pytest.mark.parametrize("source", ["bytes", "file"])
+def test_an_open_inflates_a_long_manifest_once(tmp_path, monkeypatch, source):
+    # the manifest is parsed at once: the open keeps the bytes its check inflated
+    archive = create_archive([(f"d/{i:04}.txt", "http://purl.org/NET/mediatypes/text/plain",
+                               False, b"x") for i in range(1_000)])
+    manifest = archive.container.get("manifest.xml")
+    assert len(manifest) > 1 << 16
+    path = tmp_path / "a.omex"
+    path.write_bytes(archive.to_bytes())
+    inflaters = []
+    decompressobj = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda *a: inflaters.append(1) or decompressobj(*a))
+    with open(path, "rb") as file:
+        opened = open_archive(path.read_bytes() if source == "bytes" else file)
+        assert len(inflaters) == len(archive.container)  # one per member, all deflated
+        assert opened.container.get("manifest.xml") == manifest
+        assert opened.to_bytes() == path.read_bytes()
+    assert len(inflaters) == len(archive.container)
 
 
 @pytest.mark.parametrize("chunk", [bytes(1), b"hello world repeated text "], ids=["zeros", "text"])

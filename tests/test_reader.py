@@ -39,7 +39,7 @@ from omexarchive import (
 from omexarchive.container import _copy, check_path
 from omexarchive.errors import CorruptEntry, NotAZip, OmexError
 
-from conftest import FOREIGN_MANIFESTS, GOLDEN_FILES, build_container, raw_zip
+from conftest import FOREIGN_MANIFESTS, GOLDEN_FILES, build_container, declaring, raw_zip
 from test_acceptance import _criterion_9_inputs
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -243,17 +243,6 @@ def test_a_damaged_bzip2_or_lzma_member_is_corrupt_entry(compression, crash):
     assert (finding.rule, finding.location) == ("corrupt-entry", "a.txt")
 
 
-def _declaring(data: bytes, name: bytes, size: int, crc: int) -> bytes:
-    """`data` with member `name`'s declared size and CRC-32 set to these, in
-    its local header and its central record."""
-    data = bytearray(data)
-    local, central = data.find(name) - 30, data.find(name, data.find(b"PK\x01\x02")) - 46
-    for at in (local + 14, central + 16):  # where each record keeps its CRC-32
-        struct.pack_into("<L", data, at, crc)
-        struct.pack_into("<L", data, at + 8, size)  # after the stored size
-    return bytes(data)
-
-
 @pytest.mark.parametrize("compression", [zipfile.ZIP_DEFLATED, zipfile.ZIP_STORED],
                          ids=["deflated", "stored"])
 def test_a_member_longer_than_declared_is_refused_though_its_prefix_passes(compression):
@@ -264,7 +253,7 @@ def test_a_member_longer_than_declared_is_refused_though_its_prefix_passes(compr
     with zipfile.ZipFile(buf, "w", compression) as zf:
         zf.writestr("manifest.xml", b"<omexManifest/>")
         zf.writestr("a.txt", text)
-    data = _declaring(buf.getvalue(), b"a.txt", 3, zlib.crc32(b"abc"))
+    data = declaring(buf.getvalue(), b"a.txt", 3, zlib.crc32(b"abc"))
     assert zipfile_open_container(data).get("a.txt") == b"abc"
     with pytest.raises(CorruptEntry, match="runs past its declared size") as refusal:
         open_container(data)
