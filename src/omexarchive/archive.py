@@ -8,10 +8,10 @@ import getpass
 import os
 import stat
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .container import (
     _PROBE,
@@ -81,6 +81,7 @@ class Archive:
     """
     container: Container
     manifest: Manifest
+    _origin = None  # the archive of its edit chain that parses the file, where _build kept it
 
     @cached_property
     def metadata_path(self) -> str | None:
@@ -88,28 +89,25 @@ class Archive:
         fallback = METADATA_FILENAME if METADATA_FILENAME in self.container else None
         return self.manifest.metadata_path or fallback
 
-    @cached_property  # _build hands it on, or sets what it wrote
-    def _metadata(self) -> Callable[[], tuple[MetadataSet | None, str | None]]:
-        """The one parse of the file at `metadata_path`, made at the first call."""
-        container, path = self.container, self.metadata_path
-
-        @cache
-        def parse():
-            if path in container:
-                try:
-                    return parse_metadata(container.get(path)), None
-                except OmexError as exc:
-                    return None, str(exc)
+    @cached_property  # _build sets what it wrote
+    def _metadata(self) -> tuple[MetadataSet | None, str | None]:
+        """The one parse of the file at `metadata_path`, made by `_origin` or by this archive."""
+        if self._origin is not None:
+            return self._origin._metadata
+        if self.metadata_path not in self.container:
             return None, None
-        return parse
+        try:
+            return parse_metadata(self.container.get(self.metadata_path)), None
+        except OmexError as exc:
+            return None, str(exc)
 
     @property
     def metadata(self) -> MetadataSet | None:
-        return self._metadata()[0]
+        return self._metadata[0]
 
     @property
     def metadata_error(self) -> str | None:
-        return self._metadata()[1]
+        return self._metadata[1]
 
     def to_bytes(self) -> bytes:
         return write_container(self.container)
@@ -204,22 +202,22 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
             new.append(location)
         if manifest.find(location) is None:
             added.append(ContentEntry(location, OMEX_METADATA_FORMAT_URI))
-        container.add(ContainerEntry(location, lambda: serialize_metadata(metadata)))
+        container.add(ContainerEntry(location, partial(serialize_metadata, metadata)))
     if added or remove is not None:
         manifest = manifest.edited(added, remove)
     if manifest is not base.manifest or MANIFEST_FILENAME not in container:
         if MANIFEST_FILENAME in container:  # no longer the manifest read
             container.remove(MANIFEST_FILENAME)
-        container.add(ContainerEntry(MANIFEST_FILENAME, lambda: serialize_manifest(manifest)))
+        container.add(ContainerEntry(MANIFEST_FILENAME, partial(serialize_manifest, manifest)))
 
     for path in new:
         if container.shares_path(path):
             raise InvalidLocation(path, _SHARED_PATH)
     archive = Archive(container, manifest)
     if metadata is not None:
-        vars(archive)["_metadata"] = lambda: (metadata, None)
+        vars(archive)["_metadata"] = metadata, None
     elif archive.metadata_path == rdf:  # the same file: its one parse, made or not
-        vars(archive)["_metadata"] = base._metadata
+        vars(archive)["_origin"] = base._origin or base
     return archive
 
 
@@ -283,8 +281,9 @@ def validate_archive(
     open_archive takes; never raises for a fault of the archive — all
     findings are report items — but lets out what reading a file raises.
 
-    STRICT makes the findings of STRICT_ERRORS errors.
+    STRICT, or "strict", makes the findings of STRICT_ERRORS errors.
     """
+    mode = ValidationMode(mode)
     try:
         archive, report = _open(data)
     except OmexError as exc:

@@ -22,7 +22,6 @@ from typing import BinaryIO, Iterator
 
 from .archive import (
     Archive,
-    ValidationMode,
     _open_archive,
     extract_all,
     open_archive,
@@ -183,11 +182,11 @@ def cmd_list(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    mode = ValidationMode.LENIENT if args.lenient else ValidationMode.STRICT
+    mode = "lenient" if args.lenient else "strict"
     with _archive_file(args.archive) as source:
         report = validate_archive(source, mode)
     if args.json:
-        payload = {"schemaVersion": SCHEMA_VERSION, "mode": mode.value}
+        payload = {"schemaVersion": SCHEMA_VERSION, "mode": mode}
         payload.update(report.to_json())
         print(json.dumps(payload, indent=2))
     else:

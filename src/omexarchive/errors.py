@@ -5,23 +5,33 @@ class OmexError(Exception):
     """Base class for all errors raised by this package.
 
     `rule` is the report rule id that validation records this error
-    under, and `location` the archive location the finding names.
+    under, and `location` the archive location the finding names. It keeps its
+    `fields` by name, None where left out; its message, its one `args`, is
+    its `template` filled with them, and a copy is built from them again.
     """
     rule = "omex-error"
     location = ""
+    fields = ("message",)
+    template = "{message}"
+
+    def __init__(self, *values, **named):
+        named.update(zip(self.fields, values))
+        if len(values) > len(self.fields) or not named.keys() <= set(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(self.fields)}")
+        vars(self).update({field: named.get(field) for field in self.fields})
+        super().__init__(self.template.format_map(vars(self)))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field) for field in self.fields)
 
 
 class _Located(OmexError):
-    """An error naming one archive location, as `location` and its alias `path`,
-    for `reason`; its message is its class's `template` filled with both."""
+    """An error naming one archive location, as `location` and its alias `path`, for `reason`."""
+    fields = ("location", "reason")
 
-    def __init__(self, location, reason=None):
-        self.path = self.location = location
-        self.reason = reason
-        super().__init__(self.template.format(location=location, reason=reason))
-
-    def __reduce__(self):  # a copy or an unpickled error is built as this one was
-        return type(self), (self.location, self.reason)
+    @property
+    def path(self):
+        return self.location
 
 
 # -- container ---------------------------------------------------------------
@@ -72,13 +82,8 @@ class MissingAttribute(OmexError):
     """A required attribute is absent from a manifest entry."""
     rule = "missing-attribute"
     location = "manifest.xml"
-
-    def __init__(self, entry_index, attribute):
-        self.entry_index = entry_index
-        self.attribute = attribute
-        super().__init__(
-            f"content entry #{entry_index} is missing attribute {attribute!r}"
-        )
+    fields = ("entry_index", "attribute")
+    template = "content entry #{entry_index} is missing attribute {attribute!r}"
 
 
 class InvalidLocation(_Located):
@@ -99,10 +104,8 @@ class InvalidManifest(OmexError):
 
 class InvalidFormatUri(OmexError):
     """A format value is not an acceptable format URI."""
-
-    def __init__(self, uri):
-        self.uri = uri
-        super().__init__(f"invalid format URI {uri!r}")
+    fields = ("uri",)
+    template = "invalid format URI {uri!r}"
 
 
 # -- metadata ----------------------------------------------------------------
@@ -121,10 +124,8 @@ class NotRdf(OmexError):
 class BadTimestamp(OmexError):
     """A created/modified value is not a valid W3CDTF timestamp."""
     rule = "metadata-unreadable"
-
-    def __init__(self, value):
-        self.value = value
-        super().__init__(f"bad W3CDTF timestamp {value!r}")
+    fields = ("value",)
+    template = "bad W3CDTF timestamp {value!r}"
 
 
 class InvalidMetadata(OmexError):

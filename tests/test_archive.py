@@ -341,6 +341,16 @@ def test_validate_unlisted_file(golden_files):
     ]
 
 
+def test_validate_takes_a_mode_as_its_value(golden_files):
+    data = write_container(build_container({**golden_files, "notes.txt": b"scratch"}))
+    for mode in ValidationMode:
+        assert validate_archive(data, mode.value) == validate_archive(data, mode)
+    assert [f.rule for f in validate_archive(data, "strict").errors] == ["unlisted-file"]
+    for archive in (data, b"not a zip at all"):  # refused before the archive is read
+        with pytest.raises(ValueError):
+            validate_archive(archive, "nonsense")
+
+
 def test_validate_not_a_zip():
     report = validate_archive(b"not a zip at all")
     assert [f.rule for f in report] == ["not-a-zip"]

@@ -1,5 +1,6 @@
-"""Errors that name a location: one form for all seven, as the program raises them."""
+"""Errors: one form for all, as the program raises them, kept when copied or unpickled."""
 
+import copy
 import pickle
 
 import pytest
@@ -20,7 +21,9 @@ from omexarchive.errors import (
     DanglingManifestEntry,
     DuplicateLocation,
     InvalidLocation,
+    MissingAttribute,
     NoSuchEntry,
+    OmexError,
     ReservedLocation,
     UnsafePath,
 )
@@ -79,3 +82,41 @@ def test_an_error_naming_a_location_keeps_its_message_and_fields(
     for exc in (refusal.value, pickle.loads(pickle.dumps(refusal.value))):
         assert (str(exc), exc.rule, exc.location, exc.path, exc.reason) == (
             message, rule, location, location, reason)
+
+
+def _below(base):
+    yield base
+    for error in base.__subclasses__():
+        yield from _below(error)
+
+
+# every error class the package raises
+ERRORS = sorted({error for error in _below(OmexError) if error.__module__ == OmexError.__module__
+                 and not error.__name__.startswith("_")}, key=lambda error: error.__name__)
+
+
+# a sample value for each field an error is built from
+_SAMPLES = {"message": "it went wrong", "location": "a/b c.txt", "reason": "its reason",
+            "entry_index": 3, "attribute": "format", "uri": "ftp:bad uri",
+            "value": "yesterday"}
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
+def test_every_error_keeps_its_message_and_fields_when_copied_or_unpickled(error):
+    exc = error(*(_SAMPLES[field] for field in error.fields))
+    assert exc.args == (str(exc),)
+    for kept in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(kept) is error
+        assert (str(kept), kept.args, kept.rule, kept.location) == (
+            str(exc), exc.args, exc.rule, exc.location)
+        assert {field: getattr(kept, field) for field in error.fields} == {
+            field: _SAMPLES[field] for field in error.fields}
+
+
+def test_an_error_takes_its_fields_by_position_or_by_name():
+    assert str(MissingAttribute(entry_index=0, attribute="format")) == str(
+        MissingAttribute(0, "format"))
+    assert (NoSuchEntry("x").reason, UnsafePath("x", reason="r").reason) == (None, "r")
+    for build in (lambda: UnsafePath("x", "r", "extra"), lambda: NoSuchEntry("x", why="r")):
+        with pytest.raises(TypeError):
+            build()
