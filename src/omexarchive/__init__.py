@@ -5,6 +5,8 @@ computational modeling projects: a mandatory manifest.xml listing every
 entry with its format URI, plus optional RDF metadata.
 """
 
+import importlib
+
 from .archive import (
     Archive,
     ValidationMode,
@@ -38,15 +40,6 @@ from .manifest import (
     parse_manifest,
     serialize_manifest,
     validate_manifest_against,
-)
-from .metadata import (
-    Creator,
-    DescriptionBlock,
-    MetadataSet,
-    Timestamp,
-    check_minimum_information,
-    parse_metadata,
-    serialize_metadata,
 )
 from .report import Finding, Severity, ValidationReport
 
@@ -90,3 +83,14 @@ __all__ = [
     "validate_manifest_against",
     "write_container",
 ]
+
+
+def __getattr__(name: str):
+    """A name of __all__ not imported above: omexarchive.metadata's, imported on first use."""
+    if name in __all__:
+        return getattr(importlib.import_module(".metadata", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

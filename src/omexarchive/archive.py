@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import enum
 import errno
-import getpass
 import os
 import stat
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
 from functools import cached_property, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .container import (
     _PROBE,
@@ -43,19 +41,11 @@ from .manifest import (
     RESERVED_LOCATIONS,
     ContentEntry,
     Manifest,
+    _Frozen,
     check_location,
     parse_manifest,
     serialize_manifest,
     validate_manifest_against,
-)
-from .metadata import (
-    Creator,
-    DescriptionBlock,
-    MetadataSet,
-    Timestamp,
-    check_minimum_information,
-    parse_metadata,
-    serialize_metadata,
 )
 from .report import Severity, ValidationReport
 
@@ -67,8 +57,7 @@ class ValidationMode(enum.Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True)
-class Archive:
+class Archive(_Frozen):
     """An archive as a value: edits return new archives and leave this one as it was.
 
     `container` holds every member, manifest.xml and the metadata file
@@ -79,9 +68,12 @@ class Archive:
     `to_bytes` returns the archive's bytes; `write` writes the same bytes
     into a file, member by member.
     """
-    container: Container
-    manifest: Manifest
+    _fields = ("container", "manifest")
     _origin = None  # the archive of its edit chain that parses the file, where _build kept it
+
+    def __init__(self, container: Container, manifest: Manifest):
+        object.__setattr__(self, "container", container)
+        object.__setattr__(self, "manifest", manifest)
 
     @cached_property
     def metadata_path(self) -> str | None:
@@ -92,6 +84,7 @@ class Archive:
     @cached_property  # _build sets what it wrote
     def _metadata(self) -> tuple[MetadataSet | None, str | None]:
         """The one parse of the file at `metadata_path`, made by `_origin` or by this archive."""
+        from .metadata import parse_metadata
         if self._origin is not None:
             return self._origin._metadata
         if self.metadata_path not in self.container:
@@ -134,6 +127,8 @@ class Archive:
 
 
 def default_creator() -> Creator:
+    import getpass
+    from .metadata import Creator
     try:
         user = getpass.getuser()
     except (KeyError, OSError):
@@ -144,6 +139,7 @@ def default_creator() -> Creator:
 def stamp_block(creator: Creator | None = None,
                 created: Timestamp | None = None) -> DescriptionBlock:
     """An archive-level metadata block recording creation date and creator."""
+    from .metadata import DescriptionBlock, Timestamp
     return DescriptionBlock(
         about=".",
         creators=[creator or default_creator()],
@@ -195,6 +191,7 @@ def _build(base: Archive, files=(), metadata: MetadataSet | None = None,
         added.append(entry)
     new = [entry.path for entry in added]
     if metadata is not None:
+        from .metadata import serialize_metadata
         location = rdf or METADATA_FILENAME
         if location in container:
             container.remove(location)
@@ -283,6 +280,7 @@ def validate_archive(
 
     STRICT, or "strict", makes the findings of STRICT_ERRORS errors.
     """
+    from .metadata import MetadataSet, check_minimum_information
     mode = ValidationMode(mode)
     try:
         archive, report = _open(data)
@@ -305,7 +303,7 @@ def validate_archive(
         report.warning(rule, path, reason)
     report.extend(check_minimum_information(archive.metadata or MetadataSet()))
     if mode is ValidationMode.STRICT:
-        report.items = [replace(f, severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
+        report.items = [f._replace(severity=Severity.ERROR) if f.rule in STRICT_ERRORS else f
                         for f in report.items]
     return report.sorted()
 
@@ -322,6 +320,7 @@ def remove_entry(archive: Archive, location: str) -> Archive:
     metadata = None
     if archive.metadata is not None and path in archive.metadata.blocks:
         # a new set, so the input archive's metadata stays as it was
+        from dataclasses import replace
         blocks = {key: block for key, block in archive.metadata.blocks.items() if key != path}
         metadata = replace(archive.metadata, blocks=blocks)
     return _build(archive, metadata=metadata, remove=path)
@@ -497,9 +496,8 @@ def pack_directory(
         raise NoSuchEntry(sorted(unknown)[0])
     archive = create_archive(files)
     if stamp and archive.metadata_path is None:
-        metadata = MetadataSet()
-        metadata.add(stamp_block(creator))
-        archive = set_metadata(archive, metadata)
+        from .metadata import MetadataSet
+        archive = set_metadata(archive, MetadataSet({".": stamp_block(creator)}))
     return archive
 
 

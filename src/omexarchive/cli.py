@@ -9,16 +9,15 @@ unexpected exception), reported as one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import json
 import os
 import re
 import stat
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
 
 from .archive import (
     Archive,
@@ -32,14 +31,6 @@ from .archive import (
 from .errors import OmexError
 from .formats import EXTENSIONS, classify_format, infer_extension
 from .manifest import write_element
-from .metadata import (
-    _ABOUT_ATTR,
-    _RESOURCE_ATTR,
-    Creator,
-    DescriptionBlock,
-    MetadataSet,
-    Timestamp,
-)
 from .report import Severity
 
 SCHEMA_VERSION = 1
@@ -56,12 +47,13 @@ def _fail(message: str) -> int:
 
 def parse_creator(text: str) -> Creator:
     """Parse 'Given Family <email>'; a single token is a family name."""
-    email = None
+    from .metadata import Creator
+    email, name = None, text
     m = re.search(r"<([^<>]*)>", text)
     if m:
         email = m.group(1).strip() or None
-        text = (text[: m.start()] + text[m.end():]).strip()
-    tokens = text.split()
+        name = (text[: m.start()] + text[m.end():]).strip()
+    tokens = name.split()
     family = tokens[-1] if tokens else None
     given = " ".join(tokens[:-1]) or None
     creator = Creator(family_name=family, given_name=given, email=email)
@@ -86,7 +78,7 @@ def _open(path: str) -> Iterator[Archive]:
 
 
 @contextmanager
-def _replace(path) -> Iterator[BinaryIO]:
+def _replace(path):
     """A new file beside the resolved target `path`, open for writing in
     binary, so no platform turns LF into CR LF, while the block runs. When
     the block ends cleanly the file is flushed to disk and renamed over the
@@ -200,6 +192,7 @@ def cmd_validate(args) -> int:
 
 def _print_kept(elem, indent: str) -> None:
     """One line for a kept element: its tag as a URI, then the resources and text it holds."""
+    from .metadata import _ABOUT_ATTR, _RESOURCE_ATTR
     if not isinstance(elem.tag, str):  # a comment or processing instruction, as written
         out = [indent]
         write_element(out, elem, str)
@@ -255,6 +248,8 @@ def cmd_meta(args) -> int:
     # the archive is read from its file while the new one is written, and
     # closed before the rename, which Windows refuses over an open file; one
     # longer than 64 KiB as stored is checked by its copy or read alone
+    import dataclasses
+    from .metadata import DescriptionBlock, MetadataSet, Timestamp
     with _replace(args.archive) as out, _archive_file(args.archive) as source:
         archive = _open_archive(source, copied=True)
         if archive.metadata_error is not None:

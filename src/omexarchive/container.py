@@ -40,8 +40,8 @@ import re
 import struct
 import zlib
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
-from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptEntry, NoSuchEntry, NotAZip, UnsafePath
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import enum
 import functools
-import mimetypes
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .manifest import (
     OMEX_FORMAT_URI,
@@ -44,10 +43,7 @@ class FormatKind(enum.Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class FormatClass:
-    kind: FormatKind
-    key: str
+FormatClass = namedtuple("FormatClass", "kind key")
 
 
 @functools.lru_cache(maxsize=256)  # an archive names few formats, each on many entries
@@ -126,8 +122,9 @@ OCTET_STREAM_URI = MEDIATYPE_PREFIX + "application/octet-stream"
 
 @functools.cache
 def _builtin_types() -> mimetypes.MimeTypes:
-    # the interpreter's own table, not the host's mime.types files; built on
-    # first use, since building it reads those files into the module's table
+    # the interpreter's own table, not the host's mime.types files; imported and
+    # built on first use, since building it reads those files into the module's table
+    import mimetypes
     return mimetypes.MimeTypes()
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from urllib.parse import unquote
 
 from .container import _PLAIN_PATH, check_path
@@ -56,6 +55,7 @@ _ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES, **str.maketrans({"\n": "&#10;", "\t": "&#
 _SPECIAL = re.compile('[&<>\n\r\t"]')
 
 _MASTER_VALUES = {"true": True, "1": True, "false": False, "0": False}
+_set = object.__setattr__  # how a _Frozen value sets its attributes
 
 
 def non_xml_char(text: str) -> str | None:
@@ -157,26 +157,51 @@ def check_location(location: str) -> str:
         raise InvalidLocation(location, exc.reason) from None
 
 
-@dataclass(frozen=True)
-class ContentEntry:
+class _Frozen:
+    """A value as a frozen dataclass makes one: equal, hashed and printed by `_fields`."""
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ContentEntry(_Frozen):
     """A manifest entry; `path` is the container path its location names."""
-    location: str
-    format: str
-    master: bool | None = None
-    path: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("location", "format", "master", "path")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        object.__setattr__(self, "path", check_location(self.location))
+    def __init__(self, location: str, format: str, master: bool | None = None):
+        _set(self, "location", location)
+        _set(self, "format", format)
+        _set(self, "master", master)
+        _set(self, "path", check_location(location))
+
+    def __reduce__(self):  # slots restored by setattr would meet the refusal
+        return ContentEntry, self._values()
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(_Frozen):
     """Entries in document order, indexed by path; paths are unique.
 
     `metadata_path` is the path of the first entry in the omex-metadata
     format but `.` and manifest.xml, or None.
     """
-    entries: tuple[ContentEntry, ...]
+    _fields = ("entries",)
 
     def __init__(self, entries):
         self._extend({}, None, entries)
@@ -189,9 +214,9 @@ class Manifest:
             if (metadata_path is None and entry.format == OMEX_METADATA_FORMAT_URI
                     and entry.path not in RESERVED_LOCATIONS):
                 metadata_path = entry.path
-        object.__setattr__(self, "entries", tuple(by_path.values()))
-        object.__setattr__(self, "_by_path", by_path)
-        object.__setattr__(self, "metadata_path", metadata_path)
+        _set(self, "entries", tuple(by_path.values()))
+        _set(self, "_by_path", by_path)
+        _set(self, "metadata_path", metadata_path)
 
     def find(self, path: str) -> ContentEntry | None:
         return self._by_path.get(path)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class Severity(enum.Enum):
@@ -11,19 +11,20 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: Severity
-    rule: str
-    location: str
-    message: str
+Finding = namedtuple("Finding", "severity rule location message")
 
 
-@dataclass
 class ValidationReport:
     """Findings in the order added; `sorted()` orders them by rule then location."""
 
-    items: list[Finding] = field(default_factory=list)
+    def __init__(self, items: list[Finding] | None = None):
+        self.items = [] if items is None else items
+
+    def __eq__(self, other):
+        return self.items == other.items if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(items={self.items!r})"
 
     def add(self, severity: Severity, rule: str, location: str, message: str) -> None:
         self.items.append(Finding(severity, rule, location, message))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import omexarchive
 import omexarchive.archive
 import omexarchive.cli
+import omexarchive.metadata
 from omexarchive import (
     Creator,
     MetadataSet,
@@ -308,8 +309,8 @@ def test_open_names_the_first_missing_file_as_lenient_validation_does():
 
 def test_open_parses_no_metadata_and_finds_no_clashes(golden_archive_bytes, monkeypatch):
     calls = []
-    parse, clashes = omexarchive.archive.parse_metadata, omexarchive.Container.clashes
-    monkeypatch.setattr(omexarchive.archive, "parse_metadata",
+    parse, clashes = omexarchive.metadata.parse_metadata, omexarchive.Container.clashes
+    monkeypatch.setattr(omexarchive.metadata, "parse_metadata",
                         lambda data: calls.append("parse") or parse(data))
     monkeypatch.setattr(omexarchive.Container, "clashes",
                         lambda self: calls.append("clashes") or clashes(self))

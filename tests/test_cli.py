@@ -18,6 +18,7 @@ import pytest
 
 import omexarchive
 import omexarchive.cli
+import omexarchive.metadata
 from omexarchive import open_archive, set_metadata, write_container
 from omexarchive.cli import main, parse_creator
 from omexarchive.errors import CorruptEntry
@@ -59,6 +60,14 @@ def test_parse_creator():
     assert parse_creator("Doe") == Creator(family_name="Doe")
     with pytest.raises(ValueError):
         parse_creator("<>")
+
+
+@pytest.mark.parametrize("text", ["<>", " < > ", "<  >"])
+def test_a_creator_that_names_no_one_is_refused_as_given(fixture_dir, tmp_path, capsys, text):
+    out = tmp_path / "out.omex"
+    assert main(["pack", str(fixture_dir), str(out), "--creator", text]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse creator: {text!r}\n"
+    assert not out.exists()
 
 
 def test_pack_golden_fixture(fixture_dir, tmp_path, capsys):
@@ -599,8 +608,8 @@ def test_meta_set_refuses_with_the_reason_the_open_kept(tmp_path, golden_files, 
     path.write_bytes(write_container(build_container(
         dict(golden_files, **{"metadata.rdf": b"<x/>"}))))
     parses = []
-    parse = omexarchive.archive.parse_metadata
-    monkeypatch.setattr(omexarchive.archive, "parse_metadata",
+    parse = omexarchive.metadata.parse_metadata
+    monkeypatch.setattr(omexarchive.metadata, "parse_metadata",
                         lambda data: parses.append(data) or parse(data))
     assert main(["meta", str(path), "set", "--touch"]) == 2
     assert capsys.readouterr().err == (
@@ -654,6 +663,39 @@ def test_importing_the_cli_leaves_modules_unloaded(flags, modules):
     result = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                             text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.stdout.strip() == "[]"
+
+
+# what list and unpack never run: the metadata module and what it imports, loaded
+# where validate, info, meta and pack read or write metadata, getpass for pack's
+# default creator, and mimetypes for pack's guesses of a file's format
+_LAZY = ["omexarchive.metadata", "datetime", "getpass", "dataclasses", "inspect", "mimetypes"]
+
+
+def test_list_and_unpack_import_only_what_they_run(golden_archive_file, tmp_path):
+    code = """if True:
+        import contextlib, io, json, sys
+        import omexarchive.cli
+
+        lazy, archive, dest = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
+        seen = {"import": [m for m in lazy if m in sys.modules]}
+        for name, argv in [("list", ["list", "--json", archive]),
+                           ("unpack", ["unpack", archive, dest]),
+                           ("validate", ["validate", archive])]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = omexarchive.cli.main(argv)
+            seen[name] = code, [m for m in lazy if m in sys.modules]
+        print(json.dumps(seen))
+    """
+    src = Path(omexarchive.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(_LAZY), str(golden_archive_file),
+         str(tmp_path / "dest")],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    seen = json.loads(result.stdout)
+    assert seen["import"] == []
+    assert seen["list"] == [0, []]
+    assert seen["unpack"] == [0, []]
+    assert seen["validate"][0] in (0, 1) and "omexarchive.metadata" in seen["validate"][1]
 
 
 _FDS = Path("/proc/self/fd")

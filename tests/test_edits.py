@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import omexarchive.archive
 import omexarchive.manifest
+import omexarchive.metadata
 from omexarchive import (
     Archive,
     Container,
@@ -72,15 +73,18 @@ def _sized(entries: int):
 
 
 def _counted(monkeypatch, *names):
-    """The arguments of each call made through the archive module to the
-    functions `names`, by function name."""
+    """The arguments of each call made to the functions `names`, by function
+    name: through the archive module, or for the metadata's, through the
+    metadata module, which the archive module imports them from when it calls."""
     calls = {name: [] for name in names}
     for name, made in calls.items():
-        def counted(value, call=getattr(omexarchive.archive, name), made=made):
+        module = omexarchive.metadata if name.endswith("_metadata") else omexarchive.archive
+
+        def counted(value, call=getattr(module, name), made=made):
             made.append(value)
             return call(value)
 
-        monkeypatch.setattr(omexarchive.archive, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -91,7 +95,7 @@ def serializations(monkeypatch):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """The bytes of each parse_metadata call made through the archive module."""
+    """The bytes of each parse_metadata call."""
     return _counted(monkeypatch, "parse_metadata")["parse_metadata"]
 
 

@@ -7,8 +7,15 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from omexarchive import (
+    ContentEntry,
+    Finding,
+    FormatClass,
+    Manifest,
     MetadataSet,
+    Severity,
+    ValidationReport,
     add_entry,
+    classify_format,
     create_archive,
     open_archive,
     parse_manifest,
@@ -19,6 +26,7 @@ from omexarchive import (
 from omexarchive.archive import pack_directory
 from omexarchive.errors import MissingAttribute
 from omexarchive.formats import COMBINE_PREFIX
+from omexarchive.manifest import OMEX_FORMAT_URI
 from omexarchive.metadata import DescriptionBlock
 
 from conftest import GOLDEN_FILES, build_container
@@ -64,3 +72,24 @@ def test_errors_and_archives_cross_a_process_boundary(tmp_path):
             here = make(*args)
             assert (sent, sent.metadata) == (here, here.metadata), make.__name__
             assert sent.to_bytes() == data == here.to_bytes(), make.__name__
+
+
+def _returned(value):
+    return value
+
+
+def test_records_cross_a_process_boundary():
+    entry = ContentEntry("models/a%20b.xml", COMBINE_PREFIX + "sbml", True)
+    manifest = Manifest([ContentEntry(".", OMEX_FORMAT_URI), entry])
+    finding = Finding(Severity.WARNING, "unlisted-file", "a.txt", "unlisted")
+    archive = create_archive([("model.xml", COMBINE_PREFIX + "sbml", True, b"<sbml/>")])
+    values = [entry, manifest, finding, classify_format(COMBINE_PREFIX + "sbml"),
+              FormatClass(classify_format("not a uri").kind, "not a uri"),
+              ValidationReport([finding]), archive]
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        sent = list(pool.map(_returned, values, timeout=60))
+    assert [type(value) for value in sent] == [type(value) for value in values]
+    assert sent == values
+    assert sent[0].path == "models/a b.xml"
+    assert sent[1].find("models/a b.xml") == entry and sent[1].metadata_path is None
+    assert sent[-1].to_bytes() == archive.to_bytes()
