@@ -8,8 +8,7 @@ import os
 import stat
 from collections.abc import Iterable, Iterator
 from functools import cached_property, partial
-from operator import itemgetter
-from pathlib import Path
+from operator import attrgetter, itemgetter
 
 from .container import (
     _PROBE,
@@ -345,6 +344,7 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     outside `destination`, and is then opened by path, which follows a
     link swapped in after that check.
     """
+    from pathlib import Path
     dest = Path(destination).resolve()
     clashes = archive.container.clashes()
     if clashes:
@@ -387,7 +387,8 @@ _NOT_REGULAR = "a FIFO or other non-regular file lies where its file goes"
 # with O_NONBLOCK a FIFO that no reader holds raises ENXIO instead of waiting
 _IN_THE_WAY = {errno.EISDIR: "a directory lies where its file goes", errno.ENXIO: _NOT_REGULAR}
 _NONBLOCK = getattr(os, "O_NONBLOCK", 0)
-_NOFOLLOW = getattr(os, "O_NOFOLLOW", 0)
+# a file of the tree is opened with O_BINARY, or Windows reads it as text
+_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NOFOLLOW", 0) | _NONBLOCK
 
 
 def _fill(parts: list[str], fd: int, steps: Iterable) -> None:
@@ -467,22 +468,17 @@ def pack_directory(
     is raised. A file name's `%` is written to its location as `%25`, so
     the location names the file. A root manifest.xml is ignored (it is
     regenerated). A link, FIFO, socket or device below `directory` raises
-    UnsafePath naming its path in the tree, as extraction refuses a link.
-    The walk reads no file: each is read when the archive is written, and
-    must then still be the file the walk saw, at the size it saw (see
-    _TreeFile). `stamp` adds a creation block when the packed tree gives
-    the archive no metadata file.
+    UnsafePath naming its path in the tree, as extraction refuses a link; a
+    directory that cannot be listed raises its OSError. The walk reads no
+    file: each is read when the archive is written, and must then still be
+    the file the walk saw, at the size it saw (see _TreeFile). `stamp` adds
+    a creation block when the packed tree gives the archive no metadata file.
     """
-    root = Path(directory)
     masters = {check_location(m) for m in (masters or set())}
     overrides = {check_location(k): v for k, v in (format_overrides or {}).items()}
     files = []
     paths = set()
-    for file in sorted(root.rglob("*")):  # a link to a directory is listed, not entered
-        status = file.lstat()
-        if stat.S_ISDIR(status.st_mode):
-            continue
-        rel = file.relative_to(root).as_posix()
+    for file, rel, status in _walk(os.fspath(directory), ""):
         if not stat.S_ISREG(status.st_mode):
             raise UnsafePath(rel, "a link, FIFO, socket or device is not packed")
         if rel == MANIFEST_FILENAME:
@@ -501,6 +497,19 @@ def pack_directory(
     return archive
 
 
+def _walk(top: str, prefix: str) -> Iterator[tuple[str, str, os.stat_result]]:
+    """(path, path in the tree, lstat) of each non-directory below `top` in
+    segment order, sorted(Path)'s on POSIX: a directory is listed once, its
+    entries sorted by name, and entered at its place among them; a link to
+    one is yielded. `os.lstat`, as `DirEntry.stat` gives Windows no inode."""
+    for entry in sorted(os.scandir(top), key=attrgetter("name")):  # closed when exhausted
+        status = os.lstat(entry.path)
+        if stat.S_ISDIR(status.st_mode):
+            yield from _walk(entry.path, f"{prefix}{entry.name}/")
+        else:
+            yield entry.path, prefix + entry.name, status
+
+
 # why a file of the tree is refused when it is written
 _CHANGED = "the file changed after the tree was walked"
 
@@ -515,7 +524,7 @@ class _TreeFile(ContainerEntry):
 
     __slots__ = ("_file", "_identity")
 
-    def __init__(self, path: str, file: Path, status: os.stat_result):
+    def __init__(self, path: str, file: str, status: os.stat_result):
         super().__init__(path, None)
         self._file, self._identity = file, (status.st_dev, status.st_ino, status.st_size)
 
@@ -525,21 +534,22 @@ class _TreeFile(ContainerEntry):
 
     def _pieces(self) -> Iterator[bytes]:
         try:
-            file = open(self._file, "rb", buffering=0,
-                        opener=lambda path, flags: os.open(path, flags | _NOFOLLOW | _NONBLOCK))
+            fd = os.open(self._file, _READ)
         except OSError as exc:
             if exc.errno in _NOT_FOLLOWED or exc.errno in (errno.ENOENT, errno.EISDIR):
                 raise UnsafePath(self.path, _CHANGED) from exc
             raise
-        with file:
-            status = os.fstat(file.fileno())
+        try:
+            status = os.fstat(fd)
             if (status.st_dev, status.st_ino, status.st_size) != self._identity:
                 raise UnsafePath(self.path, _CHANGED)
             done = 0
-            while piece := file.read(_PROBE):
+            while piece := os.read(fd, _PROBE):
                 done += len(piece)
                 if done > self.size:
                     raise UnsafePath(self.path, _CHANGED)
                 yield piece
+        finally:
+            os.close(fd)
         if done < self.size:
             raise UnsafePath(self.path, _CHANGED)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import re
 import stat
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from pathlib import Path
 
 from .archive import (
     Archive,
@@ -88,6 +86,7 @@ def _replace(path):
     target is refused before any byte is written. That refusal, a file
     that cannot be made there and a rename that fails are reported at
     `path`, not at the file's hidden name."""
+    from pathlib import Path
     target = Path(path).resolve()
     temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
@@ -114,9 +113,8 @@ def _replace(path):
 
 
 def cmd_pack(args) -> int:
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        return _fail(f"not a directory: {directory}")
+    if not os.path.isdir(args.directory):
+        return _fail(f"not a directory: {args.directory}")
     overrides = {}
     for item in args.format or []:
         location, sep, uri = item.partition("=")
@@ -125,7 +123,7 @@ def cmd_pack(args) -> int:
         overrides[location] = uri
     creator = parse_creator(args.creator) if args.creator else None
     archive = pack_directory(
-        directory,
+        args.directory,
         masters=set(args.master or []),
         format_overrides=overrides,
         stamp=not args.no_stamp,
@@ -134,6 +132,7 @@ def cmd_pack(args) -> int:
     ext = args.ext
     if ext == "auto":
         ext = infer_extension(archive.manifest)
+    from pathlib import Path
     out = Path(args.output).with_suffix("." + ext)
     with _replace(out) as file:
         archive.write(file)
@@ -164,6 +163,7 @@ def cmd_list(args) -> int:
             }
         )
     if args.json:
+        import json
         print(json.dumps({"schemaVersion": SCHEMA_VERSION, "entries": rows}, indent=2))
     else:
         for row in rows:
@@ -178,8 +178,8 @@ def cmd_validate(args) -> int:
     with _archive_file(args.archive) as source:
         report = validate_archive(source, mode)
     if args.json:
-        payload = {"schemaVersion": SCHEMA_VERSION, "mode": mode}
-        payload.update(report.to_json())
+        import json
+        payload = {"schemaVersion": SCHEMA_VERSION, "mode": mode, **report.to_json()}
         print(json.dumps(payload, indent=2))
     else:
         for finding in report:

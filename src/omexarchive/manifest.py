@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from urllib.parse import unquote
 
 from .container import _PLAIN_PATH, check_path
 from .errors import (
@@ -141,6 +140,7 @@ def check_location(location: str) -> str:
     """
     if _PLAIN_PATH.fullmatch(location):  # nothing to decode, strip or refuse
         return location
+    from urllib.parse import unquote
     try:
         path = unquote(location, errors="strict")
     except UnicodeDecodeError as exc:

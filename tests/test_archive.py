@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 import signal
@@ -687,6 +688,86 @@ def test_the_walk_reads_no_file(tmp_path, monkeypatch):
     with open(tmp_path / "out.omex", "rb") as file:
         written = open_archive(file).container
         assert written.get("data/blob.bin") == new and written.get("model.xml") == b"<cellml"
+
+
+def test_the_walk_opens_no_file_and_the_write_reads_each_once(tmp_path, monkeypatch):
+    _long_file_tree(tmp_path)
+    real_open, real_read = os.open, os.read
+    at, opened, read = {}, [], {}  # path of each descriptor, files opened, bytes read of each
+
+    def counting_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            at[fd] = os.fspath(path)
+            opened.append(at[fd])
+        return fd
+
+    def counting_read(fd, size):
+        data = real_read(fd, size)
+        read[at[fd]] = read.get(at[fd], 0) + len(data)
+        return data
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "read", counting_read)
+    archive = pack_directory(tmp_path / "tree", stamp=False)
+    assert opened == [] and read == {}
+    archive.to_bytes()
+    tree = tmp_path / "tree"
+    written = {str(tree / "data" / "blob.bin"): 200_000, str(tree / "model.xml"): 7}
+    assert opened == list(written) and read == written
+
+
+def test_a_directory_that_cannot_be_listed_is_refused_not_skipped(tmp_path, monkeypatch,
+                                                                 capsys):
+    # rglob skipped it and packed the rest; chmod cannot lock out root, so os.scandir refuses
+    tree = tmp_path / "tree"
+    locked = tree / "locked"
+    (tree / "a").mkdir(parents=True)
+    locked.mkdir()
+    (tree / "a" / "x.txt").write_bytes(b"x")
+    (locked / "y.txt").write_bytes(b"y")
+    refusal = PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(locked))
+    scandir = os.scandir
+
+    def refuse_locked(path="."):
+        if Path(path) == locked:
+            raise refusal
+        return scandir(path)
+    monkeypatch.setattr(os, "scandir", refuse_locked)
+    with pytest.raises(PermissionError) as raised:
+        pack_directory(tree, stamp=False)
+    assert raised.value is refusal
+    assert omexarchive.cli.main(["pack", str(tree), str(tmp_path / "out.omex")]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert list(tmp_path.iterdir()) == [tree]
+
+
+_TREE_NAMES = st.text("aAzZ-._%é中", min_size=1, max_size=3).filter(lambda n: n not in (".", ".."))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(_TREE_NAMES, min_size=1, max_size=3), st.booleans()),
+                max_size=12))
+@example([(["a", "y"], False), (["a-b", "x"], False), (["a.b", "z"], False), (["a_"], False),
+          ([".dot"], False), (["A"], False), (["é"], False), (["%41"], False),
+          (["e"], True), (["a", "n", "m"], True)])
+def test_the_walk_packs_what_rglob_finds_in_its_order(nodes):
+    # segment order: a/y before a-b/x, though "a-b/x" < "a/y" as strings
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for segments, is_directory in nodes:  # a directory, empty or not, or a file
+            path = root.joinpath(*segments)
+            if path.exists() or any(parent.is_file() for parent in path.parents):
+                continue
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if is_directory:
+                path.mkdir()
+            else:
+                path.write_bytes("/".join(segments).encode())
+        found = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*"))
+                 if not path.is_dir()]
+        first, second = pack_directory(root, stamp=False), pack_directory(root, stamp=False)
+        assert [entry.path for entry in first.manifest.entries] == [".", *found]
+        assert first.to_bytes() == second.to_bytes()
 
 
 def test_pack_directory_unknown_master(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import errno
 import hashlib
@@ -696,6 +697,43 @@ def test_list_and_unpack_import_only_what_they_run(golden_archive_file, tmp_path
     assert seen["list"] == [0, []]
     assert seen["unpack"] == [0, []]
     assert seen["validate"][0] in (0, 1) and "omexarchive.metadata" in seen["validate"][1]
+
+
+# what a clean interpreter (-S, so no site hook imports them first) need not load:
+# json for --json output, pathlib for paths pack and unpack make, urllib.parse and
+# ipaddress for percent-escaped locations
+_WATCHED = ["json", "pathlib", "urllib.parse", "ipaddress"]
+
+
+@pytest.mark.parametrize("commands,absent", [
+    ([["pack", "{tree}", "{out}"], ["unpack", "{out}", "{dest}"]], ["json"]),
+    ([["list", "--json", "{archive}"]], ["pathlib"]),
+], ids=["pack-unpack", "list"])
+def test_json_and_pathlib_load_only_where_a_command_uses_them(commands, absent,
+                                                              golden_archive_file, tmp_path):
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "model.xml").write_bytes(b"<sbml/>")
+    names = {"tree": tmp_path / "tree", "out": tmp_path / "out.omex",
+             "dest": tmp_path / "dest", "archive": golden_archive_file}
+    argvs = [[arg.format(**names) for arg in argv] for argv in commands]
+    code = f"""if True:
+        import sys
+        import omexarchive.cli
+        loaded = lambda: [m for m in {_WATCHED!r} if m in sys.modules]
+        seen = [loaded()]
+        import contextlib, io
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                seen.append((omexarchive.cli.main(argv), loaded()))
+        print(repr(seen))
+    """
+    src = Path(omexarchive.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    imported, *ran = ast.literal_eval(result.stdout)
+    assert imported == []
+    assert [exit_code for exit_code, _ in ran] == [0] * len(commands)
+    assert [set(absent) & set(loaded) for _, loaded in ran] == [set()] * len(commands)
 
 
 _FDS = Path("/proc/self/fd")

@@ -1,4 +1,5 @@
 import re
+import urllib.parse
 from xml.sax import saxutils
 
 import pytest
@@ -200,7 +201,8 @@ def test_a_plain_location_is_not_decoded(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decoded")
 
-    monkeypatch.setattr(omexarchive.manifest, "unquote", refuse)
+    # check_location imports unquote where it decodes, so it finds this one
+    monkeypatch.setattr(urllib.parse, "unquote", refuse)
     assert check_location("models/model-1.xml") == "models/model-1.xml"
     with pytest.raises(AssertionError, match="decoded"):
         check_location("a%20b.xml")
