@@ -15,7 +15,6 @@ from .container import (
     _SHARED_PATH,
     Container,
     ContainerEntry,
-    _open_container,
     _write,
     open_container,
     write_container,
@@ -228,7 +227,23 @@ def create_archive(files) -> Archive:
     return _build(Archive(Container(), Manifest(())), entries)
 
 
-def _open(data, copied: bool = False) -> tuple[Archive, ValidationReport]:
+# What an open keeps inflated: what the command reads whole next. Every open
+# parses the manifest; validate, info and meta metadata.rdf too, the file this
+# tool writes (one at another path is inflated again when parsed); unpack
+# writes each member of at most 64 KiB whole, and a longer one in steps.
+def _manifest(entry: ContainerEntry) -> bool:
+    return entry.path == MANIFEST_FILENAME
+
+
+def _documents(entry: ContainerEntry) -> bool:
+    return entry.path in (MANIFEST_FILENAME, METADATA_FILENAME)
+
+
+def _written(entry: ContainerEntry) -> bool:
+    return entry.size <= _PROBE or entry.path == MANIFEST_FILENAME
+
+
+def _open(data, keep, copied: bool = False) -> tuple[Archive, ValidationReport]:
     """Read an archive, bytes or a binary file, and check its manifest
     against its members: the one pipeline behind open and validate.
 
@@ -237,8 +252,7 @@ def _open(data, copied: bool = False) -> tuple[Archive, ValidationReport]:
     `validate_manifest_against` finds; its errors are the files the
     manifest lists and the container lacks.
     """
-    # open_container by name, which perfbench/traced.py wraps
-    container = _open_container(data, copied) if copied else open_container(data)
+    container = open_container(data, _keep=keep, _copied=copied)
     if MANIFEST_FILENAME not in container:
         raise MissingManifest(
             f"every archive must contain {MANIFEST_FILENAME} at its root"
@@ -248,7 +262,7 @@ def _open(data, copied: bool = False) -> tuple[Archive, ValidationReport]:
     return Archive(container, manifest), report
 
 
-def open_archive(data) -> Archive:
+def open_archive(data, *, _keep=_manifest, _copied: bool = False) -> Archive:
     """Read an archive, bytes or a binary file open for reading that can
     seek, which the caller keeps open while it reads long members; succeeds
     exactly when lenient validation finds no errors.
@@ -257,14 +271,10 @@ def open_archive(data) -> Archive:
     so the manifest check alone decides, and no other rule runs. The
     metadata is parsed when first used; unreadable metadata leaves
     `Archive.metadata` None, and the reason in `metadata_error`, instead
-    of failing the open.
+    of failing the open. Only the manifest keeps the bytes its check
+    inflated, unless the command names others by `_keep` (see open_container).
     """
-    return _open_archive(data, copied=False)
-
-
-def _open_archive(data, copied: bool) -> Archive:
-    """open_archive, or where `copied` `meta set`'s open (see _open_container)."""
-    archive, report = _open(data, copied)
+    archive, report = _open(data, _keep, _copied)
     if report.errors:
         raise DanglingManifestEntry(report.errors[0].location)
     return archive
@@ -282,7 +292,7 @@ def validate_archive(
     from .metadata import MetadataSet, check_minimum_information
     mode = ValidationMode(mode)
     try:
-        archive, report = _open(data)
+        archive, report = _open(data, _documents)
     except OmexError as exc:
         report = ValidationReport()
         report.error(exc.rule, exc.location, str(exc))
@@ -330,8 +340,9 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     and return the files written, sorted.
 
     Every target is checked, and a manifest or metadata file an edit
-    changed is serialized, before the first file is written. A long member
-    read is written as it inflates, 64 KiB at a time. `destination` is
+    changed is serialized, before the first file is written. A member read
+    is written from the bytes its open kept, or as it inflates again: in one
+    call when it is at most 64 KiB, else 64 KiB at a time. `destination` is
     resolved, so links above it are followed; below it, each directory and
     file is opened through its parent's descriptor without following a
     link, and a link, a non-directory where a directory goes, a directory
@@ -478,7 +489,7 @@ def pack_directory(
     overrides = {check_location(k): v for k, v in (format_overrides or {}).items()}
     files = []
     paths = set()
-    for file, rel, status in _walk(os.fspath(directory), ""):
+    for file, rel, status in _walk(os.fspath(directory)):
         if not stat.S_ISREG(status.st_mode):
             raise UnsafePath(rel, "a link, FIFO, socket or device is not packed")
         if rel == MANIFEST_FILENAME:
@@ -497,17 +508,25 @@ def pack_directory(
     return archive
 
 
-def _walk(top: str, prefix: str) -> Iterator[tuple[str, str, os.stat_result]]:
+def _walk(top: str) -> Iterator[tuple[str, str, os.stat_result]]:
     """(path, path in the tree, lstat) of each non-directory below `top` in
     segment order, sorted(Path)'s on POSIX: a directory is listed once, its
     entries sorted by name, and entered at its place among them; a link to
-    one is yielded. `os.lstat`, as `DirEntry.stat` gives Windows no inode."""
-    for entry in sorted(os.scandir(top), key=attrgetter("name")):  # closed when exhausted
-        status = os.lstat(entry.path)
-        if stat.S_ISDIR(status.st_mode):
-            yield from _walk(entry.path, f"{prefix}{entry.name}/")
-        else:
+    one is yielded. `os.lstat`, as `DirEntry.stat` gives Windows no inode.
+    A stack of the directories entered, not recursion, so no depth is refused."""
+    # (path in the tree of a directory entered, its entries not yet walked)
+    stack = [("", iter(sorted(os.scandir(top), key=attrgetter("name"))))]  # closed when read
+    while stack:
+        prefix, entries = stack[-1]
+        for entry in entries:
+            status = os.lstat(entry.path)
+            if stat.S_ISDIR(status.st_mode):  # walked before the entries after it
+                stack.append((f"{prefix}{entry.name}/",
+                              iter(sorted(os.scandir(entry.path), key=attrgetter("name")))))
+                break
             yield entry.path, prefix + entry.name, status
+        else:
+            stack.pop()
 
 
 # why a file of the tree is refused when it is written

@@ -19,7 +19,8 @@ from contextlib import contextmanager
 
 from .archive import (
     Archive,
-    _open_archive,
+    _documents,
+    _written,
     extract_all,
     open_archive,
     pack_directory,
@@ -69,10 +70,10 @@ def _archive_file(path: str):
 
 
 @contextmanager
-def _open(path: str) -> Iterator[Archive]:
+def _open(path: str, **private) -> Iterator[Archive]:
     """The archive at `path`, read from its file, which stays open until the block ends."""
     with _archive_file(path) as source:
-        yield open_archive(source)
+        yield open_archive(source, **private)
 
 
 @contextmanager
@@ -141,7 +142,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_unpack(args) -> int:
-    with _open(args.archive) as archive:
+    with _open(args.archive, _keep=_written) as archive:
         for path in extract_all(archive, args.destination):
             print(path)
     return EXIT_OK
@@ -237,13 +238,13 @@ def _show(archive: Archive) -> int:
 
 
 def cmd_info(args) -> int:
-    with _open(args.archive) as archive:
+    with _open(args.archive, _keep=_documents) as archive:
         return _show(archive)
 
 
 def cmd_meta(args) -> int:
     if args.action == "show":
-        with _open(args.archive) as archive:
+        with _open(args.archive, _keep=_documents) as archive:
             return _show(archive)
     # the archive is read from its file while the new one is written, and
     # closed before the rename, which Windows refuses over an open file; one
@@ -251,7 +252,7 @@ def cmd_meta(args) -> int:
     import dataclasses
     from .metadata import DescriptionBlock, MetadataSet, Timestamp
     with _replace(args.archive) as out, _archive_file(args.archive) as source:
-        archive = _open_archive(source, copied=True)
+        archive = open_archive(source, _keep=_documents, _copied=True)
         if archive.metadata_error is not None:
             raise OmexError(f"{archive.metadata_path} is unreadable: {archive.metadata_error}")
         metadata = archive.metadata or MetadataSet()

@@ -10,10 +10,11 @@ deflated, bzip2 and LZMA members are inflated in 64 KiB steps to at most
 one byte past their declared size, and must come out at exactly that size
 and pass their CRC-32: where `zipfile` let a damaged bzip2 or LZMA stream
 raise, or took a stream shorter or longer than declared, the member is
-refused. A member of at most one step, and manifest.xml, keep the bytes
-that check inflated; a longer one keeps only where its bytes as stored lie
-in the input, and is inflated again, step by step, when it is read: in
-`meta set`, its only check where it is read from a file. Writing emits
+refused. Only the members the caller names keep the bytes that check
+inflated. Any other keeps where its bytes as stored lie in the input, or,
+from a file, those bytes where they fit in one step, and is inflated again
+when read, in one call where it is at most one step, else step by step:
+in `meta set`, its only check where it is read from a file. Writing emits
 the ZIP itself with fixed timestamps and a fixed entry order: a stored or
 deflated member read is copied as stored, with its compression method; an
 entry longer than 64 KiB whose first 64 KiB deflate no smaller is stored;
@@ -147,10 +148,11 @@ class ContainerEntry:
     """A member at a checked path. `data` is its bytes, or a callable that
     returns them, called once, when `data` is first read, and `size` its
     length. A member read has a `_source`, which holds its bytes as stored,
-    and the other private slots, all set by `_entry` alone. One longer than
-    one step keeps only those: its `data` is inflated when first read and
-    kept, and `steps()` inflates it anew, 64 KiB at a time, without keeping
-    it; from a file each such read checks the size and CRC-32 again. A
+    and the other private slots, all set by `_entry` alone. Unless the open
+    kept the bytes its check inflated, its `data` is inflated when first
+    read and kept, and `steps()` inflates it anew without keeping it: in one
+    call where it is at most one step, else 64 KiB at a time; from a file
+    each such read checks the size and CRC-32 again. A
     subclass may leave `_data` None and give its pieces by `_pieces` and its
     length by `size`, as the files `pack_directory` reads only when they
     are written do. Entries compare by path and bytes, sizes and
@@ -179,13 +181,15 @@ class ContainerEntry:
         return len(self.data) if self._source is None else self._size
 
     def steps(self) -> Iterable[bytes | memoryview]:
-        """Its bytes in pieces: from `_pieces`, 64 KiB at a time, while
-        `data` was not read, as for a long member read, else `data` whole."""
+        """Its bytes in pieces: from `_pieces` while `data` was not read,
+        64 KiB at a time for a long member read, else `data` whole."""
         return self._pieces() if self._data is None else [self.data]
 
     def _pieces(self) -> Iterator[bytes | memoryview]:
-        # bytes cannot change after the open; a file can
-        return _steps(self) if isinstance(self._source, bytes) else _checked(self)
+        if self._size <= _PROBE:  # one piece, inflated whole when drawn
+            yield _whole(self)
+        else:  # bytes cannot change after the open; a file can
+            yield from _steps(self) if isinstance(self._source, bytes) else _checked(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
@@ -449,13 +453,29 @@ def _checked(entry: ContainerEntry, read=_at) -> Iterator[bytes | memoryview]:
     _judge(entry, done, check)
 
 
-def _entry(source, archive_size: int, record: tuple, end: int, copied: bool) -> ContainerEntry:
+def _whole(entry: ContainerEntry) -> bytes:
+    """The member read `entry`, of at most one step, inflated and judged; if
+    deflated in one step, by the one call _steps would make, without its cost."""
+    if entry._method == _DEFLATED and entry._stored_size <= _PROBE:
+        try:
+            data = zlib.decompressobj(-15).decompress(
+                _at(entry._source, entry._start, entry._stored_size), entry._size + 1)
+        except zlib.error as exc:
+            raise CorruptEntry(entry.path, str(exc)) from exc
+    else:
+        data = b"".join(_steps(entry))
+    _judge(entry, len(data), zlib.crc32(data))
+    return data
+
+
+def _entry(source, archive_size: int, record: tuple, end: int, keep,
+           copied: bool) -> ContainerEntry:
     """The member a central record describes, whose bytes must end by `end`,
     where the next member or the central directory starts. It keeps the
-    bytes its check inflated when they fit in one step or it is manifest.xml,
-    and otherwise inflates them again when read. Of a file it keeps the bytes
-    as stored when they fit in one step, else reads them again, which where
-    `copied` is their only check."""
+    bytes its check inflated where `keep` holds for it, or where it is
+    short and they would be read again from a file. Of a file it keeps the
+    bytes as stored when they fit in one step, else reads them again, which
+    where `copied` is their only check."""
     name, flags, method, crc, stored_size, size, at = record
     if not 0 <= at <= archive_size - _LOCAL_HEADER.size:
         raise CorruptEntry(name, "its local header lies outside the archive")
@@ -487,32 +507,25 @@ def _entry(source, archive_size: int, record: tuple, end: int, copied: bool) -> 
     entry = ContainerEntry(name, None)
     entry._source, entry._method, entry._crc = source, method, crc
     entry._start, entry._stored_size, entry._size = start, stored_size, size
-    if stored_size <= _PROBE:
-        stored = head[offset:offset + stored_size]
-        if not isinstance(source, bytes):  # read from a file: kept, not read again
-            entry._source, entry._start = stored, 0
-    if size > _PROBE:  # checked step by step, and not kept
-        if name == "manifest.xml":  # but parsed at once: the bytes checked are kept
-            buffer = io.BytesIO()  # as `data` gathers them
-            buffer.writelines(_checked(entry))
-            entry._data = buffer.getvalue()
-        elif not copied or isinstance(entry._source, bytes):
-            for _ in _checked(entry):
-                pass
-        return entry
-    # at most one step and a byte: held whole, and kept
-    if method == _DEFLATED and stored_size <= _PROBE:
-        try:  # the one call _steps would make, without its generator's cost
-            entry._data = zlib.decompressobj(-15).decompress(stored, size + 1)
-        except zlib.error as exc:
-            raise CorruptEntry(name, str(exc)) from exc
-    else:
-        entry._data = b"".join(_steps(entry))
-    _judge(entry, len(entry._data), zlib.crc32(entry._data))
+    if stored_size <= _PROBE and not isinstance(source, bytes):
+        # read from a file: kept, not read again
+        entry._source, entry._start = head[offset:offset + stored_size], 0
+    kept = keep is not None and keep(entry)
+    if size <= _PROBE:  # held whole
+        data = _whole(entry)
+        if kept or not isinstance(entry._source, bytes):
+            entry._data = data
+    elif kept:  # checked step by step, and kept as `data` gathers them
+        buffer = io.BytesIO()
+        buffer.writelines(_checked(entry))
+        entry._data = buffer.getvalue()
+    elif not copied or isinstance(entry._source, bytes):  # checked step by step
+        for _ in _checked(entry):
+            pass
     return entry
 
 
-def open_container(source) -> Container:
+def open_container(source, *, _keep=None, _copied: bool = False) -> Container:
     """Read a ZIP archive into a Container, rejecting unsafe entry names and
     members whose declared range reaches into the next one.
 
@@ -520,14 +533,11 @@ def open_container(source) -> Container:
     can seek, which the caller keeps open while long members are read and
     closes. Every member's size and CRC-32 are checked here, in 64 KiB
     steps, and it keeps where its bytes as stored lie in `source`; a member
-    of a file keeps those bytes instead where they fit in one step.
+    of a file keeps those bytes instead where they fit in one step. Those
+    `_keep(member)` holds for, which the caller reads whole next, keep the
+    bytes their check inflated. With `_copied` any other longer than 64 KiB
+    as stored in a file is checked only when the caller copies or reads it.
     """
-    return _open_container(source, copied=False)
-
-
-def _open_container(source, copied: bool) -> Container:
-    """open_container; where `copied`, a member of a file longer than 64 KiB
-    as stored is checked only when the caller copies or reads it."""
     try:
         buffer = memoryview(source)
     except TypeError:  # no buffer: a binary file
@@ -547,7 +557,7 @@ def _open_container(source, copied: bool) -> Container:
                 if name.rstrip("/"):
                     check_path(name.rstrip("/"))
                 continue
-            yield _entry(source, archive_size, record, ends[record[-1]], copied)
+            yield _entry(source, archive_size, record, ends[record[-1]], _keep, _copied)
     return Container(members())
 
 

@@ -741,6 +741,27 @@ def test_a_directory_that_cannot_be_listed_is_refused_not_skipped(tmp_path, monk
     assert list(tmp_path.iterdir()) == [tree]
 
 
+def test_a_tree_deeper_than_the_frames_left_packs_and_unpacks(tmp_path):
+    # a recursive walk needs a frame for each directory entered; the limit is
+    # set from the frames in use, so the path stays short for any platform
+    depth, tree = 120, tmp_path / "tree"
+    tree.joinpath(*["a"] * depth).mkdir(parents=True)
+    tree.joinpath(*["a"] * depth, "f.txt").write_bytes(b"deep")
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + depth // 2)
+    try:
+        archive = pack_directory(tree, stamp=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [entry.path for entry in archive.manifest.entries] == [".", "a/" * depth + "f.txt"]
+    extract_all(open_archive(archive.to_bytes()), tmp_path / "out")
+    assert (tmp_path / "out").joinpath(*["a"] * depth, "f.txt").read_bytes() == b"deep"
+    assert pack_directory(tmp_path / "out", stamp=False).to_bytes() == archive.to_bytes()
+
+
 _TREE_NAMES = st.text("aAzZ-._%é中", min_size=1, max_size=3).filter(lambda n: n not in (".", ".."))
 
 

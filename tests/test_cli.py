@@ -20,7 +20,13 @@ import pytest
 import omexarchive
 import omexarchive.cli
 import omexarchive.metadata
-from omexarchive import open_archive, set_metadata, write_container
+from omexarchive import (
+    create_archive,
+    open_archive,
+    set_metadata,
+    validate_archive,
+    write_container,
+)
 from omexarchive.cli import main, parse_creator
 from omexarchive.errors import CorruptEntry
 from omexarchive.metadata import Creator, DescriptionBlock
@@ -640,7 +646,7 @@ def test_bad_pack_creator_exits_2_with_one_line(fixture_dir, tmp_path, capsys):
 )
 def test_unexpected_exception_exits_2(argv, golden_archive_file, tmp_path,
                                       capsys, monkeypatch):
-    def broken_open(data):
+    def broken_open(data, **private):  # unpack, info and meta show name what the open keeps
         raise RuntimeError("boom")
 
     monkeypatch.setattr(omexarchive.cli, "open_archive", broken_open)
@@ -892,6 +898,67 @@ def test_meta_set_inflates_each_deflated_member_once(tmp_path, monkeypatch):
     assert len(inflaters) == len(deflated)
     monkeypatch.undo()
     assert open_archive(path.read_bytes()).metadata.blocks["."].description == "d"
+
+
+def _inflates(monkeypatch) -> list:
+    """A list that gains an item for each zlib.decompressobj made from now on."""
+    inflaters = []
+    decompressobj = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda *a: inflaters.append(1) or decompressobj(*a))
+    return inflaters
+
+
+def _deflated(path: Path) -> list[str]:
+    with zipfile.ZipFile(path) as zf:
+        return [info.filename for info in zf.infolist()
+                if info.compress_type == zipfile.ZIP_DEFLATED]
+
+
+def test_validate_and_meta_set_inflate_a_long_metadata_file_once(tmp_path, monkeypatch):
+    # parsed at once, so the bytes its check inflated are kept
+    parts = b"".join(b'  <rdf:Description rdf:about="models/model.xml#part%d">\n'
+                     b"    <dcterms:description>part %d</dcterms:description>\n"
+                     b"  </rdf:Description>\n" % (i, i) for i in range(1_000))
+    rdf = GOLDEN_FILES["metadata.rdf"].replace(b"</rdf:RDF>", parts + b"</rdf:RDF>")
+    assert len(rdf) > 1 << 16
+    path = tmp_path / "a.omex"
+    path.write_bytes(write_container(build_container({**GOLDEN_FILES, "metadata.rdf": rdf})))
+    deflated = _deflated(path)
+    assert "metadata.rdf" in deflated
+    inflaters = _inflates(monkeypatch)
+    with open(path, "rb") as file:
+        for source in (path.read_bytes(), file):
+            inflaters.clear()
+            report = validate_archive(source)
+            assert "metadata-unreadable" not in [finding.rule for finding in report]
+            assert len(inflaters) == len(deflated)
+    inflaters.clear()
+    assert main(["meta", str(path), "set", "--description", "d"]) == 0
+    assert len(inflaters) == len(deflated)
+    monkeypatch.undo()
+    blocks = open_archive(path.read_bytes()).metadata.blocks
+    assert blocks["."].description == "d" and len(blocks) == 1_001
+
+
+def test_unpack_inflates_each_deflated_member_once(tmp_path, monkeypatch):
+    # each is checked at the open and written from the bytes that check
+    # inflated; the manifest is parsed from them too
+    files = {f"d/{i:04}.txt": b"member %d\n" % i * 50 for i in range(1_000)}
+    archive = create_archive([(path, "http://purl.org/NET/mediatypes/text/plain", False, data)
+                              for path, data in files.items()])
+    assert len(archive.container.get("manifest.xml")) > 1 << 16
+    path = tmp_path / "a.omex"
+    path.write_bytes(archive.to_bytes())
+    deflated = _deflated(path)
+    assert len(deflated) == len(files) + 1
+    inflaters = _inflates(monkeypatch)
+    assert main(["unpack", str(path), str(tmp_path / "out")]) == 0
+    assert len(inflaters) == len(deflated)
+    monkeypatch.undo()
+    files["manifest.xml"] = archive.container.get("manifest.xml")
+    written = {file.relative_to(tmp_path / "out").as_posix(): file.read_bytes()
+               for file in (tmp_path / "out").rglob("*") if file.is_file()}
+    assert written == files
 
 
 @pytest.mark.parametrize("name", ["blob.bin", "text.txt"], ids=["stored", "deflated"])

@@ -370,6 +370,54 @@ def test_reading_a_long_member_twice_inflates_it_once(monkeypatch):
     assert inflaters == [1]
 
 
+def test_a_short_members_first_read_is_one_inflate_and_kept(monkeypatch):
+    text = b"inflated again when read\n" * 100
+    container = open_container(write_container(Container([ContainerEntry("a.txt", text)])))
+    [entry] = container.entries
+    assert entry._data is None  # its check's bytes were not kept
+    inflaters = []
+    decompressobj = zlib.decompressobj
+    monkeypatch.setattr(zlib, "decompressobj", lambda *a: inflaters.append(1) or decompressobj(*a))
+    assert entry.size == len(text) and inflaters == []
+    assert entry.data == text and entry.data is entry.data
+    assert inflaters == [1]
+
+
+def test_an_open_holds_less_than_its_short_members_inflate_to(tmp_path):
+    texts = {f"d/{i:04}.txt": b"line %d of a short member\n" % i * 80 for i in range(1_500)}
+    archive = create_archive([(path, "http://purl.org/NET/mediatypes/text/plain", False, text)
+                              for path, text in texts.items()])
+    path = tmp_path / "a.omex"
+    path.write_bytes(archive.to_bytes())
+    inflated = sum(map(len, texts.values()))
+    with open(path, "rb") as file:
+        tracemalloc.start()
+        try:
+            opened = open_archive(file)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # each keeps its bytes as stored, and inflates them again when read
+        assert held < inflated // 2, (held, inflated)
+        assert all(opened.container.get(path) == text for path, text in texts.items())
+
+
+def test_a_short_member_stored_past_a_step_is_read_once_from_its_file(tmp_path):
+    # incompressible, so deflate stores it a few bytes longer than a step:
+    # its bytes as stored are not held, so the bytes its check inflated are
+    data = random.Random(34).randbytes((1 << 16) - 6)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("a.bin", data)
+    path = tmp_path / "a.zip"
+    path.write_bytes(buffer.getvalue())
+    with zipfile.ZipFile(path) as zf:
+        assert zf.getinfo("a.bin").compress_size > 1 << 16
+    with open(path, "rb") as file:
+        container = open_container(file)
+    assert container.get("a.bin") == data  # its file closed
+
+
 @pytest.mark.parametrize("source", ["bytes", "file"])
 def test_an_open_inflates_a_long_manifest_once(tmp_path, monkeypatch, source):
     # the manifest is parsed at once: the open keeps the bytes its check inflated
