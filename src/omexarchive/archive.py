@@ -7,6 +7,7 @@ import errno
 import os
 import stat
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from functools import cached_property, partial
 from operator import attrgetter, itemgetter
 
@@ -339,53 +340,69 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     """Write every container entry under `destination`, preserving paths,
     and return the files written, sorted.
 
-    Every target is checked, and a manifest or metadata file an edit
-    changed is serialized, before the first file is written. A member read
-    is written from the bytes its open kept, or as it inflates again: in one
-    call when it is at most 64 KiB, else 64 KiB at a time. `destination` is
-    resolved, so links above it are followed; below it, each directory and
-    file is opened through its parent's descriptor without following a
-    link, and a link, a non-directory where a directory goes, a directory
-    where a file goes, a FIFO or other non-regular file where a file goes,
-    or a file that other hard links share raises UnsafePath naming the
-    member before any byte of that file changes.
-    Members written before then stay; none is written through a link.
-    Where `os.open` or `os.mkdir` takes no directory descriptor, each
-    target is resolved before the first write and refused if it lies
-    outside `destination`, and is then opened by path, which follows a
-    link swapped in after that check.
+    First each member whose `steps()` read the archive's file, one longer
+    than 64 KiB as stored there, is read, inflated and checked once, 64 KiB
+    at a time, into a temporary file in `destination` (made if missing)
+    that has no name where the platform allows and is gone when this ends:
+    a corrupt member, or a file changed since the open, raises CorruptEntry
+    before a path clash is refused and before anything below `destination`
+    changes. Then every target is checked, and a manifest or metadata file
+    an edit changed is serialized, before the first file is written. A
+    staged member is written from its temporary file, any other member read
+    from the bytes its open kept or as it inflates again, in one call when
+    it is at most 64 KiB, else 64 KiB at a time. `destination` is resolved,
+    so links above it are followed; below it, each directory and file is
+    opened through its parent's descriptor without following a link, and a
+    link, a non-directory where a directory goes, a directory where a file
+    goes, a FIFO or other non-regular file where a file goes, or a file
+    that other hard links share raises UnsafePath naming the member before
+    any byte of that file changes. Members written before then stay; none
+    is written through a link. Where `os.open` or `os.mkdir` takes no
+    directory descriptor, each target is resolved before the first write
+    and refused if it lies outside `destination`, and is then opened by
+    path, which follows a link swapped in after that check.
     """
     from pathlib import Path
     dest = Path(destination).resolve()
-    clashes = archive.container.clashes()
-    if clashes:
-        _, path, reason = clashes[0]
-        raise UnsafePath(path, reason)
-    # segment order is sorted(Path) order, and brings each directory's members together
-    members = sorted(((entry.path.split("/"), entry.steps())
-                      for entry in archive.container.entries), key=itemgetter(0))
-    targets = [dest.joinpath(*parts) for parts, _ in members]
-    if {os.open, os.mkdir} <= os.supports_dir_fd:
+    with ExitStack() as stack:
+        staged = {}  # path: the pieces of a member whose steps read the archive's file
+        for entry in archive.container.entries:
+            if entry._data is None and not isinstance(entry._source, (bytes, type(None))):
+                import tempfile
+                dest.mkdir(parents=True, exist_ok=True)
+                file = stack.enter_context(tempfile.TemporaryFile(dir=dest))
+                file.writelines(entry.steps())  # each piece checked as it is read
+                file.seek(0)
+                staged[entry.path] = iter(partial(file.read, _PROBE), b"")
+        clashes = archive.container.clashes()
+        if clashes:
+            _, path, reason = clashes[0]
+            raise UnsafePath(path, reason)
+        # segment order is sorted(Path) order, and brings each directory's members together
+        members = sorted(((entry.path.split("/"), staged.get(entry.path) or entry.steps())
+                          for entry in archive.container.entries), key=itemgetter(0))
+        targets = [dest.joinpath(*parts) for parts, _ in members]
+        if {os.open, os.mkdir} <= os.supports_dir_fd:
+            dest.mkdir(parents=True, exist_ok=True)
+            _write_below(dest, members)
+            return targets
+        for target, (parts, _) in zip(targets, members):
+            # container invariants forbid traversal; keep a last-line check anyway
+            if not target.resolve().is_relative_to(dest):
+                raise UnsafePath("/".join(parts), "escapes the destination directory")
         dest.mkdir(parents=True, exist_ok=True)
-        _write_below(dest, members)
+        for target, (parts, steps) in zip(targets, members):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            try:  # appends at 0 once _fill truncates it
+                file = open(target, "ab",
+                            opener=lambda path, flags: os.open(path, flags | _NONBLOCK))
+            except OSError as exc:
+                if exc.errno in _IN_THE_WAY:
+                    raise UnsafePath("/".join(parts), _IN_THE_WAY[exc.errno]) from exc
+                raise
+            with file:
+                _fill(parts, file.fileno(), steps)
         return targets
-    for target, (parts, _) in zip(targets, members):
-        # container invariants forbid traversal; keep a last-line check anyway
-        if not target.resolve().is_relative_to(dest):
-            raise UnsafePath("/".join(parts), "escapes the destination directory")
-    dest.mkdir(parents=True, exist_ok=True)
-    for target, (parts, steps) in zip(targets, members):
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:  # appends at 0 once _fill truncates it
-            file = open(target, "ab",
-                        opener=lambda path, flags: os.open(path, flags | _NONBLOCK))
-        except OSError as exc:
-            if exc.errno in _IN_THE_WAY:
-                raise UnsafePath("/".join(parts), _IN_THE_WAY[exc.errno]) from exc
-            raise
-        with file:
-            _fill(parts, file.fileno(), steps)
-    return targets
 
 
 # what an open with O_NOFOLLOW and, for a directory, O_DIRECTORY raises at a
@@ -411,7 +428,8 @@ def _fill(parts: list[str], fd: int, steps: Iterable) -> None:
         raise UnsafePath("/".join(parts), _NOT_REGULAR)
     if status.st_nlink > 1:
         raise UnsafePath("/".join(parts), "other hard links share its file")
-    os.ftruncate(fd, 0)
+    if status.st_size:  # truncating a fresh file makes ext4 start its writeback at close
+        os.ftruncate(fd, 0)
     for step in steps:
         view = memoryview(step)
         while view:

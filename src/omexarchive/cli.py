@@ -142,7 +142,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_unpack(args) -> int:
-    with _open(args.archive, _keep=_written) as archive:
+    with _open(args.archive, _keep=_written, _copied=True) as archive:
         for path in extract_all(archive, args.destination):
             print(path)
     return EXIT_OK

@@ -14,7 +14,7 @@ refused. Only the members the caller names keep the bytes that check
 inflated. Any other keeps where its bytes as stored lie in the input, or,
 from a file, those bytes where they fit in one step, and is inflated again
 when read, in one call where it is at most one step, else step by step:
-in `meta set`, its only check where it is read from a file. Writing emits
+in `meta set`'s copy or `unpack`'s staging, its one check. Writing emits
 the ZIP itself with fixed timestamps and a fixed entry order: a stored or
 deflated member read is copied as stored, with its compression method; an
 entry longer than 64 KiB whose first 64 KiB deflate no smaller is stored;
@@ -536,7 +536,8 @@ def open_container(source, *, _keep=None, _copied: bool = False) -> Container:
     of a file keeps those bytes instead where they fit in one step. Those
     `_keep(member)` holds for, which the caller reads whole next, keep the
     bytes their check inflated. With `_copied` any other longer than 64 KiB
-    as stored in a file is checked only when the caller copies or reads it.
+    as stored in a file is checked only when the caller reads it: when
+    `Archive.write` copies it, or `extract_all` stages it, its one pass.
     """
     try:
         buffer = memoryview(source)

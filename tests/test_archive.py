@@ -37,6 +37,7 @@ from omexarchive import (
 from omexarchive.archive import pack_directory, stamp_block
 from omexarchive.container import _write
 from omexarchive.errors import (
+    CorruptEntry,
     DanglingManifestEntry,
     DuplicateLocation,
     InvalidFormatUri,
@@ -1076,6 +1077,48 @@ def test_extract_replaces_all_of_a_longer_existing_file(dir_fd, tmp_path, monkey
     (tmp_path / "a.txt").write_bytes(b"a much longer old content")
     extract_all(_linked_archive(), tmp_path)
     assert (tmp_path / "a.txt").read_bytes() == b"new"
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_refuses_an_archive_file_changed_after_its_open_before_writing(
+        dir_fd, tmp_path, monkeypatch):
+    # the open checked every member; the file changed since, so its one long
+    # member read from the file again is refused before a target is written
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    blob = random.Random(35).randbytes(300_000)
+    path = tmp_path / "a.omex"
+    path.write_bytes(create_archive([("a.txt", TEXT, False, b"a"),
+                                     ("z/blob.bin", TEXT, False, blob)]).to_bytes())
+    dest = tmp_path / "dest"
+    (dest / "z").mkdir(parents=True)
+    (dest / "z" / "blob.bin").write_bytes(b"8 bytes!")
+    with open(path, "r+b") as file:
+        archive = open_archive(file)
+        file.seek(path.read_bytes().find(blob) + 200_000)
+        file.write(bytes(byte ^ 0xFF for byte in blob[200_000:200_016]))
+        file.flush()
+        with pytest.raises(CorruptEntry) as refusal:
+            extract_all(archive, dest)
+    assert refusal.value.path == "z/blob.bin"
+    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*")) == ["z", "z/blob.bin"]
+    assert (dest / "z" / "blob.bin").read_bytes() == b"8 bytes!"
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_extract_into_a_fresh_directory_truncates_no_file(dir_fd, tmp_path, monkeypatch):
+    # a fresh file has no bytes to cut; one with bytes is cut before it is written
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    truncated = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, size: truncated.append(size) or
+                        ftruncate(fd, size))
+    archive = open_archive(_linked_archive().to_bytes())
+    written = extract_all(archive, tmp_path / "dest")
+    assert truncated == []
+    extract_all(archive, tmp_path / "dest")
+    assert truncated == [0] * len(written)
 
 
 def test_extract_writes_every_byte_when_writes_come_up_short(tmp_path, monkeypatch):

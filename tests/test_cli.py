@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -979,6 +980,104 @@ def test_the_other_commands_refuse_a_corrupt_long_member_at_the_open(tmp_path, c
             with pytest.raises(CorruptEntry) as refusal:
                 open_archive(source)
             assert refusal.value.path == name
+
+
+def _stored_ranges(path: Path) -> dict[str, range]:
+    """Where the bytes as stored of each member of the archive at `path`
+    lie, for a member whose local header has no extra field, as this
+    package writes it below the zip64 limits."""
+    with zipfile.ZipFile(path) as zf:
+        return {info.filename: range(info.header_offset + 30 + len(info.filename.encode()),
+                                     info.header_offset + 30 + len(info.filename.encode())
+                                     + info.compress_size) for info in zf.infolist()}
+
+
+def _reads(monkeypatch) -> list[range]:
+    """A list that gains the range of each read from an archive's file that
+    a command makes from now on."""
+    reads = []
+
+    class Counted(io.BufferedReader):
+        def read(self, size=-1):
+            at = self.tell()
+            piece = super().read(size)
+            reads.append(range(at, at + len(piece)))
+            return piece
+
+    @contextlib.contextmanager
+    def counted(path):
+        with Counted(io.FileIO(path)) as file:
+            yield file
+    monkeypatch.setattr(omexarchive.cli, "_archive_file", counted)
+    return reads
+
+
+def test_unpack_reads_and_inflates_each_long_member_once(tmp_path, monkeypatch):
+    # the open leaves a member longer than 64 KiB as stored in the file to
+    # extract_all, whose staging reads, inflates and checks it once
+    files = {name: data for name, data in _long_members().items() if name != "zeros.bin"}
+    path = tmp_path / "long.omex"
+    path.write_bytes(write_container(build_container(files)))
+    stored = {name: where for name, where in _stored_ranges(path).items() if len(where) > 1 << 16}
+    assert sorted(stored) == ["blob.bin", "text.txt"] and "text.txt" in _deflated(path)
+    reads, inflaters = _reads(monkeypatch), _inflates(monkeypatch)
+    assert main(["unpack", str(path), str(tmp_path / "out")]) == 0
+    for name, where in stored.items():  # the reads within its bytes as stored cover them once
+        within = [read for read in reads if where.start <= read.start and read.stop <= where.stop]
+        assert sum(map(len, within)) == len(where), name
+    assert len(inflaters) == len(_deflated(path))
+    monkeypatch.undo()
+    written = {file.relative_to(tmp_path / "out").as_posix(): file.read_bytes()
+               for file in (tmp_path / "out").rglob("*") if file.is_file()}
+    assert written == files
+
+
+def _tree(root: Path) -> dict[str, tuple]:
+    """Every file and directory below `root`: its inode, mode, bytes and mtime."""
+    return {path.relative_to(root).as_posix(): (
+        path.stat().st_ino, path.stat().st_mode, path.stat().st_mtime_ns,
+        path.read_bytes() if path.is_file() else None) for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_unpack_of_a_corrupt_long_member_changes_nothing_below_the_destination(
+        tmp_path, capsys, monkeypatch, dir_fd):
+    # staged before the clash is refused and before any target is opened
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    files = {**GOLDEN_FILES, "data/blob.bin": random.Random(35).randbytes(300_000),
+             "Notes.txt": b"N", "notes.txt": b"n"}
+    path = _corrupt(tmp_path, "data/blob.bin", "crc", files)
+    dest = tmp_path / "dest"
+    (dest / "data").mkdir(parents=True)
+    (dest / "data" / "blob.bin").write_bytes(b"old blob")
+    (dest / "simulation.xml").write_bytes(b"old simulation")
+    before = _tree(dest)
+    assert main(["unpack", str(path), str(dest)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: corrupt entry 'data/blob.bin': ")
+    assert _tree(dest) == before
+
+
+@pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
+def test_unpack_writes_a_long_member_over_its_existing_file(tmp_path, monkeypatch, dir_fd):
+    if not dir_fd:
+        monkeypatch.setattr(os, "supports_dir_fd", set())
+    path = tmp_path / "long.omex"
+    path.write_bytes(write_container(build_container(_long_members())))
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    for name in ("blob.bin", "text.txt"):
+        (dest / name).write_bytes(b"old")
+        (dest / name).chmod(0o600)
+    before = {name: (dest / name).stat() for name in ("blob.bin", "text.txt")}
+    assert main(["unpack", str(path), str(dest)]) == 0
+    for name, status in before.items():
+        after = (dest / name).stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (status.st_ino, 0o600)
+        assert (dest / name).read_bytes() == _long_members()[name]
+    assert sorted(p.name for p in dest.iterdir()) == sorted({p.split("/")[0]
+                                                             for p in _long_members()})
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
