@@ -7,7 +7,7 @@ import errno
 import os
 import stat
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack
+from contextlib import nullcontext
 from functools import cached_property, partial
 from operator import attrgetter, itemgetter
 
@@ -16,6 +16,7 @@ from .container import (
     _SHARED_PATH,
     Container,
     ContainerEntry,
+    _at,
     _write,
     open_container,
     write_container,
@@ -340,40 +341,29 @@ def extract_all(archive: Archive, destination) -> list[Path]:
     """Write every container entry under `destination`, preserving paths,
     and return the files written, sorted.
 
-    First each member whose `steps()` read the archive's file, one longer
-    than 64 KiB as stored there, is read, inflated and checked once, 64 KiB
-    at a time, into a temporary file in `destination` (made if missing)
-    that has no name where the platform allows and is gone when this ends:
-    a corrupt member, or a file changed since the open, raises CorruptEntry
-    before a path clash is refused and before anything below `destination`
-    changes. Then every target is checked, and a manifest or metadata file
-    an edit changed is serialized, before the first file is written. A
-    staged member is written from its temporary file, any other member read
-    from the bytes its open kept or as it inflates again, in one call when
-    it is at most 64 KiB, else 64 KiB at a time. `destination` is resolved,
+    Each member whose `steps()` read the archive's file is first read,
+    inflated and checked once into one temporary file in the nearest of
+    `destination` and its parents that exists, so a corrupt one, or a file
+    changed since the open, raises CorruptEntry before anything is made or
+    changed; every target is checked, and an edited manifest or metadata file
+    serialized, before the first file is written. `destination` is resolved,
     so links above it are followed; below it, each directory and file is
     opened through its parent's descriptor without following a link, and a
-    link, a non-directory where a directory goes, a directory where a file
-    goes, a FIFO or other non-regular file where a file goes, or a file
-    that other hard links share raises UnsafePath naming the member before
-    any byte of that file changes. Members written before then stay; none
-    is written through a link. Where `os.open` or `os.mkdir` takes no
-    directory descriptor, each target is resolved before the first write
-    and refused if it lies outside `destination`, and is then opened by
-    path, which follows a link swapped in after that check.
+    link, a directory, a non-directory or other non-regular file in a target's
+    way, or a file that other hard links share, raises UnsafePath naming the
+    member before any byte of that file changes; members written before then
+    stay. Where `os.open` or `os.mkdir` takes no directory descriptor, each
+    target is resolved and refused if it lies outside `destination` before the
+    first write, then opened by path, which follows a link swapped in after.
     """
     from pathlib import Path
     dest = Path(destination).resolve()
-    with ExitStack() as stack:
-        staged = {}  # path: the pieces of a member whose steps read the archive's file
-        for entry in archive.container.entries:
-            if entry._data is None and not isinstance(entry._source, (bytes, type(None))):
-                import tempfile
-                dest.mkdir(parents=True, exist_ok=True)
-                file = stack.enter_context(tempfile.TemporaryFile(dir=dest))
-                file.writelines(entry.steps())  # each piece checked as it is read
-                file.seek(0)
-                staged[entry.path] = iter(partial(file.read, _PROBE), b"")
+    long = [entry for entry in archive.container.entries if entry.reads_file()]
+    if long:  # beside dest, which a refusal must not make
+        import tempfile
+        stage = tempfile.TemporaryFile(dir=next((p for p in (dest, *dest.parents) if p.is_dir()), dest))
+    with stage if long else nullcontext():
+        staged = {entry.path: _staged(stage, entry.steps()) for entry in long}
         clashes = archive.container.clashes()
         if clashes:
             _, path, reason = clashes[0]
@@ -403,6 +393,14 @@ def extract_all(archive: Archive, destination) -> list[Path]:
             with file:
                 _fill(parts, file.fileno(), steps)
         return targets
+
+
+def _staged(file, steps: Iterable) -> Iterator[bytes]:
+    """Append `steps` to `file`, and return what reads them back, 64 KiB at a time."""
+    at = file.tell()
+    file.writelines(steps)
+    end = file.tell()
+    return (_at(file, start, min(_PROBE, end - start)) for start in range(at, end, _PROBE))
 
 
 # what an open with O_NOFOLLOW and, for a directory, O_DIRECTORY raises at a

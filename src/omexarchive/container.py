@@ -185,11 +185,15 @@ class ContainerEntry:
         64 KiB at a time for a long member read, else `data` whole."""
         return self._pieces() if self._data is None else [self.data]
 
+    def reads_file(self) -> bool:
+        """Whether `steps()` read the archive's file, and check what they read."""
+        return self._data is None and not isinstance(self._source, (bytes, type(None)))
+
     def _pieces(self) -> Iterator[bytes | memoryview]:
         if self._size <= _PROBE:  # one piece, inflated whole when drawn
             yield _whole(self)
         else:  # bytes cannot change after the open; a file can
-            yield from _steps(self) if isinstance(self._source, bytes) else _checked(self)
+            yield from _checked(self) if self.reads_file() else _steps(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContainerEntry):
@@ -536,8 +540,7 @@ def open_container(source, *, _keep=None, _copied: bool = False) -> Container:
     of a file keeps those bytes instead where they fit in one step. Those
     `_keep(member)` holds for, which the caller reads whole next, keep the
     bytes their check inflated. With `_copied` any other longer than 64 KiB
-    as stored in a file is checked only when the caller reads it: when
-    `Archive.write` copies it, or `extract_all` stages it, its one pass.
+    as stored in a file is checked only as the caller copies, stages or reads it.
     """
     try:
         buffer = memoryview(source)

@@ -1079,6 +1079,23 @@ def test_extract_replaces_all_of_a_longer_existing_file(dir_fd, tmp_path, monkey
     assert (tmp_path / "a.txt").read_bytes() == b"new"
 
 
+@pytest.mark.parametrize("members,reason", [
+    ([("a", b"1"), ("a/b", b"2")], "file and directory share a path"),
+    ([("a.txt", b"1"), ("A.txt", b"2")], "only in case"),
+], ids=["file_and_directory", "case"])
+def test_extract_of_a_file_refuses_a_clash_before_making_anything(members, reason, tmp_path):
+    # the long member read from the file is staged before the clash is
+    # refused, in the nearest directory that exists, and leaves nothing there
+    path = tmp_path / "a.omex"
+    path.write_bytes(_listing_all([*members, ("z/blob.bin", random.Random(35).randbytes(300_000))]))
+    dest = tmp_path / "missing" / "dest"
+    with open(path, "rb") as file:
+        archive = open_archive(file)
+        with pytest.raises(UnsafePath, match=reason):
+            extract_all(archive, dest)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.omex"]
+
+
 @pytest.mark.parametrize("dir_fd", [True, False], ids=["dir_fd", "by_path"])
 def test_extract_refuses_an_archive_file_changed_after_its_open_before_writing(
         dir_fd, tmp_path, monkeypatch):

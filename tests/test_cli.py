@@ -1080,6 +1080,36 @@ def test_unpack_writes_a_long_member_over_its_existing_file(tmp_path, monkeypatc
                                                              for p in _long_members()})
 
 
+@pytest.mark.parametrize("name", ["blob.bin", "text.txt"], ids=["stored", "deflated"])
+def test_unpack_of_a_corrupt_long_member_makes_no_destination(tmp_path, capsys, name):
+    # staged in the nearest directory that exists, which keeps no file of it
+    path = _corrupt(tmp_path, name, "crc")
+    assert main(["unpack", str(path), str(tmp_path / "missing" / "dest")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: corrupt entry {name!r}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["corrupt.omex"]
+
+
+def test_unpack_stages_more_long_members_than_free_descriptors(tmp_path):
+    # every long member is staged in one temporary file, so unpack holds a
+    # few descriptors however many there are
+    resource = pytest.importorskip("resource")
+    rng = random.Random(35)
+    files = {**GOLDEN_FILES, **{f"data/{n:02}.bin": rng.randbytes(70_000) for n in range(40)}}
+    path = tmp_path / "many.omex"
+    path.write_bytes(write_container(build_container(files)))
+    free = os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor
+    os.close(free)
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (min(free + 16, soft), hard))
+    try:
+        assert main(["unpack", str(path), str(tmp_path / "out")]) == 0
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    written = {file.relative_to(tmp_path / "out").as_posix(): file.read_bytes()
+               for file in (tmp_path / "out").rglob("*") if file.is_file()}
+    assert written == files
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_commands_read_an_archive_from_a_pipe_whole(golden_archive_file, tmp_path, capsys):
     assert main(["list", str(golden_archive_file), "--json"]) == 0
